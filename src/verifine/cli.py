@@ -100,7 +100,7 @@ def _llm_config(args: argparse.Namespace) -> LLMConfig:
         stage, sep, model = entry.partition("=")
         if not sep or not model or stage not in _STAGE_NAMES:
             raise SystemExit("bad --stage-model %r (want STAGE=MODEL)" % entry)
-        overrides[stage] = model
+        overrides[StageKind(stage)] = model
     if args.mode in ("live", "record") and not args.llm_endpoint:
         raise SystemExit("--llm-endpoint is required in %s mode" % args.mode)
     return LLMConfig(

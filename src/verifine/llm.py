@@ -114,20 +114,38 @@ class TranscriptCache:
         self.path = path
         self._lock = threading.Lock()
         self._entries: Dict[str, Transcript] = {}
+        # Byte offset of a torn final line, cut off before the next append.
+        self._torn_at: Optional[int] = None
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    entry = Transcript(
-                        record["key"],
-                        record["prompt"],
-                        record["response"],
-                        record["timestamp"],
-                    )
-                    self._entries[entry.key] = entry
+            self._load()
+
+    def _load(self):
+        # A record run killed mid-append leaves a torn last line; a corrupt
+        # line anywhere else is an error.
+        corrupt: Optional[Tuple[int, ValueError]] = None
+        offset = 0
+        with open(self.path, "rb") as fh:
+            for line in fh:
+                start, offset = offset, offset + len(line)
+                if not line.strip():
+                    continue
+                if corrupt is not None:
+                    raise corrupt[1]
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                except ValueError as exc:
+                    corrupt = (start, exc)
+                    continue
+                entry = Transcript(
+                    record["key"],
+                    record["prompt"],
+                    record["response"],
+                    record["timestamp"],
+                )
+                self._entries[entry.key] = entry
+        if corrupt is not None:
+            log.warning("transcript cache %s: skipping torn final line", self.path)
+            self._torn_at = corrupt[0]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -142,6 +160,9 @@ class TranscriptCache:
             if directory:
                 os.makedirs(directory, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                    self._torn_at = None
                 fh.write(
                     json.dumps(
                         {
@@ -362,11 +383,7 @@ def _parse_block(stage: StageKind, block: str):
         if not text:
             raise ValueError("empty formula")
         return " ".join(text.split("\n")).strip()
-    if stage in (
-        StageKind.LOGIC_TO_AXIOMS,
-        StageKind.BUILD_THEOREM_CODE,
-        StageKind.REFINE_SYNTAX,
-    ):
+    if stage is StageKind.REFINE_SYNTAX:
         if not text:
             raise ValueError("empty theory fragment")
         return text
@@ -403,10 +420,6 @@ def _parse_block(stage: StageKind, block: str):
         if steps[-1].kind is not StepKind.THEN_SHOW_THESIS:
             raise ValueError("final step must be `then show ?thesis`")
         return steps
-    if stage is StageKind.FILTER_FACTS:
-        if not text:
-            return []
-        return _split_ids(text)
     if stage is StageKind.REFINE_EXPLANATION:
         sentences = [
             _strip_bullet(line) for line in text.split("\n") if _strip_bullet(line)

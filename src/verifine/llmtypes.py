@@ -6,10 +6,7 @@ import enum
 class StageKind(enum.Enum):
     DETECT_EVENTS = "detect_events"
     SENTENCE_TO_LOGIC = "sentence_to_logic"
-    LOGIC_TO_AXIOMS = "logic_to_axioms"
-    BUILD_THEOREM_CODE = "build_theorem_code"
     REFINE_SYNTAX = "refine_syntax"
     ROUGH_INFERENCE = "rough_inference"
     CONSTRUCT_PROOF = "construct_proof"
-    FILTER_FACTS = "filter_facts"
     REFINE_EXPLANATION = "refine_explanation"

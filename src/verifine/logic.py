@@ -6,24 +6,39 @@ There are no function symbols and no equality.  Event verbs are treated
 like any other predicate (an event variable plus Agent/Patient roles),
 so nothing here is event-specific.
 
-Concrete syntax (accepted on parse, the Unicode form is emitted):
+One grammar, with one tokeniser, parser and renderer, serves two
+surface syntaxes: canonical text (`parse_formula`, `render_formula`) and
+the prover's inner syntax (used by `verifine.theory`).
 
     formula     := quantified | implication
-    quantified  := ("∀" | "forall" | "∃" | "exists") vars "." formula
-    implication := disjunct (("→" | "->") implication)?
-    disjunct    := conjunct (("∨" | "|") disjunct)?
-    conjunct    := negation (("∧" | "&") conjunct)?
-    negation    := ("¬" | "~") negation | primary
-    primary     := NAME "(" NAME ("," NAME)* ")" | "(" formula ")"
+    quantified  := (FORALL | EXISTS) vars "." formula
+    implication := disjunct (IMPLIES implication)?
+    disjunct    := conjunct (OR disjunct)?
+    conjunct    := negation (AND conjunct)?
+    negation    := NOT negation | primary
+    primary     := atom | "(" formula ")"
     vars        := NAME ("," ? NAME)*
+
+Spellings, accepted on parse; the renderer emits the first one:
+
+    token     canonical      inner
+    FORALL    ∀ forall       \\<forall> ∀
+    EXISTS    ∃ exists       \\<exists> ∃
+    NOT       ¬ ~            \\<not> ¬
+    AND       ∧ &            \\<and> ∧
+    OR        ∨ |            \\<or> ∨
+    IMPLIES   → ->           \\<longrightarrow> ⟶ \\<rightarrow> →
+    atom      P(x, y)        P x y, also P(x, y) with optional commas
+
+Inner names may contain primes, which read as underscores.
 
 Binary connectives associate to the right, matching the prover's inner
 syntax so rendered conjunction chains stay flat in both syntaxes.
 """
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -193,173 +208,203 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
-# Tokeniser / parser
+# The grammar: one tokeniser, parser and renderer for both surface syntaxes
 
-_SYMBOL_TOKENS = [
-    ("∀", "FORALL"),
-    ("∃", "EXISTS"),
-    ("¬", "NOT"),
-    ("∧", "AND"),
-    ("∨", "OR"),
-    ("→", "IMPLIES"),
-    ("->", "IMPLIES"),
-    ("~", "NOT"),
-    ("&", "AND"),
-    ("|", "OR"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    (".", "DOT"),
-    (",", "COMMA"),
-]
+# The precedence ladder, loosest first.  The parser descends it; the
+# renderer parenthesises a child whose level is below the level its
+# position requires.  Binary connectives associate to the right.
+_LEVEL = {Forall: 0, Exists: 0, Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5}
+_BINARY = {_LEVEL[cls]: cls for cls in (Implies, Or, And)}
 
-_KEYWORD_TOKENS = {"forall": "FORALL", "exists": "EXISTS"}
-
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_IDENT = "IDENT"
+_END = "END"
+_PUNCTUATION = {"(": "(", ")": ")", ".": ".", ",": ","}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int  # character offset into the source
+class _Syntax(NamedTuple):
+    """One surface spelling of the grammar, as data."""
+
+    token_re: re.Pattern  # optional whitespace, then a token or a stray character
+    kinds: Dict[str, object]  # spelling -> token kind; other words are identifiers
+    curried: bool  # atoms may read `P x y`, or `P(x y,)` with optional commas
+    spell: Dict[type, str]  # connective -> the text the renderer emits
+    atom: Tuple[str, str, str]  # opening, separator, closing around arguments
+
+
+def _syntax(ident: str, kinds: Dict[str, object], curried: bool, spell, atom):
+    kinds = {**kinds, **_PUNCTUATION}
+    symbols = [k for k in kinds if not re.match(ident, k)]
+    symbols.sort(key=len, reverse=True)
+    token = "|".join([ident] + [re.escape(s) for s in symbols])
+    token_re = re.compile(r"\s*(?:(%s)|(\S)|\Z)" % token)
+    return _Syntax(token_re, kinds, curried, spell, atom)
+
+
+# Canonical text, `∀x. P(x) → Q(x, y)`, also accepted with ASCII spellings.
+_CANONICAL = _syntax(
+    r"[A-Za-z][A-Za-z0-9_]*",
+    {
+        "∀": Forall, "forall": Forall,
+        "∃": Exists, "exists": Exists,
+        "¬": Not, "~": Not,
+        "∧": And, "&": And,
+        "∨": Or, "|": Or,
+        "→": Implies, "->": Implies,
+    },
+    curried=False,
+    spell={
+        Forall: "∀", Exists: "∃", Not: "¬", And: " ∧ ", Or: " ∨ ", Implies: " → "
+    },
+    atom=("(", ", ", ")"),
+)
+
+# Prover inner syntax, `\<forall>x. P x \<longrightarrow> Q x y`: ASCII
+# escapes or the raw Unicode a language model echoes back.  Primes in
+# identifiers become underscores.
+_INNER = _syntax(
+    r"[A-Za-z][A-Za-z0-9_']*",
+    {
+        "∀": Forall, "\\<forall>": Forall,
+        "∃": Exists, "\\<exists>": Exists,
+        "¬": Not, "\\<not>": Not,
+        "∧": And, "\\<and>": And,
+        "∨": Or, "\\<or>": Or,
+        "⟶": Implies, "\\<longrightarrow>": Implies,
+        "→": Implies, "\\<rightarrow>": Implies,
+    },
+    curried=True,
+    spell={
+        Forall: "\\<forall>", Exists: "\\<exists>", Not: "\\<not> ",
+        And: " \\<and> ", Or: " \\<or> ", Implies: " \\<longrightarrow> ",
+    },
+    atom=(" ", " ", ""),
+)
 
 
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str, syntax: _Syntax) -> List[Tuple[object, str, int]]:
+    """(kind, text, character offset) triples, ending with an END token."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        word = _WORD_RE.match(text, i)
-        if word:
-            name = word.group(0)
-            kind = _KEYWORD_TOKENS.get(name, "IDENT")
-            tokens.append(_Token(kind, name, i))
-            i = word.end()
-            continue
-        for sym, kind in _SYMBOL_TOKENS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(kind, sym, i))
-                i += len(sym)
+    kinds = syntax.kinds
+    for match in syntax.token_re.finditer(text):
+        word, stray = match.group(1, 2)
+        if word is None:
+            if stray is None:
                 break
-        else:
             raise ParseError(
-                "unexpected character %r" % ch, _byte_offset(text, i)
+                "unexpected character %r" % stray, _byte_offset(text, match.start(2))
             )
-    tokens.append(_Token("END", "", n))
+        kind = kinds.get(word, _IDENT)
+        # Only the inner identifier pattern admits primes.
+        tokens.append((kind, word.replace("'", "_"), match.start(1)))
+    tokens.append((_END, "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, syntax: _Syntax):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.curried = syntax.curried
+        self.tokens = _tokenize(text, syntax)
         self.i = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> Tuple[object, str, int]:
         return self.tokens[self.i]
 
-    def advance(self) -> _Token:
+    def advance(self) -> Tuple[object, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
     def fail(self, message: str, expected: Tuple[str, ...] = ()):
-        tok = self.peek()
-        raise ParseError(message, _byte_offset(self.text, tok.pos), expected)
+        raise ParseError(message, _byte_offset(self.text, self.peek()[2]), expected)
 
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.peek().kind != kind:
+    def expect(self, kind: str, what: str) -> Tuple[object, str, int]:
+        if self.peek()[0] != kind:
             self.fail("expected %s" % what, (what,))
         return self.advance()
 
     def parse(self) -> Formula:
         f = self.formula()
-        if self.peek().kind != "END":
+        if self.peek()[0] is not _END:
             self.fail("trailing input after formula", ("end of input",))
         return f
 
     def formula(self) -> Formula:
-        kind = self.peek().kind
-        if kind in ("FORALL", "EXISTS"):
-            opener = self.advance()
-            vars_ = self.varlist(opener)
-            self.expect("DOT", "'.'")
-            body = self.formula()
-            cls = Forall if opener.kind == "FORALL" else Exists
-            try:
-                return cls(tuple(vars_), body)
-            except ValueError as exc:
-                raise ParseError(
-                    str(exc), _byte_offset(self.text, opener.pos)
-                ) from exc
-        return self.implication()
+        cls, _, pos = self.peek()
+        if cls is not Forall and cls is not Exists:
+            return self.binary(_LEVEL[Implies])
+        self.advance()
+        vars_ = self.names("bound variable", "variable name")
+        self.expect(".", "'.'")
+        body = self.formula()
+        try:
+            return cls(tuple(vars_), body)
+        except ValueError as exc:
+            raise ParseError(str(exc), _byte_offset(self.text, pos)) from exc
 
-    def varlist(self, opener: _Token) -> List[Variable]:
-        vars_ = []
+    def names(self, what: str, expected: str) -> List[Variable]:
+        # NAME ("," ? NAME)* with an optional trailing comma.
+        names = []
         while True:
-            if self.peek().kind != "IDENT":
-                if vars_:
-                    break
-                self.fail("expected bound variable", ("variable name",))
-            vars_.append(Variable(self.advance().text))
-            if self.peek().kind == "COMMA":
+            if self.peek()[0] is not _IDENT:
+                if names:
+                    return names
+                self.fail("expected %s" % what, (expected,))
+            names.append(Variable(self.advance()[1]))
+            if self.peek()[0] == ",":
                 self.advance()
-        return vars_
 
-    def implication(self) -> Formula:
-        left = self.disjunct()
-        if self.peek().kind == "IMPLIES":
-            self.advance()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunct(self) -> Formula:
-        left = self.conjunct()
-        if self.peek().kind == "OR":
-            self.advance()
-            return Or(left, self.disjunct())
-        return left
-
-    def conjunct(self) -> Formula:
-        left = self.negation()
-        if self.peek().kind == "AND":
-            self.advance()
-            return And(left, self.conjunct())
-        return left
+    def binary(self, level: int) -> Formula:
+        if level < _LEVEL[And]:
+            left = self.binary(level + 1)
+        else:
+            left = self.negation()
+        cls = _BINARY[level]
+        if self.peek()[0] is not cls:
+            return left
+        self.advance()
+        return cls(left, self.binary(level))
 
     def negation(self) -> Formula:
-        if self.peek().kind == "NOT":
+        if self.peek()[0] is Not:
             self.advance()
             return Not(self.negation())
         return self.primary()
 
     def primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "LPAREN":
+        kind = self.peek()[0]
+        if kind == "(":
             self.advance()
             inner = self.formula()
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             return inner
-        if tok.kind == "IDENT":
-            name = self.advance().text
-            self.expect("LPAREN", "'('")
-            args = [Variable(self.expect("IDENT", "argument name").text)]
-            while self.peek().kind == "COMMA":
-                self.advance()
-                args.append(Variable(self.expect("IDENT", "argument name").text))
-            self.expect("RPAREN", "')'")
+        if kind is not _IDENT:
+            self.fail(
+                "expected a formula", ("predicate atom", "quantifier", "'('", "'¬'")
+            )
+        name = self.advance()[1]
+        if self.curried and self.peek()[0] != "(":
+            args = [self.argument()]
+            while self.peek()[0] is _IDENT:
+                args.append(Variable(self.advance()[1]))
             return Atom(PredicateSymbol(name, len(args)), tuple(args))
-        self.fail(
-            "expected a formula", ("predicate atom", "quantifier", "'('", "'¬'")
-        )
+        self.expect("(", "'('")
+        if self.curried:
+            args = self.names("argument name", "argument name")
+        else:
+            args = [self.argument()]
+            while self.peek()[0] == ",":
+                self.advance()
+                args.append(self.argument())
+        self.expect(")", "')'")
+        return Atom(PredicateSymbol(name, len(args)), tuple(args))
+
+    def argument(self) -> Variable:
+        return Variable(self.expect(_IDENT, "argument name")[1])
 
 
 def parse_formula(text: str) -> Formula:
@@ -369,7 +414,7 @@ def parse_formula(text: str) -> Formula:
     input and the set of expected tokens) on malformed text, and
     ArityError when one predicate name occurs with two argument counts.
     """
-    formula = _Parser(text).parse()
+    formula = _Parser(text, _CANONICAL).parse()
     _check_arities(formula)
     return formula
 
@@ -397,70 +442,37 @@ def iter_atoms(formula: Formula) -> Iterable[Atom]:
         raise TypeError("not a formula: %r" % (formula,))
 
 
-# ---------------------------------------------------------------------------
-# Rendering
-
-# Precedence levels, loosest first.  A child is parenthesised when its own
-# level is below the level its position requires.
-_LEVEL_QUANT = 0
-_LEVEL_IMPLIES = 1
-_LEVEL_OR = 2
-_LEVEL_AND = 3
-_LEVEL_NOT = 4
-_LEVEL_ATOM = 5
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, (Forall, Exists)):
-        return _LEVEL_QUANT
-    if isinstance(f, Implies):
-        return _LEVEL_IMPLIES
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, Not):
-        return _LEVEL_NOT
-    return _LEVEL_ATOM
-
-
-def _render(f: Formula, need: int) -> str:
-    if isinstance(f, Atom):
-        return "%s(%s)" % (f.pred.name, ", ".join(v.name for v in f.args))
-    if isinstance(f, Not):
-        text = "¬" + _render(f.child, _LEVEL_NOT)
-    elif isinstance(f, And):
-        text = "%s ∧ %s" % (
-            _render(f.left, _LEVEL_AND + 1),
-            _render(f.right, _LEVEL_AND),
-        )
-    elif isinstance(f, Or):
-        text = "%s ∨ %s" % (
-            _render(f.left, _LEVEL_OR + 1),
-            _render(f.right, _LEVEL_OR),
-        )
-    elif isinstance(f, Implies):
-        text = "%s → %s" % (
-            _render(f.left, _LEVEL_IMPLIES + 1),
-            _render(f.right, _LEVEL_IMPLIES),
-        )
-    elif isinstance(f, (Forall, Exists)):
-        mark = "∀" if isinstance(f, Forall) else "∃"
+def _render(f: Formula, syntax: _Syntax, need: int = 0) -> str:
+    cls = type(f)
+    if cls is Atom:
+        opening, separator, closing = syntax.atom
+        names = separator.join([v.name for v in f.args])
+        return f.pred.name + opening + names + closing
+    level = _LEVEL.get(cls)
+    if level is None:
+        raise TypeError("not a formula: %r" % (f,))
+    if cls is Not:
+        text = syntax.spell[Not] + _render(f.child, syntax, level)
+    elif cls is Forall or cls is Exists:
         text = "%s%s. %s" % (
-            mark,
+            syntax.spell[cls],
             " ".join(v.name for v in f.vars),
-            _render(f.body, _LEVEL_QUANT),
+            _render(f.body, syntax, level),
         )
     else:
-        raise TypeError("not a formula: %r" % (f,))
-    if _level(f) < need:
+        text = (
+            _render(f.left, syntax, level + 1)
+            + syntax.spell[cls]
+            + _render(f.right, syntax, level)
+        )
+    if level < need:
         return "(%s)" % text
     return text
 
 
 def render_formula(f: Formula) -> str:
     """Deterministic canonical text; parse_formula inverts it exactly."""
-    return _render(f, _LEVEL_QUANT)
+    return _render(f, _CANONICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +488,6 @@ def free_variables(f: Formula) -> Set[Variable]:
     if isinstance(f, (Forall, Exists)):
         return free_variables(f.body) - set(f.vars)
     raise TypeError("not a formula: %r" % (f,))
-
-
-def is_closed(f: Formula) -> bool:
-    return not free_variables(f)
 
 
 def has_quantifier(f: Formula) -> bool:

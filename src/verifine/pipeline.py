@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .llm import (
-    CacheMiss,
     LLMConfig,
     MalformedStageOutput,
     TranscriptCache,
@@ -95,10 +94,6 @@ class FormulaRejected(PipelineError):
         self.sentence_id = sentence_id
         self.detail = detail
         super().__init__(detail)
-
-
-class BackendUnavailable(PipelineError):
-    """The prover backend could not provide a session."""
 
 
 @dataclass(frozen=True)

@@ -52,30 +52,6 @@ TEMPLATES: Dict[StageKind, str] = {
         "\n"
         "Answer with the formula alone. " + _ENVELOPE
     ),
-    StageKind.LOGIC_TO_AXIOMS: (
-        "Turn the following logical forms of explanation sentences into "
-        "prover axiom declarations. Produce a single `axiomatization where` "
-        "block whose entries are named explanation_1, explanation_2, ... in "
-        "order, each annotated with its source sentence as a comment.\n"
-        "\n"
-        "Facts:\n"
-        "{facts}\n"
-        "\n"
-        "Answer with the axiom block alone. " + _ENVELOPE
-    ),
-    StageKind.BUILD_THEOREM_CODE: (
-        "Write the theorem part of a prover theory for an entailment check.\n"
-        "The theorem is named hypothesis, assumes the premise formula under "
-        "the name asm (use True when there is no premise) and shows the "
-        "hypothesis formula.\n"
-        "\n"
-        "Premise: {premise_text}\n"
-        "Premise formula: {premise_formula}\n"
-        "Hypothesis: {hypothesis_text}\n"
-        "Hypothesis formula: {hypothesis_formula}\n"
-        "\n"
-        "Answer with the theorem block alone. " + _ENVELOPE
-    ),
     StageKind.REFINE_SYNTAX: (
         "The prover rejected the theory below with syntax errors. Repair the "
         "theory so it parses, changing as little as possible and keeping "
@@ -131,22 +107,6 @@ TEMPLATES: Dict[StageKind, str] = {
         "\n"
         "Answer with the proof step lines alone, without `proof -` or `qed`. "
         + _ENVELOPE
-    ),
-    StageKind.FILTER_FACTS: (
-        "Given the argument sketch and the proof steps attempted so far, "
-        "decide which explanation facts to keep for the next attempt. Keep a "
-        "fact when the proof cites its axiom or the sketch calls it "
-        "relevant; drop the rest.\n"
-        "\n"
-        "Facts:\n"
-        "{facts}\n"
-        "Argument sketch:\n"
-        "{strategy}\n"
-        "Proof steps:\n"
-        "{proof_steps}\n"
-        "\n"
-        "Answer with the ids of the facts to keep, comma separated, in their "
-        "original order. " + _ENVELOPE
     ),
     StageKind.REFINE_EXPLANATION: (
         "An explanation for an entailment failed verification. Rewrite it so "

@@ -19,7 +19,7 @@ from .messages import (
     pick_first_error,
     syntax_error_count,
 )
-from .oracle import OracleSession, UnsupportedCheck, entails
+from .oracle import OracleSession, entails
 from .isabelle import (
     AuthFailed,
     ConnectFailed,
@@ -94,7 +94,6 @@ __all__ = [
     "SpanUnmapped",
     "SYNTAX_CLASSES",
     "TheoryLoadFailed",
-    "UnsupportedCheck",
     "build_report",
     "check_theory",
     "classify_error",

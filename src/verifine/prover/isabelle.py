@@ -322,15 +322,6 @@ class IsabelleSession:
         finally:
             self._cleanup()
 
-    def shutdown_server(self):
-        """Stop the remote server process itself."""
-        try:
-            self._write_line("shutdown")
-        except SessionDead:
-            pass
-        finally:
-            self._cleanup()
-
     def _cleanup(self):
         self._dead = True
         try:

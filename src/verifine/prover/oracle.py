@@ -52,10 +52,6 @@ class OracleTimeout(ProverError):
     """Internal signal: the solve budget ran out."""
 
 
-class UnsupportedCheck(ProverError):
-    """The oracle only checks structured documents, not raw theory text."""
-
-
 # --- propositional layer ---------------------------------------------------
 
 def _satisfiable(
@@ -320,11 +316,6 @@ class OracleSession:
             )
             report = build_report("timeout", [message], elapsed, doc)
         return report
-
-    def check_source(self, text: str, name: str, timeout_s: float = 65.0):
-        raise UnsupportedCheck(
-            "the ground oracle checks structured documents, not raw text"
-        )
 
     def close(self):
         self.closed = True

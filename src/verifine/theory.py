@@ -7,37 +7,32 @@ whose goal is the hypothesis formula.  Proofs are linear: an opening
 `from asm have`, any number of `then have` links, and a closing
 `then show ?thesis`.
 
-Rendered text uses the prover's ASCII escape sequences (\\<forall>,
-\\<and>, ...) rather than raw Unicode, so the files survive transport
-through channels that mangle non-ASCII bytes.  `parse_theory` inverts
-`render_theory` and also tolerates raw Unicode connectives, which is what
-a language model usually echoes back after a repair request.
+Formulas are written in the prover's inner syntax, one of the two
+spellings of the single formula grammar in `verifine.logic`.  Rendered
+text uses its ASCII escape sequences (\\<forall>, \\<and>, ...) rather
+than raw Unicode, so the files survive transport through channels that
+mangle non-ASCII bytes.  `parse_theory` inverts `render_theory` and also
+tolerates raw Unicode connectives, which is what a language model
+usually echoes back after a repair request.
 """
 
 import enum
 import re
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .logic import (
-    And,
     ArityConflict,
     ArityError,
-    Atom,
-    Exists,
-    Forall,
     Formula,
-    Implies,
-    Not,
-    Or,
     ParseError,
-    PredicateSymbol,
     Signature,
-    Variable,
     free_variables,
     has_quantifier,
-    iter_atoms,
     validate_signature,
+    _INNER,
+    _Parser,
+    _render,
 )
 
 
@@ -180,68 +175,11 @@ class TheoryDoc:
 
 
 # ---------------------------------------------------------------------------
-# Inner-syntax rendering (prover side of the formula language)
-
-_ESCAPES = [
-    ("\\<forall>", "∀"),
-    ("\\<exists>", "∃"),
-    ("\\<and>", "∧"),
-    ("\\<or>", "∨"),
-    ("\\<not>", "¬"),
-    ("\\<longrightarrow>", "⟶"),
-    ("\\<rightarrow>", "→"),
-    ("\\<Rightarrow>", "⇒"),
-]
-
-_LEVEL_QUANT = 0
-_LEVEL_IMPLIES = 1
-_LEVEL_OR = 2
-_LEVEL_AND = 3
-_LEVEL_NOT = 4
-
-
-def _inner(f: Formula, need: int) -> str:
-    if isinstance(f, Atom):
-        return "%s %s" % (f.pred.name, " ".join(v.name for v in f.args))
-    if isinstance(f, Not):
-        text = "\\<not> " + _inner(f.child, _LEVEL_NOT)
-        level = _LEVEL_NOT
-    elif isinstance(f, And):
-        text = "%s \\<and> %s" % (
-            _inner(f.left, _LEVEL_AND + 1),
-            _inner(f.right, _LEVEL_AND),
-        )
-        level = _LEVEL_AND
-    elif isinstance(f, Or):
-        text = "%s \\<or> %s" % (
-            _inner(f.left, _LEVEL_OR + 1),
-            _inner(f.right, _LEVEL_OR),
-        )
-        level = _LEVEL_OR
-    elif isinstance(f, Implies):
-        text = "%s \\<longrightarrow> %s" % (
-            _inner(f.left, _LEVEL_IMPLIES + 1),
-            _inner(f.right, _LEVEL_IMPLIES),
-        )
-        level = _LEVEL_IMPLIES
-    elif isinstance(f, (Forall, Exists)):
-        mark = "\\<forall>" if isinstance(f, Forall) else "\\<exists>"
-        text = "%s%s. %s" % (
-            mark,
-            " ".join(v.name for v in f.vars),
-            _inner(f.body, _LEVEL_QUANT),
-        )
-        level = _LEVEL_QUANT
-    else:
-        raise TypeError("not a formula: %r" % (f,))
-    if level < need:
-        return "(%s)" % text
-    return text
-
+# Inner syntax: the prover-side spelling of the grammar in verifine.logic
 
 def isabelle_formula(f: Formula) -> str:
     """Render a formula in prover inner syntax with ASCII escapes."""
-    return _inner(f, _LEVEL_QUANT)
+    return _render(f, _INNER)
 
 
 def _const_type(arity: int) -> str:
@@ -332,19 +270,6 @@ def render_theory(doc: TheoryDoc) -> str:
     return "\n".join(out) + "\n"
 
 
-def axioms_used(
-    steps: Sequence[ProofStep], axiom_names: Sequence[str]
-) -> Tuple[str, ...]:
-    """Axiom names cited anywhere in the proof, first appearance order."""
-    names = set(axiom_names)
-    seen: List[str] = []
-    for step in steps:
-        for fact in step.facts_used:
-            if fact in names and fact not in seen:
-                seen.append(fact)
-    return tuple(seen)
-
-
 # ---------------------------------------------------------------------------
 # Span bookkeeping over rendered text
 
@@ -377,163 +302,12 @@ def proof_step_lines(doc: TheoryDoc) -> List[int]:
 # ---------------------------------------------------------------------------
 # Parsing theory text back into structured form
 
-def _unescape(text: str) -> str:
-    for seq, uni in _ESCAPES:
-        text = text.replace(seq, uni)
-    return text
-
-
-_INNER_SYMBOLS = {
-    "∀": "FORALL",
-    "∃": "EXISTS",
-    "¬": "NOT",
-    "∧": "AND",
-    "∨": "OR",
-    "⟶": "IMPLIES",
-    "→": "IMPLIES",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ".": "DOT",
-    ",": "COMMA",
-}
-
-_INNER_WORD = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
-
-
-class _InnerParser:
-    """Parser for prover inner syntax: curried atoms like `Agent e x`."""
-
-    def __init__(self, text: str):
-        self.text = _unescape(text)
-        self.tokens = self._tokenize(self.text)
-        self.i = 0
-
-    @staticmethod
-    def _tokenize(text: str):
-        tokens = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            word = _INNER_WORD.match(text, i)
-            if word:
-                tokens.append(("IDENT", word.group(0)))
-                i = word.end()
-                continue
-            kind = _INNER_SYMBOLS.get(ch)
-            if kind is None:
-                raise TheoryParseError("unexpected character %r in formula" % ch)
-            tokens.append((kind, ch))
-            i += 1
-        tokens.append(("END", ""))
-        return tokens
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        if self.peek()[0] != kind:
-            raise TheoryParseError(
-                "expected %s, found %r" % (kind, self.peek()[1])
-            )
-        return self.advance()
-
-    def parse(self) -> Formula:
-        f = self.formula()
-        if self.peek()[0] != "END":
-            raise TheoryParseError("trailing input: %r" % self.peek()[1])
-        return f
-
-    def formula(self) -> Formula:
-        if self.peek()[0] in ("FORALL", "EXISTS"):
-            kind = self.advance()[0]
-            vars_ = []
-            while self.peek()[0] == "IDENT":
-                vars_.append(Variable(self._clean(self.advance()[1])))
-                if self.peek()[0] == "COMMA":
-                    self.advance()
-            if not vars_:
-                raise TheoryParseError("quantifier without bound variables")
-            self.expect("DOT")
-            body = self.formula()
-            cls = Forall if kind == "FORALL" else Exists
-            try:
-                return cls(tuple(vars_), body)
-            except ValueError as exc:
-                raise TheoryParseError(str(exc)) from exc
-        return self.implication()
-
-    def implication(self) -> Formula:
-        left = self.disjunct()
-        if self.peek()[0] == "IMPLIES":
-            self.advance()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunct(self) -> Formula:
-        left = self.conjunct()
-        if self.peek()[0] == "OR":
-            self.advance()
-            return Or(left, self.disjunct())
-        return left
-
-    def conjunct(self) -> Formula:
-        left = self.negation()
-        if self.peek()[0] == "AND":
-            self.advance()
-            return And(left, self.conjunct())
-        return left
-
-    def negation(self) -> Formula:
-        if self.peek()[0] == "NOT":
-            self.advance()
-            return Not(self.negation())
-        return self.primary()
-
-    @staticmethod
-    def _clean(name: str) -> str:
-        return name.replace("'", "_")
-
-    def primary(self) -> Formula:
-        kind, text = self.peek()
-        if kind == "LPAREN":
-            self.advance()
-            inner = self.formula()
-            self.expect("RPAREN")
-            return inner
-        if kind != "IDENT":
-            raise TheoryParseError("expected formula, found %r" % text)
-        name = self._clean(self.advance()[1])
-        args: List[Variable] = []
-        if self.peek()[0] == "LPAREN":
-            # Tolerate canonical-style Atom(x, y) argument lists.
-            self.advance()
-            while self.peek()[0] == "IDENT":
-                args.append(Variable(self._clean(self.advance()[1])))
-                if self.peek()[0] == "COMMA":
-                    self.advance()
-            self.expect("RPAREN")
-        else:
-            while self.peek()[0] == "IDENT":
-                args.append(Variable(self._clean(self.advance()[1])))
-        if not args:
-            raise TheoryParseError("predicate %r used without arguments" % name)
-        try:
-            return Atom(PredicateSymbol(name, len(args)), tuple(args))
-        except (ValueError, ArityError) as exc:
-            raise TheoryParseError(str(exc)) from exc
-
-
 def parse_inner_formula(text: str) -> Formula:
     """Parse prover inner syntax (escaped or raw Unicode) to a Formula."""
-    return _InnerParser(text).parse()
+    try:
+        return _Parser(text, _INNER).parse()
+    except ParseError as exc:
+        raise TheoryParseError(str(exc)) from exc
 
 
 def parse_assumption(text: str) -> Optional[Formula]:

@@ -11,6 +11,8 @@ import itertools
 import random
 from typing import Dict, List, Sequence, Tuple
 
+from hypothesis import strategies as st
+
 from verifine.logic import (
     And,
     Atom,
@@ -71,6 +73,13 @@ def random_formula(rng: random.Random, max_depth: int = 4) -> Formula:
 def make_formulas(count: int, seed: int) -> List[Formula]:
     rng = random.Random(seed)
     return [random_formula(rng) for _ in range(count)]
+
+
+@st.composite
+def formula_strategy(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    depth = draw(st.integers(min_value=1, max_value=5))
+    return random_formula(random.Random(seed), depth)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from verifine.batch import _safe_stem, run_batch
-from verifine.cli import main
+from verifine.cli import _llm_config, build_parser, main
 from verifine.datasets import (
     DuplicateId,
     MCQAItem,
@@ -21,6 +21,7 @@ from verifine.datasets import (
     save_problems,
 )
 from verifine.llm import TranscriptCache
+from verifine.llmtypes import StageKind
 from verifine.logic import parse_formula, validate_signature
 from verifine.pipeline import (
     Fact,
@@ -816,6 +817,26 @@ class TestCLI:
                 "--stage-model",
                 "not_a_stage=m",
             )
+
+    def test_stage_model_override_reaches_the_config(self):
+        args = build_parser().parse_args(
+            [
+                "refine",
+                "--problems",
+                os.path.join(DATA_DIR, "esnli_pairs.jsonl"),
+                "--model",
+                "base",
+                "--mode",
+                "replay",
+                "--cache",
+                os.path.join(DATA_DIR, "replay", "esnli.jsonl"),
+                "--stage-model",
+                "refine_explanation=big",
+            ]
+        )
+        cfg = _llm_config(args)
+        assert cfg.model_for(StageKind.REFINE_EXPLANATION) == "big"
+        assert cfg.model_for(StageKind.SENTENCE_TO_LOGIC) == "base"
 
     def test_isabelle_backend_requires_port(self):
         with pytest.raises(SystemExit, match="--isabelle-port"):

@@ -75,9 +75,9 @@ class TestTemplates:
         )
 
     def test_extra_bindings_are_ignored(self):
-        bindings = bindings_for(StageKind.FILTER_FACTS)
+        bindings = bindings_for(StageKind.ROUGH_INFERENCE)
         bindings["unrelated"] = "junk"
-        assert "junk" not in render_prompt(StageKind.FILTER_FACTS, bindings)
+        assert "junk" not in render_prompt(StageKind.ROUGH_INFERENCE, bindings)
 
     def test_rendering_is_deterministic(self):
         bindings = bindings_for(StageKind.ROUGH_INFERENCE)
@@ -89,19 +89,18 @@ class TestTemplates:
 class TestTranscriptKey:
     def test_matches_independent_derivation(self):
         payload = "\x1f".join(
-            [StageKind.FILTER_FACTS.value, "m", "0.250000", "prompt text"]
+            [StageKind.CONSTRUCT_PROOF.value, "m", "0.250000", "prompt text"]
         )
         expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        assert transcript_key(StageKind.FILTER_FACTS, "prompt text", "m", 0.25) == (
-            expected
-        )
+        key = transcript_key(StageKind.CONSTRUCT_PROOF, "prompt text", "m", 0.25)
+        assert key == expected
 
     def test_every_component_feeds_the_key(self):
-        base = transcript_key(StageKind.FILTER_FACTS, "p", "m", 0.0)
+        base = transcript_key(StageKind.CONSTRUCT_PROOF, "p", "m", 0.0)
         assert transcript_key(StageKind.REFINE_SYNTAX, "p", "m", 0.0) != base
-        assert transcript_key(StageKind.FILTER_FACTS, "q", "m", 0.0) != base
-        assert transcript_key(StageKind.FILTER_FACTS, "p", "m2", 0.0) != base
-        assert transcript_key(StageKind.FILTER_FACTS, "p", "m", 0.5) != base
+        assert transcript_key(StageKind.CONSTRUCT_PROOF, "q", "m", 0.0) != base
+        assert transcript_key(StageKind.CONSTRUCT_PROOF, "p", "m2", 0.0) != base
+        assert transcript_key(StageKind.CONSTRUCT_PROOF, "p", "m", 0.5) != base
 
 
 class TestTranscriptCache:
@@ -129,6 +128,34 @@ class TestTranscriptCache:
         record = {"key": "k", "prompt": "p", "response": "r", "timestamp": "t"}
         path.write_text(json.dumps(record) + "\n\n", encoding="utf-8")
         assert TranscriptCache(str(path)).get("k").response == "r"
+
+    def test_torn_final_line_is_skipped_with_a_warning(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        whole = json.dumps(
+            {"key": "k", "prompt": "p", "response": "r", "timestamp": "t"}
+        )
+        torn = json.dumps(
+            {"key": "k2", "prompt": "p2", "response": "r2", "timestamp": "t2"}
+        )[:25]
+        path.write_text(whole + "\n" + torn, encoding="utf-8")
+        with caplog.at_level("WARNING", logger="verifine.llm"):
+            cache = TranscriptCache(str(path))
+        assert len(cache) == 1
+        assert cache.get("k").response == "r"
+        assert "torn" in caplog.text
+        cache.put(Transcript("k3", "p3", "r3", "t3"))
+        reloaded = TranscriptCache(str(path))
+        assert len(reloaded) == 2
+        assert reloaded.get("k3").response == "r3"
+
+    def test_corrupt_line_before_the_last_still_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        whole = json.dumps(
+            {"key": "k", "prompt": "p", "response": "r", "timestamp": "t"}
+        )
+        path.write_text(whole[:25] + "\n" + whole + "\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            TranscriptCache(str(path))
 
     def test_missing_file_starts_empty(self, tmp_path):
         assert len(TranscriptCache(str(tmp_path / "absent.jsonl"))) == 0
@@ -481,15 +508,7 @@ class TestExtraction:
         with pytest.raises(MalformedStageOutput):
             extract_stage_output(StageKind.SENTENCE_TO_LOGIC, fenced("  \n "))
 
-    @pytest.mark.parametrize(
-        "stage",
-        [
-            StageKind.LOGIC_TO_AXIOMS,
-            StageKind.BUILD_THEOREM_CODE,
-            StageKind.REFINE_SYNTAX,
-        ],
-        ids=lambda s: s.value,
-    )
+    @pytest.mark.parametrize("stage", [StageKind.REFINE_SYNTAX], ids=lambda s: s.value)
     def test_theory_fragments_come_back_verbatim(self, stage):
         fragment = 'axiomatization where\n  explanation_1: "True"'
         assert extract_stage_output(stage, fenced(fragment)) == fragment
@@ -547,16 +566,6 @@ class TestExtraction:
         with pytest.raises(MalformedStageOutput):
             extract_stage_output(StageKind.CONSTRUCT_PROOF, raw)
 
-    def test_filter_facts_id_list(self):
-        assert extract_stage_output(StageKind.FILTER_FACTS, fenced("f1, f3 f4")) == [
-            "f1",
-            "f3",
-            "f4",
-        ]
-
-    def test_filter_facts_empty_block_is_empty_list(self):
-        assert extract_stage_output(StageKind.FILTER_FACTS, fenced("")) == []
-
     def test_refine_explanation_strips_bullets(self):
         raw = fenced(
             "- A woman can be referred to as a lady.\n"
@@ -577,7 +586,7 @@ class TestExtraction:
 
     def test_missing_fence_is_malformed(self):
         with pytest.raises(MalformedStageOutput):
-            extract_stage_output(StageKind.FILTER_FACTS, "f1 f2")
+            extract_stage_output(StageKind.ROUGH_INFERENCE, "relevant: f1 f2")
 
 
 class TestExtractionTotality:

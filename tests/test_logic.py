@@ -3,9 +3,9 @@
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from helpers import make_formulas, random_formula
+from helpers import formula_strategy, make_formulas
 from verifine.logic import (
     And,
     ArityConflict,
@@ -22,7 +22,6 @@ from verifine.logic import (
     Variable,
     free_variables,
     has_quantifier,
-    is_closed,
     parse_formula,
     render_formula,
     sanitize_name,
@@ -134,6 +133,35 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_formula("P")
 
+    # Error text reaches refinement prompts and so transcript keys: the
+    # message, byte offset and expected set are pinned exactly.
+    @pytest.mark.parametrize(
+        "text, message, offset, expected",
+        [
+            ("", "expected a formula", 0,
+             ("predicate atom", "quantifier", "'('", "'¬'")),
+            ("P(x) ∧", "expected a formula", 8,
+             ("predicate atom", "quantifier", "'('", "'¬'")),
+            ("P(x) Q(x)", "trailing input after formula", 5, ("end of input",)),
+            ("P(x y)", "expected ')'", 4, ("')'",)),
+            ("P", "expected '('", 1, ("'('",)),
+            ("P(x,)", "expected argument name", 4, ("argument name",)),
+            ("∀x P(x)", "expected '.'", 6, ("'.'",)),
+            ("forall . P(x)", "expected bound variable", 7, ("variable name",)),
+            ("P(x) → Q(x) - R(x)", "unexpected character '-'", 14, ()),
+            ("P(x) ∧ (∀y. ∀y. Q(y))",
+             "duplicate variable in quantifier prefix: ['y', 'y']", 10, ()),
+        ],
+    )
+    def test_error_message_offset_and_expected_are_pinned(
+        self, text, message, offset, expected
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_formula(text)
+        assert info.value.message == message
+        assert info.value.offset == offset
+        assert info.value.expected == expected
+
     def test_arity_conflict_inside_one_formula(self):
         with pytest.raises(ArityError) as info:
             parse_formula("P(x) & P(x, y)")
@@ -214,10 +242,6 @@ class TestAnalysis:
         f = parse_formula("forall x. Agent(x, y) -> P(z)")
         assert free_variables(f) == {Variable("y"), Variable("z")}
 
-    def test_is_closed(self):
-        assert is_closed(parse_formula("forall x. P(x)"))
-        assert not is_closed(parse_formula("P(x)"))
-
     def test_has_quantifier(self):
         assert has_quantifier(parse_formula("~(exists x. P(x))"))
         assert not has_quantifier(parse_formula("P(x) & Q(y)"))
@@ -260,15 +284,6 @@ class TestSanitizeName:
     def test_collisions_take_numeric_suffixes(self):
         taken = {"Dog", "Dog_2"}
         assert sanitize_name("Dog", taken) == "Dog_3"
-
-
-@st.composite
-def formula_strategy(draw):
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    depth = draw(st.integers(min_value=1, max_value=5))
-    import random as _random
-
-    return random_formula(_random.Random(seed), depth)
 
 
 class TestProperties:

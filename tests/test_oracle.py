@@ -13,7 +13,7 @@ from verifine.prover.messages import (
     ErrorClass,
     locate_failed_step,
 )
-from verifine.prover.oracle import OracleSession, UnsupportedCheck, entails
+from verifine.prover.oracle import OracleSession, entails
 from verifine.theory import (
     ProofStep,
     StepKind,
@@ -370,10 +370,6 @@ class TestSessionBehaviour:
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             OracleSession(0)
-
-    def test_check_source_unsupported(self):
-        with pytest.raises(UnsupportedCheck):
-            OracleSession(1).check_source("theory t imports Main begin end", "t")
 
     def test_close_marks_session(self):
         session = OracleSession(1)

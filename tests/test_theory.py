@@ -3,8 +3,16 @@
 import os
 
 import pytest
+from hypothesis import given, settings
 
-from verifine.logic import ParseError, Variable, parse_formula, validate_signature
+from helpers import formula_strategy
+from verifine.logic import (
+    ParseError,
+    Variable,
+    parse_formula,
+    render_formula,
+    validate_signature,
+)
 from verifine.theory import (
     Axiom,
     DanglingFactReference,
@@ -15,7 +23,6 @@ from verifine.theory import (
     TheoryDoc,
     TheoryError,
     TheoryParseError,
-    axioms_used,
     build_axioms,
     build_theorem,
     isabelle_formula,
@@ -140,6 +147,12 @@ class TestInnerSyntax:
             f = parse_formula(text)
             assert parse_inner_formula(isabelle_formula(f)) == f
 
+    @settings(max_examples=200, deadline=None)
+    @given(formula_strategy())
+    def test_parse_inner_inverts_both_renderings(self, f):
+        assert parse_inner_formula(isabelle_formula(f)) == f
+        assert parse_inner_formula(render_formula(f)) == f
+
     def test_parse_inner_accepts_canonical_call_style(self):
         assert parse_inner_formula("Agent(e, x)") == parse_formula("Agent(e, x)")
 
@@ -148,7 +161,7 @@ class TestInnerSyntax:
         assert Variable("x_") in set(f.args)
 
     def test_bare_identifier_rejected(self):
-        with pytest.raises(TheoryParseError):
+        with pytest.raises(TheoryParseError, match="expected argument name at byte 1"):
             parse_inner_formula("P")
 
 
@@ -176,15 +189,6 @@ class TestProofRendering:
             )
         assert info.value.step_index == 0
         assert info.value.name == "explanation_7"
-
-    def test_axioms_used_first_appearance_union(self):
-        steps = (
-            ProofStep(StepKind.FROM_ASM_HAVE, "P x", ("asm", "explanation_2")),
-            ProofStep(StepKind.THEN_HAVE, "Q x", ("explanation_1", "explanation_2")),
-            ProofStep(StepKind.THEN_SHOW_THESIS, "", ("asm",)),
-        )
-        names = ("explanation_1", "explanation_2")
-        assert axioms_used(steps, names) == ("explanation_2", "explanation_1")
 
     def test_parse_proof_line_inverts_rendering(self):
         steps = (
