@@ -58,7 +58,8 @@ def run_batch(
     """Refine every problem; return traces in input order.
 
     When `out_dir` is given, each trace is written there as
-    trace_<id>.json as soon as its problem finishes.
+    trace_<id>.json as soon as its problem finishes; ids that sanitise
+    alike get numeric suffixes.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -75,9 +76,16 @@ def run_batch(
         results[problem.id] = trace
         if out_dir is not None:
             path = os.path.join(out_dir, "trace_%s.json" % stems[problem.id])
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(trace_to_dict(trace), fh, ensure_ascii=False, indent=2)
-                fh.write("\n")
+            # Renamed into place, so `report` never reads a half-written trace.
+            partial = path + ".partial"
+            try:
+                with open(partial, "w", encoding="utf-8") as fh:
+                    json.dump(trace_to_dict(trace), fh, ensure_ascii=False, indent=2)
+                    fh.write("\n")
+                os.replace(partial, path)
+            finally:
+                if os.path.exists(partial):
+                    os.remove(partial)
         if on_result is not None:
             on_result(trace)
 

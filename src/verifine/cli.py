@@ -4,8 +4,9 @@ Subcommands:
 
 * formalise  -- autoformalise problems and write theory files
 * verify     -- check one theory file against a prover backend
-* refine     -- run the full loop on problems from a file, sequentially
-* batch      -- same, with a worker pool and per-problem trace files
+* refine     -- run the full loop on problems from a file, one at a time
+                (a one-worker batch run without the summary table)
+* batch      -- same, with a worker pool and a summary table
 * report     -- aggregate saved traces into a summary table
 """
 
@@ -22,14 +23,7 @@ from .datasets import DatasetError, load_problems
 from .llm import LLMConfig, TranscriptCache
 from .llmtypes import StageKind
 from .logic import sanitize_name
-from .pipeline import (
-    PipelineError,
-    RefinerConfig,
-    formalise,
-    run_refiner,
-    trace_from_dict,
-    trace_to_dict,
-)
+from .pipeline import PipelineError, RefinerConfig, formalise, trace_from_dict
 from .prover import (
     GroundOracle,
     IsabelleServer,
@@ -218,19 +212,7 @@ def _print_trace_line(trace) -> None:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
-    problems = _load(args)
-    cfg = _refiner_config(args)
-    for problem in problems:
-        trace = run_refiner(problem, cfg)
-        _print_trace_line(trace)
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(
-                args.out, "trace_%s.json" % sanitize_name(trace.problem_id)
-            )
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(trace_to_dict(trace), fh, ensure_ascii=False, indent=2)
-                fh.write("\n")
+    run_batch(_load(args), _refiner_config(args), args.out, on_result=_print_trace_line)
     return 0
 
 

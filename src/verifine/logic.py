@@ -328,7 +328,11 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Formula:
-        f = self.formula()
+        try:
+            f = self.formula()
+        except RecursionError:
+            # Each nesting level costs a few Python frames of descent.
+            self.fail("formula nested too deeply")
         if self.peek()[0] is not _END:
             self.fail("trailing input after formula", ("end of input",))
         return f

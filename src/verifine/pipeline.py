@@ -13,9 +13,12 @@ the round and the loop moves on with whatever it has.  A backend that
 cannot even open a session aborts with a diagnostic on the trace.
 """
 
+import enum
+import functools
 import logging
 import re
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .llm import (
@@ -32,8 +35,6 @@ from .logic import (
     Formula,
     LogicError,
     ParseError,
-    free_variables,
-    has_quantifier,
     parse_formula,
     sanitize_name,
     validate_signature,
@@ -57,15 +58,15 @@ from .theory import (
     MalformedPremise,
     OpenFormula,
     ProofStep,
-    StepKind,
     TheoryDoc,
     TheoryError,
     TheoryParseError,
     build_axioms,
     build_theorem,
     parse_theory,
+    proof_step_text,
 )
-from .prover.messages import ErrorClass, Span
+from .prover.messages import ErrorClass
 
 log = logging.getLogger(__name__)
 
@@ -398,15 +399,10 @@ def refine_syntax_loop(
     doc: TheoryDoc,
     handle: SessionHandle,
     cfg: RefinerConfig,
-    ctx: Optional[PipelineContext] = None,
-    problem: Optional[NLIProblem] = None,
+    ctx: PipelineContext,
 ) -> SyntaxLoopOutcome:
     """Check the proofless theory and repair syntax errors, at most
     cfg.syntax_iterations times.  Residual errors are carried forward."""
-    if ctx is None:
-        if problem is None:
-            raise ValueError("refine_syntax_loop needs a context or a problem")
-        ctx = PipelineContext(cfg, problem)
     current = doc.without_proof()
     report = check_theory(handle, current, cfg.timeout_s)
     before = syntax_error_count(report, current)
@@ -445,16 +441,14 @@ def infer_and_prove(
     problem: NLIProblem,
     doc: TheoryDoc,
     cfg: RefinerConfig,
+    ctx: PipelineContext,
     explanation: Optional[Sequence[Fact]] = None,
-    ctx: Optional[PipelineContext] = None,
 ) -> Tuple[Optional[InferenceStrategy], Tuple[ProofStep, ...], TheoryDoc]:
     """Sketch the argument, then construct and attach a linear proof.
 
     Either stage may fail; the round then proceeds with what it has
     (no strategy, or no proof steps) and the check reports accordingly.
     """
-    if ctx is None:
-        ctx = PipelineContext(cfg, problem)
     facts = tuple(explanation if explanation is not None else problem.explanation)
     known_ids = [f.id for f in facts]
 
@@ -527,17 +521,8 @@ def filter_facts(
 def _describe_step(step: Optional[ProofStep], index: Optional[int]) -> str:
     if step is None:
         return "(none)"
-    if step.kind is StepKind.FROM_ASM_HAVE:
-        body = 'from asm have "%s"' % step.goal_text
-    elif step.kind is StepKind.THEN_HAVE:
-        body = 'then have "%s"' % step.goal_text
-    else:
-        body = "then show ?thesis"
-    extras = [n for n in step.facts_used if n != "asm"] if step.kind is StepKind.FROM_ASM_HAVE else list(step.facts_used)
-    if extras:
-        body += " using %s" % " ".join(extras)
     prefix = "step %d: " % (index + 1) if index is not None else ""
-    return prefix + body + " by " + step.tactic
+    return prefix + proof_step_text(step)
 
 
 def refine_explanation(
@@ -545,7 +530,7 @@ def refine_explanation(
     problem: NLIProblem,
     current: Sequence[Fact],
     cfg: RefinerConfig,
-    ctx: Optional[PipelineContext] = None,
+    ctx: PipelineContext,
 ) -> Tuple[Fact, ...]:
     """Rewrite the explanation using prover feedback.
 
@@ -553,9 +538,6 @@ def refine_explanation(
     or reworded gets a fresh id.  A malformed response leaves the
     explanation unchanged.
     """
-    if ctx is None:
-        ctx = PipelineContext(cfg, problem)
-        ctx.used_ids.update(f.id for f in current)
     current = tuple(current)
     relevant_sentences = "\n".join(
         "- " + a.source_text for a in bundle.relevant_axioms if a.source_text
@@ -644,7 +626,7 @@ def _run_iteration(
         )
     syntax = refine_syntax_loop(doc, handle, cfg, ctx)
     doc = syntax.doc
-    strategy, steps, doc = infer_and_prove(problem, doc, cfg, explanation, ctx)
+    strategy, steps, doc = infer_and_prove(problem, doc, cfg, ctx, explanation)
     report = check_theory(handle, doc, cfg.timeout_s)
     if report.status == "valid":
         feedback = None
@@ -695,18 +677,14 @@ def run_refiner(problem: NLIProblem, cfg: RefinerConfig) -> RefinementTrace:
         if rounds >= cfg.max_refinement_iterations:
             iterations.append(record)
             break
-        filtered = (
-            filter_facts(explanation, record.feedback.strategy, tuple(record.theory.proof) if record.theory else ())
-            if record.feedback is not None and record.feedback.strategy is not None
-            else list(explanation)
-        )
-        refined = refine_explanation(
-            record.feedback or FeedbackBundle("prover reported failure"),
-            problem,
-            filtered,
-            cfg,
-            ctx,
-        )
+        # A failed round always carries feedback, and a strategy only
+        # exists when the round formalised a theory.
+        strategy = record.feedback.strategy
+        if strategy is not None:
+            filtered = filter_facts(explanation, strategy, record.theory.proof)
+        else:
+            filtered = list(explanation)
+        refined = refine_explanation(record.feedback, problem, filtered, cfg, ctx)
         record = replace(record, explanation_after=refined)
         iterations.append(record)
         explanation = refined
@@ -723,172 +701,90 @@ def run_refiner(problem: NLIProblem, cfg: RefinerConfig) -> RefinementTrace:
 
 # ---------------------------------------------------------------------------
 # Trace serialisation
-
-def _fact_to_dict(fact: Fact) -> dict:
-    return {"id": fact.id, "text": fact.text}
-
-
-def _message_to_dict(message: ProverMessage) -> dict:
-    return {
-        "severity": message.severity,
-        "text": message.text,
-        "span": list(message.span) if message.span is not None else None,
-    }
+#
+# One encoder and one decoder walk dataclass fields in declaration order.
+# Enums go by value, tuples (Span included) become lists, None stays null.
+# Three values are stored by reference rather than by structure: a theory
+# as its rendered text, a report's first error as {index, class} into its
+# messages, and the axioms a failed step cited by name, resolved against
+# the same record's theory (names it does not declare are dropped).
 
 
-def _report_to_dict(report: CheckReport) -> dict:
-    first = None
-    if report.first_error is not None:
-        message, cls = report.first_error
-        first = {"index": report.messages.index(message), "class": cls.value}
-    return {
-        "status": report.status,
-        "elapsed": report.elapsed,
-        "messages": [_message_to_dict(m) for m in report.messages],
-        "first_error": first,
-    }
+def to_json(value):
+    """JSON-ready data for a trace value or any dataclass built like one."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    if isinstance(value, TheoryDoc):
+        return value.rendered
+    if isinstance(value, Axiom):
+        return value.name
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, Mapping):
+        return {str(k): to_json(v) for k, v in value.items()}
+    data = {}
+    for f in fields(value):
+        item = getattr(value, f.name)
+        if f.name == "first_error" and item is not None:
+            message, cls = item
+            item = {"index": value.messages.index(message), "class": cls.value}
+        data[f.name] = to_json(item)
+    return data
 
 
-def _step_to_dict(step: ProofStep) -> dict:
-    return {
-        "kind": step.kind.value,
-        "goal_text": step.goal_text,
-        "facts_used": list(step.facts_used),
-        "tactic": step.tactic,
-    }
+@functools.lru_cache(maxsize=None)
+def _decoder(hint):
+    """Build `(data, theory) -> value` for one type; data is never null."""
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        return _decoder(typing.get_args(hint)[0])
+    if hint is TheoryDoc:
+        return lambda data, theory: parse_theory(data)
+    if typing.get_origin(hint) is tuple:  # Tuple[X, ...]
+        item = typing.get_args(hint)[0]
+        if item is Axiom:
+            return _cited_axioms
+        each = _decoder(item)
+        return lambda data, theory: tuple(each(x, theory) for x in data)
+    if is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        plan = tuple((name, _decoder(h)) for name, h in hints.items())
+        return functools.partial(_decode_fields, hint, plan)
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return lambda data, theory: hint(data)
+    # Plain values; ProverMessage turns a span list back into a Span itself.
+    return lambda data, theory: data
 
 
-def _strategy_to_dict(strategy: InferenceStrategy) -> dict:
-    return {
-        "narrative": strategy.narrative,
-        "relevant_fact_ids": list(strategy.relevant_fact_ids),
-        "redundant_fact_ids": list(strategy.redundant_fact_ids),
-    }
+def _decode_fields(cls, plan, data, theory):
+    kwargs = {}
+    for name, decode in plan:
+        if name not in data:
+            continue  # the field's default applies
+        value = data[name]
+        if value is None:
+            kwargs[name] = None
+        elif name == "first_error":
+            message = kwargs["messages"][value["index"]]
+            kwargs[name] = (message, ErrorClass(value["class"]))
+        else:
+            kwargs[name] = decode(value, kwargs.get("theory", theory))
+    return cls(**kwargs)
 
 
-def _feedback_to_dict(bundle: FeedbackBundle) -> dict:
-    return {
-        "error_message": bundle.error_message,
-        "failed_step": _step_to_dict(bundle.failed_step)
-        if bundle.failed_step is not None
-        else None,
-        "failed_step_index": bundle.failed_step_index,
-        "strategy": _strategy_to_dict(bundle.strategy)
-        if bundle.strategy is not None
-        else None,
-        "relevant_axioms": [a.name for a in bundle.relevant_axioms],
-    }
-
-
-def _iteration_to_dict(record: IterationRecord) -> dict:
-    return {
-        "explanation_before": [_fact_to_dict(f) for f in record.explanation_before],
-        "theory": record.theory.rendered if record.theory is not None else None,
-        "syntax_iterations_used": record.syntax_iterations_used,
-        "syntax_errors_before": record.syntax_errors_before,
-        "syntax_errors_after": record.syntax_errors_after,
-        "report": _report_to_dict(record.report),
-        "feedback": _feedback_to_dict(record.feedback)
-        if record.feedback is not None
-        else None,
-        "explanation_after": [_fact_to_dict(f) for f in record.explanation_after],
-        "proof_steps_suggested": record.proof_steps_suggested,
-        "proof_steps_processed": record.proof_steps_processed,
-    }
+def _cited_axioms(names, theory: Optional[TheoryDoc]) -> Tuple[Axiom, ...]:
+    by_name = {a.name: a for a in theory.axioms} if theory is not None else {}
+    return tuple(by_name[n] for n in names if n in by_name)
 
 
 def trace_to_dict(trace: RefinementTrace) -> dict:
-    return {
-        "problem_id": trace.problem_id,
-        "dataset": trace.dataset,
-        "final_status": trace.final_status,
-        "total_iterations": trace.total_iterations,
-        "diagnostic": trace.diagnostic,
-        "iterations": [_iteration_to_dict(r) for r in trace.iterations],
-    }
-
-
-def _message_from_dict(data: dict) -> ProverMessage:
-    span = Span(*data["span"]) if data.get("span") is not None else None
-    return ProverMessage(data["severity"], data["text"], span)
-
-
-def _report_from_dict(data: dict) -> CheckReport:
-    messages = tuple(_message_from_dict(m) for m in data["messages"])
-    first = None
-    if data.get("first_error") is not None:
-        first = (
-            messages[data["first_error"]["index"]],
-            ErrorClass(data["first_error"]["class"]),
-        )
-    return CheckReport(data["status"], messages, data["elapsed"], first)
-
-
-def _step_from_dict(data: dict) -> ProofStep:
-    return ProofStep(
-        StepKind(data["kind"]),
-        data["goal_text"],
-        tuple(data["facts_used"]),
-        data["tactic"],
-    )
-
-
-def _feedback_from_dict(data: dict, doc: Optional[TheoryDoc]) -> FeedbackBundle:
-    strategy = None
-    if data.get("strategy") is not None:
-        s = data["strategy"]
-        strategy = InferenceStrategy(
-            s["narrative"],
-            tuple(s["relevant_fact_ids"]),
-            tuple(s["redundant_fact_ids"]),
-        )
-    axioms: Tuple[Axiom, ...] = ()
-    if doc is not None:
-        by_name = {a.name: a for a in doc.axioms}
-        axioms = tuple(
-            by_name[n] for n in data.get("relevant_axioms", []) if n in by_name
-        )
-    return FeedbackBundle(
-        data["error_message"],
-        _step_from_dict(data["failed_step"])
-        if data.get("failed_step") is not None
-        else None,
-        data.get("failed_step_index"),
-        strategy,
-        axioms,
-    )
-
-
-def _iteration_from_dict(data: dict) -> IterationRecord:
-    doc = None
-    if data.get("theory"):
-        doc = parse_theory(data["theory"])
-    return IterationRecord(
-        explanation_before=tuple(
-            Fact(f["id"], f["text"]) for f in data["explanation_before"]
-        ),
-        theory=doc,
-        syntax_iterations_used=data["syntax_iterations_used"],
-        syntax_errors_before=data["syntax_errors_before"],
-        syntax_errors_after=data["syntax_errors_after"],
-        report=_report_from_dict(data["report"]),
-        feedback=_feedback_from_dict(data["feedback"], doc)
-        if data.get("feedback") is not None
-        else None,
-        explanation_after=tuple(
-            Fact(f["id"], f["text"]) for f in data["explanation_after"]
-        ),
-        proof_steps_suggested=data.get("proof_steps_suggested", 0),
-        proof_steps_processed=data.get("proof_steps_processed", 0),
-    )
+    data = to_json(trace)
+    # The summary keys come first and the per-round history last.
+    data["iterations"] = data.pop("iterations")
+    return data
 
 
 def trace_from_dict(data: dict) -> RefinementTrace:
-    return RefinementTrace(
-        problem_id=data["problem_id"],
-        dataset=data.get("dataset", "default"),
-        iterations=tuple(_iteration_from_dict(r) for r in data["iterations"]),
-        final_status=data["final_status"],
-        total_iterations=data["total_iterations"],
-        diagnostic=data.get("diagnostic"),
-    )
+    # A trace without a dataset tag belongs to the default dataset.
+    return _decoder(RefinementTrace)({"dataset": "default", **data}, None)

@@ -11,7 +11,7 @@ import enum
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..theory import TheoryDoc, proof_region, proof_step_lines
 
@@ -61,9 +61,10 @@ STATUSES = ("valid", "failed", "timeout")
 
 @dataclass(frozen=True)
 class CheckReport:
+    # Field order is the key order of a saved trace's report.
     status: str
-    messages: Tuple[ProverMessage, ...]
     elapsed: float
+    messages: Tuple[ProverMessage, ...]
     first_error: Optional[Tuple[ProverMessage, ErrorClass]] = None
 
     def __post_init__(self):
@@ -138,7 +139,7 @@ def build_report(
     first_error = None
     if first is not None:
         first_error = (first, classify_error(first, region))
-    return CheckReport(status, tuple(messages), elapsed, first_error)
+    return CheckReport(status, elapsed, tuple(messages), first_error)
 
 
 def syntax_error_count(report: CheckReport, doc: Optional[TheoryDoc] = None) -> int:

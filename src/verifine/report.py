@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .pipeline import RefinementTrace
+from .pipeline import RefinementTrace, to_json
 
 
 @dataclass(frozen=True)
@@ -192,23 +192,12 @@ def render_csv(report: RunReport) -> str:
 
 
 def _stats_to_dict(stats: DatasetStats) -> dict:
-    return {
-        "problems": stats.problems,
-        "valid_initially": stats.valid_initially,
-        "refined_valid": stats.refined_valid,
-        "exhausted_invalid": stats.exhausted_invalid,
-        "validity_rate_initial": stats.validity_rate_initial,
-        "validity_rate_final": stats.validity_rate_final,
-        "iteration_histogram": {str(k): v for k, v in stats.iteration_histogram.items()},
-        "iteration_records": stats.iteration_records,
-        "syntax_errors_before_total": stats.syntax_errors_before_total,
-        "syntax_errors_after_total": stats.syntax_errors_after_total,
-        "mean_syntax_errors_before": stats.mean_syntax_errors_before,
-        "mean_syntax_errors_after": stats.mean_syntax_errors_after,
-        "syntax_reduction_pct": stats.syntax_reduction_pct,
-        "step_pairs": [list(p) for p in stats.step_pairs],
-        "time_by_steps": [[s, t] for s, t in stats.time_by_steps],
-    }
+    data = to_json(stats)
+    # The derived rates (every property) are written beside the fields.
+    for name, attr in vars(DatasetStats).items():
+        if isinstance(attr, property):
+            data[name] = getattr(stats, name)
+    return data
 
 
 def report_to_dict(report: RunReport) -> dict:

@@ -19,6 +19,7 @@ usually echoes back after a repair request.
 import enum
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .logic import (
@@ -160,8 +161,9 @@ class TheoryDoc:
         if self.proof and self.proof[-1].kind is not StepKind.THEN_SHOW_THESIS:
             raise TheoryError("final proof step must be then_show_thesis")
 
-    @property
+    @cached_property
     def rendered(self) -> str:
+        # Kept in the instance __dict__: equality and hashing ignore it.
         return render_theory(self)
 
     def axiom_names(self) -> Tuple[str, ...]:
@@ -192,6 +194,21 @@ def _comment(label: str, text: str) -> str:
     return "(* %s: %s *)" % (label, safe)
 
 
+def proof_step_text(step: ProofStep) -> str:
+    """One proof step as Isar text, without indentation."""
+    cited = step.facts_used
+    if step.kind is StepKind.FROM_ASM_HAVE:
+        line = 'from %s have "%s"' % (ASSUMPTION_NAME, step.goal_text)
+        cited = [n for n in cited if n != ASSUMPTION_NAME]
+    elif step.kind is StepKind.THEN_HAVE:
+        line = 'then have "%s"' % step.goal_text
+    else:
+        line = "then show ?thesis"
+    if cited:
+        line += " using %s" % " ".join(cited)
+    return "%s by %s" % (line, step.tactic)
+
+
 def render_proof(
     steps: Sequence[ProofStep], axiom_names: Sequence[str]
 ) -> List[str]:
@@ -206,20 +223,7 @@ def render_proof(
         for name in step.facts_used:
             if name not in known:
                 raise DanglingFactReference(idx, name)
-        if step.kind is StepKind.FROM_ASM_HAVE:
-            extras = [n for n in step.facts_used if n != ASSUMPTION_NAME]
-            line = 'from %s have "%s"' % (ASSUMPTION_NAME, step.goal_text)
-            if extras:
-                line += " using %s" % " ".join(extras)
-        elif step.kind is StepKind.THEN_HAVE:
-            line = 'then have "%s"' % step.goal_text
-            if step.facts_used:
-                line += " using %s" % " ".join(step.facts_used)
-        else:
-            line = "then show ?thesis"
-            if step.facts_used:
-                line += " using %s" % " ".join(step.facts_used)
-        lines.append("  %s by %s" % (line, step.tactic))
+        lines.append("  " + proof_step_text(step))
     return lines
 
 

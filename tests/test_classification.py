@@ -155,11 +155,11 @@ class TestReports:
 
     def test_valid_report_rejects_errors(self):
         with pytest.raises(ValueError):
-            CheckReport("valid", (err("boom"),), 0.0)
+            CheckReport(status="valid", elapsed=0.0, messages=(err("boom"),))
 
     def test_failed_report_requires_an_error(self):
         with pytest.raises(ValueError):
-            CheckReport("failed", (), 0.0)
+            CheckReport(status="failed", elapsed=0.0, messages=())
 
     def test_syntax_error_count_mixes_classes(self):
         doc = violin_doc()

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import socket
 import time
 
 import pytest
@@ -608,6 +609,20 @@ class TestRunBatch:
         names = sorted(os.listdir(out_dir))
         assert names == ["trace_batch_000.json", "trace_batch_001.json"]
 
+    def test_failed_trace_write_leaves_no_trace_file(self, tmp_path, monkeypatch):
+        import verifine.batch
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write("{")
+            raise OSError("disk full")
+
+        problems = load_problems(os.path.join(DATA_DIR, "batch50.jsonl"))[:1]
+        out_dir = tmp_path / "t"
+        monkeypatch.setattr(verifine.batch.json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            run_batch(problems, replay_cfg("batch50.jsonl"), str(out_dir))
+        assert os.listdir(out_dir) == []
+
     def test_worker_count_validated(self):
         with pytest.raises(ValueError, match="workers"):
             run_batch([], replay_cfg("batch50.jsonl"), workers=0)
@@ -657,6 +672,66 @@ class TestCLI:
             trace = trace_from_dict(json.load(fh))
         assert trace.final_status == "refined_valid"
         assert trace.total_iterations == 2
+
+    def test_refine_keeps_ids_that_sanitise_alike_apart(self, tmp_path, capsys):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        problems = str(tmp_path / "problems.jsonl")
+        write_jsonl(problems, [dict(ROW, id="a.b"), dict(ROW, id="a_b")])
+        out_dir = tmp_path / "traces"
+        code = self.run(
+            "refine",
+            "--problems",
+            problems,
+            "--model",
+            "m",
+            "--mode",
+            "replay",
+            "--cache",
+            str(tmp_path / "empty.jsonl"),
+            "--backend",
+            "isabelle",
+            "--isabelle-port",
+            str(port),
+            "--out",
+            str(out_dir),
+        )
+        assert code == 0
+        assert sorted(os.listdir(out_dir)) == ["trace_a.b.json", "trace_a_b.json"]
+        for name, problem_id in (("trace_a.b.json", "a.b"), ("trace_a_b.json", "a_b")):
+            with open(out_dir / name) as fh:
+                trace = trace_from_dict(json.load(fh))
+            assert trace.problem_id == problem_id
+            assert trace.diagnostic.startswith("backend unavailable")
+
+    def test_refine_turns_a_crashing_problem_into_a_failure_trace(
+        self, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "traces"
+        code = self.run(
+            "refine",
+            "--problems",
+            os.path.join(DATA_DIR, "esnli_pairs.jsonl"),
+            "--id",
+            "esnli_bartender",
+            "--model",
+            "m",
+            "--mode",
+            "replay",
+            "--cache",
+            str(tmp_path / "empty.jsonl"),
+            "--out",
+            str(out_dir),
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out == "esnli_bartender: exhausted_invalid after 0 refinement round(s)\n"
+        with open(out_dir / "trace_esnli_bartender.json") as fh:
+            trace = trace_from_dict(json.load(fh))
+        assert trace.iterations == ()
+        assert trace.diagnostic.startswith("pipeline error: ")
 
     def test_batch_prints_summary_table(self, tmp_path, capsys):
         code = self.run(

@@ -162,6 +162,17 @@ class TestParseErrors:
         assert info.value.offset == offset
         assert info.value.expected == expected
 
+    # Deep nesting exhausts the recursive-descent parser's stack; that is
+    # still malformed input, reported like any other.
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 200 + "P(x)" + ")" * 200, "¬" * 2000 + "P(x)"],
+        ids=["parentheses", "negations"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_formula(text)
+
     def test_arity_conflict_inside_one_formula(self):
         with pytest.raises(ArityError) as info:
             parse_formula("P(x) & P(x, y)")

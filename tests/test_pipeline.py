@@ -7,6 +7,7 @@ import os
 import random
 import socket
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -227,7 +228,7 @@ class TestSyntaxRepairLoop:
     def loop(self, doc, session, transport, **overrides):
         cfg = make_cfg(transport, **overrides)
         problem = gadget_problem(GADGET_FACT)
-        return refine_syntax_loop(doc, session, cfg, problem=problem)
+        return refine_syntax_loop(doc, session, cfg, PipelineContext(cfg, problem))
 
     def test_clean_theory_skips_repair(self):
         doc = violin_doc()
@@ -472,7 +473,8 @@ class TestRefineExplanation:
         problem = gadget_problem(*[f.text for f in current])
         cfg = make_cfg(t)
         bundle = bundle or FeedbackBundle("proof failed")
-        return refine_explanation(bundle, problem, current, cfg), t
+        ctx = PipelineContext(cfg, problem)
+        return refine_explanation(bundle, problem, current, cfg, ctx), t
 
     def test_verbatim_sentences_keep_their_ids(self):
         current = (Fact("f1", GADGET_FACT), Fact("f2", PAINT_FACT))
@@ -601,6 +603,18 @@ class TestRunRefinerScripted:
             )
         last = trace.iterations[-1]
         assert last.explanation_after == last.explanation_before
+
+    def test_deeply_nested_formula_is_an_inner_syntax_error(self):
+        deep = "∀x. " + "(" * 200 + "Gadget(x) → Machine(x)" + ")" * 200
+        t = gadget_transport(**{GADGET_FACT: deep})
+        problem = gadget_problem(GADGET_FACT)
+        trace = run_refiner(problem, make_cfg(t, max_refinement_iterations=0))
+        assert trace.diagnostic is None
+        (record,) = trace.iterations
+        assert record.theory is None
+        assert record.feedback.error_message.startswith(
+            "Inner syntax error in the formula for f1:"
+        )
 
     def test_backend_unavailable_yields_diagnostic_trace(self):
         probe = socket.socket()
@@ -759,6 +773,49 @@ class TestTraceSerialisation:
         assert restored.diagnostic == trace.diagnostic
         assert restored.iterations == ()
         assert trace_to_dict(restored) == data
+
+    def test_optional_keys_default_when_absent(self, replayed_traces):
+        full = trace_to_dict(replayed_traces["esnli_lady_book"])
+        data = json.loads(json.dumps(full))
+        del data["dataset"], data["diagnostic"]
+        for record in data["iterations"]:
+            del record["proof_steps_suggested"], record["proof_steps_processed"]
+            if record["feedback"] is not None:
+                del record["feedback"]["failed_step_index"]
+                del record["feedback"]["relevant_axioms"]
+        decoded = trace_from_dict(full)
+        expected = replace(
+            decoded,
+            dataset="default",
+            diagnostic=None,
+            iterations=tuple(
+                replace(
+                    r,
+                    proof_steps_suggested=0,
+                    proof_steps_processed=0,
+                    feedback=r.feedback
+                    and replace(r.feedback, failed_step_index=None, relevant_axioms=()),
+                )
+                for r in decoded.iterations
+            ),
+        )
+        assert trace_from_dict(data) == expected
+        assert any(r.feedback.relevant_axioms for r in decoded.iterations[:-1])
+
+    def test_cited_axioms_the_theory_lacks_are_dropped(self, replayed_traces):
+        original = replayed_traces["esnli_lady_book"]
+        data = trace_to_dict(original)
+        middle = data["iterations"][1]
+        middle["feedback"]["relevant_axioms"].insert(0, "explanation_99")
+        restored = trace_from_dict(data)
+        assert (
+            restored.iterations[1].feedback.relevant_axioms
+            == original.iterations[1].feedback.relevant_axioms
+        )
+        middle["theory"] = None
+        restored = trace_from_dict(data)
+        assert restored.iterations[1].theory is None
+        assert restored.iterations[1].feedback.relevant_axioms == ()
 
     def test_formalisation_failure_record_round_trips(self):
         t = gadget_transport(**{GADGET_FACT: "Gadget("})

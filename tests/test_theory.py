@@ -164,6 +164,15 @@ class TestInnerSyntax:
         with pytest.raises(TheoryParseError, match="expected argument name at byte 1"):
             parse_inner_formula("P")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 200 + "P(x)" + ")" * 200, "¬" * 2000 + "P(x)"],
+        ids=["parentheses", "negations"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(TheoryParseError, match="nested too deeply"):
+            parse_inner_formula(text)
+
 
 class TestProofRendering:
     def test_three_step_forms(self):
@@ -363,3 +372,21 @@ class TestParseTheory:
     def test_render_theory_function_matches_property(self):
         doc = violin_doc()
         assert render_theory(doc) == doc.rendered
+
+    def test_rendered_text_is_computed_once_per_document(self, monkeypatch):
+        import verifine.theory
+
+        calls = []
+
+        def counting(doc):
+            calls.append(doc)
+            return render_theory(doc)
+
+        monkeypatch.setattr(verifine.theory, "render_theory", counting)
+        doc = violin_doc()
+        fresh = violin_doc()
+        assert doc.rendered == doc.rendered
+        assert len(calls) == 1
+        assert doc == fresh and hash(doc) == hash(fresh)
+        assert doc.with_proof(()).rendered != doc.rendered
+        assert len(calls) == 2
