@@ -91,12 +91,15 @@ def run_batch(
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = {
-            pool.submit(run_refiner, problem, cfg): problem for problem in problems
+            pool.submit(run_refiner, problem, cfg): index
+            for index, problem in enumerate(problems)
         }
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                problem = pending.pop(future)
+            # Futures that finish together are handled in input order, so
+            # one worker reports problems exactly in input order.
+            for future in sorted(done, key=pending.__getitem__):
+                problem = problems[pending.pop(future)]
                 try:
                     trace = future.result()
                 except Exception as exc:

@@ -16,7 +16,8 @@ import json
 import logging
 import os
 import sys
-from typing import List, Optional
+from dataclasses import replace
+from typing import List, Optional, Set
 
 from .batch import run_batch
 from .datasets import DatasetError, load_problems
@@ -165,6 +166,7 @@ def _cmd_formalise(args: argparse.Namespace) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     failures = 0
+    taken: Set[str] = set()
     for problem in problems:
         try:
             doc = formalise(problem, cfg)
@@ -172,7 +174,12 @@ def _cmd_formalise(args: argparse.Namespace) -> int:
             failures += 1
             print("%s: FAILED (%s)" % (problem.id, exc))
             continue
-        path = os.path.join(args.out, "%s.thy" % sanitize_name(problem.id))
+        # Ids that sanitise alike get suffixed file names, and the theory
+        # header names its file.
+        name = sanitize_name(problem.id, taken)
+        taken.add(name)
+        doc = replace(doc, name=name)
+        path = os.path.join(args.out, "%s.thy" % name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(doc.rendered)
         print("%s: wrote %s" % (problem.id, path))
@@ -241,9 +248,20 @@ def _iter_trace_files(paths: List[str]):
 
 def _cmd_report(args: argparse.Namespace) -> int:
     traces = []
+    unreadable = []
     for path in _iter_trace_files(args.traces):
-        with open(path, "r", encoding="utf-8") as fh:
-            traces.append(trace_from_dict(json.load(fh)))
+        # One torn or foreign file must not hide the readable traces.
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                traces.append(trace_from_dict(json.load(fh)))
+        except Exception as exc:
+            unreadable.append("%s (%s: %s)" % (path, type(exc).__name__, exc))
+    if unreadable:
+        print(
+            "warning: skipped %d unreadable trace file(s): %s"
+            % (len(unreadable), ", ".join(unreadable)),
+            file=sys.stderr,
+        )
     if not traces:
         raise SystemExit("no trace files found")
     report = aggregate(traces)

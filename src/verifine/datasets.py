@@ -16,7 +16,7 @@ answer is appended to the question stem.
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from .pipeline import Fact, NLIProblem
 

@@ -29,7 +29,7 @@ import requests
 
 from .llmtypes import StageKind
 from .prompts import TEMPLATES
-from .theory import ProofStep, StepKind, parse_proof_line
+from .theory import parse_proof_block
 
 log = logging.getLogger(__name__)
 
@@ -406,20 +406,7 @@ def _parse_block(stage: StageKind, block: str):
             "redundant": redundant,
         }
     if stage is StageKind.CONSTRUCT_PROOF:
-        steps: List[ProofStep] = []
-        for line in text.split("\n"):
-            stripped = line.strip()
-            if not stripped or stripped in ("proof -", "proof-", "qed"):
-                continue
-            step = parse_proof_line(stripped)
-            if step is None:
-                raise ValueError("unrecognised proof line: %r" % stripped)
-            steps.append(step)
-        if not steps:
-            raise ValueError("no proof steps")
-        if steps[-1].kind is not StepKind.THEN_SHOW_THESIS:
-            raise ValueError("final step must be `then show ?thesis`")
-        return steps
+        return parse_proof_block(text)
     if stage is StageKind.REFINE_EXPLANATION:
         sentences = [
             _strip_bullet(line) for line in text.split("\n") if _strip_bullet(line)

@@ -304,12 +304,19 @@ def _tokenize(text: str, syntax: _Syntax) -> List[Tuple[object, str, int]]:
     return tokens
 
 
+# Parentheses, negations, quantifier bodies and right operands each nest
+# one level.  The bound keeps every accepted formula shallow enough for
+# the recursive dataclass hash and equality and the recursive walkers.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, syntax: _Syntax):
         self.text = text
         self.curried = syntax.curried
         self.tokens = _tokenize(text, syntax)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Tuple[object, str, int]:
         return self.tokens[self.i]
@@ -327,12 +334,16 @@ class _Parser:
             self.fail("expected %s" % what, (what,))
         return self.advance()
 
-    def parse(self) -> Formula:
-        try:
-            f = self.formula()
-        except RecursionError:
-            # Each nesting level costs a few Python frames of descent.
+    def nested(self, parse, *args) -> Formula:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
             self.fail("formula nested too deeply")
+        f = parse(*args)
+        self.depth -= 1
+        return f
+
+    def parse(self) -> Formula:
+        f = self.formula()
         if self.peek()[0] is not _END:
             self.fail("trailing input after formula", ("end of input",))
         return f
@@ -344,7 +355,7 @@ class _Parser:
         self.advance()
         vars_ = self.names("bound variable", "variable name")
         self.expect(".", "'.'")
-        body = self.formula()
+        body = self.nested(self.formula)
         try:
             return cls(tuple(vars_), body)
         except ValueError as exc:
@@ -371,19 +382,19 @@ class _Parser:
         if self.peek()[0] is not cls:
             return left
         self.advance()
-        return cls(left, self.binary(level))
+        return cls(left, self.nested(self.binary, level))
 
     def negation(self) -> Formula:
         if self.peek()[0] is Not:
             self.advance()
-            return Not(self.negation())
+            return Not(self.nested(self.negation))
         return self.primary()
 
     def primary(self) -> Formula:
         kind = self.peek()[0]
         if kind == "(":
             self.advance()
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.expect(")", "')'")
             return inner
         if kind is not _IDENT:

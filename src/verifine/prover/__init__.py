@@ -26,7 +26,6 @@ from .isabelle import (
     IsabelleSession,
     SessionBuildFailed,
     SessionDead,
-    TheoryLoadFailed,
 )
 
 
@@ -93,7 +92,6 @@ __all__ = [
     "Span",
     "SpanUnmapped",
     "SYNTAX_CLASSES",
-    "TheoryLoadFailed",
     "build_report",
     "check_theory",
     "classify_error",

@@ -21,7 +21,7 @@ import shutil
 import socket
 import tempfile
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..theory import TheoryDoc
 from .messages import (
@@ -49,10 +49,6 @@ class SessionBuildFailed(ProverError):
 
 class SessionDead(ProverError):
     """The session is unusable (closed, timed out, or server gone)."""
-
-
-class TheoryLoadFailed(ProverError):
-    """use_theories failed outright rather than reporting messages."""
 
 
 class _Deadline(Exception):
@@ -252,8 +248,6 @@ class IsabelleSession:
                 "error", "Timeout: prover gave no verdict within %.1fs" % timeout_s
             )
             return build_report("timeout", [message], elapsed, doc)
-        except (SessionDead, ProverError):
-            raise
         elapsed = time.monotonic() - started
         return self._report_from_payload(payload, elapsed, doc)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from ..theory import TheoryDoc, proof_region, proof_step_lines
+from ..theory import TheoryDoc, proof_region
 
 
 class ProverError(Exception):
@@ -169,25 +169,17 @@ def locate_failed_step(
     msg = report.first_error[0]
     if msg.span is None:
         return None
-    total_lines = doc.rendered.count("\n") + 1
-    if not 1 <= msg.span.line <= total_lines:
-        raise SpanUnmapped("line %d outside theory text" % msg.span.line)
-    step_lines = proof_step_lines(doc)
-    if not step_lines:
+    line = msg.span.line
+    if not 1 <= line <= doc.rendered.count("\n") + 1:
+        raise SpanUnmapped("line %d outside theory text" % line)
+    region = proof_region(doc)
+    if region is None or line < region[0]:
         return None
-    if msg.span.line < step_lines[0] - 1:
-        return None
-    for index, line_no in enumerate(step_lines):
-        if msg.span.line == line_no:
-            step = doc.proof[index]
-            axiom_names = set(doc.axiom_names())
-            refs = tuple(n for n in step.facts_used if n in axiom_names)
-            return (index, refs)
-    if msg.span.line == step_lines[0] - 1:
-        # Error pinned on the `proof -` opener counts as the first step.
-        step = doc.proof[0]
-        axiom_names = set(doc.axiom_names())
-        return (0, tuple(n for n in step.facts_used if n in axiom_names))
-    raise SpanUnmapped(
-        "line %d not mapped to a proof step" % msg.span.line
-    )
+    if line >= region[1]:
+        raise SpanUnmapped("line %d not mapped to a proof step" % line)
+    # Step lines follow the opener contiguously; an error pinned on the
+    # `proof -` opener counts as the first step.
+    index = max(line - region[0] - 1, 0)
+    axiom_names = set(doc.axiom_names())
+    refs = tuple(n for n in doc.proof[index].facts_used if n in axiom_names)
+    return (index, refs)

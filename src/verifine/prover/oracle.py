@@ -16,7 +16,7 @@ follow from the chained previous goal plus whatever facts the step cites.
 
 import itertools
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..logic import (
     And,
@@ -27,17 +27,18 @@ from ..logic import (
     Implies,
     Not,
     Or,
-    Variable,
     free_variables,
 )
 from ..theory import (
     ASSUMPTION_NAME,
+    DanglingFactReference,
     StepKind,
     TheoryDoc,
-    TheoryError,
     TheoryParseError,
+    line_span,
     parse_inner_formula,
     proof_step_lines,
+    shows_line,
 )
 from .messages import (
     CheckReport,
@@ -278,16 +279,7 @@ def entails(
 
 # --- document checking -----------------------------------------------------
 
-def _shows_line(doc: TheoryDoc) -> int:
-    for idx, line in enumerate(doc.rendered.split("\n"), start=1):
-        if line.startswith("  shows "):
-            return idx
-    return 1
-
-
 def _line_message(doc: TheoryDoc, line_no: int, text: str) -> ProverMessage:
-    from ..theory import line_span
-
     start, end = line_span(doc.rendered, line_no)
     return ProverMessage("error", text, Span(line_no, start, end))
 
@@ -315,15 +307,19 @@ class OracleSession:
                 "error", "Timeout: solve budget of %.1fs exhausted" % timeout_s
             )
             report = build_report("timeout", [message], elapsed, doc)
+        except DanglingFactReference as exc:
+            # A proof that cannot render (a dangling citation) still gets
+            # a report rather than an exception.
+            message = ProverMessage("error", "Undefined fact: %s" % exc)
+            report = build_report(
+                "failed", [message], time.monotonic() - started, None
+            )
         return report
 
     def close(self):
         self.closed = True
 
     # -- internals
-
-    def _axiom_map(self, doc: TheoryDoc) -> Dict[str, Formula]:
-        return {a.name: a.formula for a in doc.axioms}
 
     def _check_direct(
         self, doc: TheoryDoc, deadline: float, started: float
@@ -337,7 +333,7 @@ class OracleSession:
             return build_report("valid", [], elapsed, doc)
         message = _line_message(
             doc,
-            _shows_line(doc),
+            shows_line(doc),
             "Failed to finish proof: goal is not entailed from the assumptions "
             "at domain bound %d" % self.domain_bound,
         )
@@ -346,54 +342,36 @@ class OracleSession:
     def _check_proof(
         self, doc: TheoryDoc, deadline: float, started: float
     ) -> CheckReport:
-        axioms = self._axiom_map(doc)
-        try:
-            step_lines = proof_step_lines(doc)
-        except TheoryError as exc:
-            # A document whose proof cannot render (dangling citation)
-            # still gets a report rather than an exception.
-            message = ProverMessage("error", "Undefined fact: %s" % exc)
-            return build_report(
-                "failed", [message], time.monotonic() - started, None
-            )
+        axioms = {a.name: a.formula for a in doc.axioms}
         previous: Optional[Formula] = None
-        for index, step in enumerate(doc.proof):
-            line_no = step_lines[index]
+        # Rendering the step lines rejects a citation the theory lacks, so
+        # every cited name is the assumption or an axiom.
+        for line_no, step in zip(proof_step_lines(doc), doc.proof):
             premises: List[Formula] = []
             if step.kind is not StepKind.FROM_ASM_HAVE and previous is not None:
                 premises.append(previous)
             for fact in step.facts_used:
-                if fact == ASSUMPTION_NAME:
-                    if doc.theorem.premise_assumption is not None:
-                        premises.append(doc.theorem.premise_assumption)
-                elif fact in axioms:
+                if fact != ASSUMPTION_NAME:
                     premises.append(axioms[fact])
-                else:
-                    message = _line_message(
-                        doc, line_no, "Undefined fact: %r" % fact
-                    )
-                    return build_report(
-                        "failed", [message], time.monotonic() - started, doc
-                    )
+                elif doc.theorem.premise_assumption is not None:
+                    premises.append(doc.theorem.premise_assumption)
+            error = None
             if step.kind is StepKind.THEN_SHOW_THESIS:
                 goal = doc.theorem.goal
             else:
                 try:
                     goal = parse_inner_formula(step.goal_text)
                 except TheoryParseError as exc:
-                    message = _line_message(
-                        doc, line_no, "Inner syntax error in proof step: %s" % exc
-                    )
-                    return build_report(
-                        "failed", [message], time.monotonic() - started, doc
-                    )
-            if not entails(premises, goal, self.domain_bound, deadline):
-                message = _line_message(
-                    doc,
-                    line_no,
+                    error = "Inner syntax error in proof step: %s" % exc
+            if error is None and not entails(
+                premises, goal, self.domain_bound, deadline
+            ):
+                error = (
                     "Failed to finish proof: step goal is not entailed at "
-                    "domain bound %d" % self.domain_bound,
+                    "domain bound %d" % self.domain_bound
                 )
+            if error is not None:
+                message = _line_message(doc, line_no, error)
                 return build_report(
                     "failed", [message], time.monotonic() - started, doc
                 )

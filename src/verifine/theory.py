@@ -286,21 +286,26 @@ def line_span(text: str, line_no: int) -> Tuple[int, int]:
     return (start, start + len(lines[line_no - 1]))
 
 
+def shows_line(doc: TheoryDoc) -> int:
+    """1-based line number of the theorem's `shows` line."""
+    # The rendered text ends with the shows line, the proof block if any
+    # (`proof -`, one line per step, `qed`), a blank line and `end`.
+    proof_lines = len(doc.proof) + 2 if doc.proof else 0
+    return doc.rendered.count("\n") - 2 - proof_lines
+
+
 def proof_region(doc: TheoryDoc) -> Optional[Tuple[int, int]]:
     """1-based line numbers of `proof -` and `qed`, when a proof exists."""
     if not doc.proof:
         return None
-    lines = doc.rendered.split("\n")
-    start = lines.index("proof -") + 1
+    start = shows_line(doc) + 1
     return (start, start + len(doc.proof) + 1)
 
 
 def proof_step_lines(doc: TheoryDoc) -> List[int]:
     """1-based line number of each proof step in the rendered text."""
     region = proof_region(doc)
-    if region is None:
-        return []
-    return [region[0] + 1 + i for i in range(len(doc.proof))]
+    return list(range(region[0] + 1, region[1])) if region else []
 
 
 # ---------------------------------------------------------------------------
@@ -321,29 +326,14 @@ def parse_assumption(text: str) -> Optional[Formula]:
     return parse_inner_formula(text)
 
 
-_PROOF_LINE_RES = [
-    (
-        StepKind.FROM_ASM_HAVE,
-        re.compile(
-            r"\s*from\s+asm\s+have\s+\"(?P<goal>.*)\"\s*"
-            r"(?:using\s+(?P<facts>[A-Za-z0-9_ ]+?)\s*)?by\s+(?P<tactic>.+?)\s*$"
-        ),
-    ),
-    (
-        StepKind.THEN_HAVE,
-        re.compile(
-            r"\s*then\s+have\s+\"(?P<goal>.*)\"\s*"
-            r"(?:using\s+(?P<facts>[A-Za-z0-9_ ]+?)\s*)?by\s+(?P<tactic>.+?)\s*$"
-        ),
-    ),
-    (
-        StepKind.THEN_SHOW_THESIS,
-        re.compile(
-            r"\s*then\s+show\s+\?thesis\s*"
-            r"(?:using\s+(?P<facts>[A-Za-z0-9_ ]+?)\s*)?by\s+(?P<tactic>.+?)\s*$"
-        ),
-    ),
-]
+# One pattern for the three step forms; a `then show ?thesis` step has no
+# goal text, and a `from asm have` step always cites the assumption.
+_STEP_RE = re.compile(
+    r"\s*(?:(?P<opener>from\s+asm|then)\s+have\s+\"(?P<goal>.*)\""
+    r"|then\s+show\s+\?thesis)\s*"
+    r"(?:using\s+(?P<facts>[A-Za-z0-9_ ]+?)\s*)?by\s+(?P<tactic>.+?)\s*$"
+)
+_PROOF_OPENER_RE = re.compile(r"^proof\s*-\s*$", re.M)
 
 
 def _normalise_goal_text(text: str) -> str:
@@ -361,24 +351,44 @@ def parse_proof_line(line: str) -> Optional[ProofStep]:
     Parseable step goals are normalised to the canonical inner-syntax
     rendering, so parsing is idempotent over rendered proofs.
     """
-    for kind, pattern in _PROOF_LINE_RES:
-        match = pattern.match(line)
-        if match is None:
-            continue
-        groups = match.groupdict()
-        facts = tuple((groups.get("facts") or "").split())
-        if kind is StepKind.FROM_ASM_HAVE and ASSUMPTION_NAME not in facts:
+    match = _STEP_RE.match(line)
+    if match is None:
+        return None
+    opener, goal, facts = match.group("opener", "goal", "facts")
+    facts = tuple((facts or "").split())
+    if opener is None:
+        kind = StepKind.THEN_SHOW_THESIS
+    elif opener == "then":
+        kind = StepKind.THEN_HAVE
+    else:
+        kind = StepKind.FROM_ASM_HAVE
+        if ASSUMPTION_NAME not in facts:
             facts = (ASSUMPTION_NAME,) + facts
-        goal_text = groups.get("goal", "") or ""
-        if goal_text:
-            goal_text = _normalise_goal_text(goal_text)
-        return ProofStep(
-            kind=kind,
-            goal_text=goal_text,
-            facts_used=facts,
-            tactic=groups["tactic"].strip(),
-        )
-    return None
+    goal_text = _normalise_goal_text(goal) if goal else ""
+    return ProofStep(kind, goal_text, facts, match.group("tactic").strip())
+
+
+def parse_proof_block(text: str) -> List[ProofStep]:
+    """Parse the steps of a proof block, up to its `qed`.
+
+    Blank lines and `proof -` openers are skipped.  Raises
+    TheoryParseError on a line that is no step, and unless the last step
+    is `then show ?thesis`.
+    """
+    steps: List[ProofStep] = []
+    for line in text.split("\n"):
+        stripped = line.strip()
+        if stripped == "qed":
+            break
+        if not stripped or _PROOF_OPENER_RE.match(stripped):
+            continue
+        step = parse_proof_line(stripped)
+        if step is None:
+            raise TheoryParseError("unrecognised proof line: %r" % stripped)
+        steps.append(step)
+    if not steps or steps[-1].kind is not StepKind.THEN_SHOW_THESIS:
+        raise TheoryParseError("proof must close with `then show ?thesis`")
+    return steps
 
 
 _THEORY_NAME_RE = re.compile(r"^\s*theory\s+([A-Za-z][A-Za-z0-9_]*)", re.M)
@@ -447,28 +457,8 @@ def parse_theory(text: str) -> TheoryDoc:
         comments.get("hypothesis", ""),
     )
 
-    proof: List[ProofStep] = []
-    body = text[theorem_at:]
-    proof_match = re.search(r"^proof\s*-\s*$", body, re.M)
-    if proof_match is not None:
-        for line in body[proof_match.end():].split("\n"):
-            if line.strip() == "qed":
-                break
-            if not line.strip():
-                continue
-            step = parse_proof_line(line)
-            if step is None:
-                raise TheoryParseError("unrecognised proof line: %r" % line.strip())
-            proof.append(step)
-        if not proof or proof[-1].kind is not StepKind.THEN_SHOW_THESIS:
-            raise TheoryParseError("proof must close with `then show ?thesis`")
-        known = {ASSUMPTION_NAME} | {a.name for a in axioms}
-        for index, step in enumerate(proof):
-            for fact in step.facts_used:
-                if fact not in known:
-                    raise TheoryParseError(
-                        "proof step %d cites undeclared fact %r" % (index, fact)
-                    )
+    opener = _PROOF_OPENER_RE.search(text, theorem_at)
+    proof = parse_proof_block(text[opener.end():]) if opener else []
 
     formulas = [a.formula for a in axioms]
     if premise is not None:
@@ -480,6 +470,9 @@ def parse_theory(text: str) -> TheoryDoc:
         raise TheoryParseError(str(exc)) from exc
 
     try:
-        return TheoryDoc(name, signature, tuple(axioms), theorem, tuple(proof))
+        doc = TheoryDoc(name, signature, tuple(axioms), theorem, tuple(proof))
+        # Rendering the steps rejects a citation the theory does not declare.
+        render_proof(doc.proof, doc.axiom_names())
     except TheoryError as exc:
         raise TheoryParseError(str(exc)) from exc
+    return doc

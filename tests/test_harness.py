@@ -43,7 +43,7 @@ from verifine.report import (
     render_text,
     report_to_dict,
 )
-from verifine.theory import TheoryDoc, build_theorem
+from verifine.theory import TheoryDoc, build_theorem, parse_theory
 
 from fixtures_e2e import batch_problems, gateway_config, scrub_elapsed
 
@@ -531,6 +531,40 @@ def replay_cfg(cache_name):
     )
 
 
+class TestNestingHeadroom:
+    def test_fixtures_and_bench_plans_stay_below_the_nesting_bound(
+        self, monkeypatch
+    ):
+        import verifine.logic
+        from verifine.theory import parse_proof_block
+
+        deepest = [0]
+        nested = verifine.logic._Parser.nested
+
+        def recording(parser, parse, *args):
+            deepest[0] = max(deepest[0], parser.depth + 1)
+            return nested(parser, parse, *args)
+
+        monkeypatch.setattr(verifine.logic._Parser, "nested", recording)
+        for problems, cache in (
+            ("batch50.jsonl", "batch50.jsonl"),
+            ("esnli_pairs.jsonl", "esnli.jsonl"),
+        ):
+            loaded = load_problems(os.path.join(DATA_DIR, problems))
+            run_batch(loaded, replay_cfg(cache))
+        bench_dir = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+        monkeypatch.syspath_prepend(bench_dir)
+        from workloads import SIZES, make_plan
+
+        for workload in sorted(SIZES):
+            plan = make_plan(workload, seed=1, size=40)
+            for _, _, formula in plan["formulas"]:
+                parse_formula(formula)
+            for _, _, lines in plan["proofs"]:
+                parse_proof_block("\n".join(lines))
+        assert 0 < deepest[0] < verifine.logic.MAX_NESTING
+
+
 class TestSafeStem:
     def test_sanitises_and_deduplicates(self):
         taken = set()
@@ -626,6 +660,22 @@ class TestRunBatch:
     def test_worker_count_validated(self):
         with pytest.raises(ValueError, match="workers"):
             run_batch([], replay_cfg("batch50.jsonl"), workers=0)
+
+    def test_one_worker_reports_problems_in_input_order(self, monkeypatch):
+        import verifine.batch
+
+        def instant(problem, cfg):
+            return RefinementTrace(
+                problem.id, problem.dataset, (), "valid_initially", 0
+            )
+
+        monkeypatch.setattr(verifine.batch, "run_refiner", instant)
+        problems = [
+            NLIProblem("p%03d" % i, None, "A hypothesis.", ()) for i in range(200)
+        ]
+        seen = []
+        run_batch(problems, replay_cfg("batch50.jsonl"), on_result=seen.append)
+        assert [t.problem_id for t in seen] == [p.id for p in problems]
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +837,32 @@ class TestCLI:
         with pytest.raises(SystemExit, match="no trace files"):
             self.run("report", "--traces", str(tmp_path))
 
+    def test_report_skips_an_unreadable_trace(self, tmp_path, capsys):
+        problems = load_problems(os.path.join(DATA_DIR, "esnli_pairs.jsonl"))[:1]
+        out_dir = str(tmp_path / "traces")
+        run_batch(problems, replay_cfg("esnli.jsonl"), out_dir)
+        assert self.run("report", "--traces", out_dir) == 0
+        alone = capsys.readouterr()
+        corrupt = os.path.join(out_dir, "trace_torn.json")
+        with open(corrupt, "w", encoding="utf-8") as fh:
+            fh.write('{"problem_id": ')
+        assert self.run("report", "--traces", out_dir) == 0
+        captured = capsys.readouterr()
+        assert captured.out == alone.out
+        assert captured.out.count("overall") == 1
+        prefix = "warning: skipped 1 unreadable trace file(s): %s (" % corrupt
+        assert captured.err.startswith(prefix)
+        assert "JSONDecodeError" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_report_with_only_unreadable_traces_exits(self, tmp_path, capsys):
+        corrupt = str(tmp_path / "trace_x.json")
+        with open(corrupt, "w", encoding="utf-8") as fh:
+            fh.write("[]")
+        with pytest.raises(SystemExit, match="no trace files"):
+            self.run("report", "--traces", corrupt)
+        assert corrupt in capsys.readouterr().err
+
     def test_formalise_writes_theory_files(self, tmp_path, capsys):
         out_dir = str(tmp_path / "theories")
         code = self.run(
@@ -811,6 +887,33 @@ class TestCLI:
         assert text.startswith("theory esnli_bartender")
         assert "axiomatization" in text
         assert "theorem hypothesis:" in text
+
+    def test_formalise_keeps_ids_that_sanitise_alike_apart(self, tmp_path, capsys):
+        with open(os.path.join(DATA_DIR, "esnli_pairs.jsonl")) as fh:
+            rows = [json.loads(line) for line in fh if line.strip()]
+        (row,) = [r for r in rows if r["id"] == "esnli_bartender"]
+        problems = str(tmp_path / "problems.jsonl")
+        write_jsonl(problems, [dict(row, id="a.b"), dict(row, id="a_b")])
+        out_dir = tmp_path / "theories"
+        code = self.run(
+            "formalise",
+            "--problems",
+            problems,
+            "--model",
+            "scripted-model",
+            "--mode",
+            "replay",
+            "--cache",
+            os.path.join(DATA_DIR, "replay", "esnli.jsonl"),
+            "--out",
+            str(out_dir),
+        )
+        assert code == 0
+        assert sorted(os.listdir(out_dir)) == ["a_b.thy", "a_b_2.thy"]
+        for stem in ("a_b", "a_b_2"):
+            text = (out_dir / (stem + ".thy")).read_text(encoding="utf-8")
+            assert text.startswith("theory %s\n" % stem)
+            assert parse_theory(text).name == stem
 
     def test_verify_valid_theory(self, capsys):
         code = self.run(

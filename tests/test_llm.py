@@ -557,6 +557,32 @@ class TestExtraction:
         ]
         assert steps[1].facts_used == ("explanation_1",)
 
+    def test_construct_proof_wrapped_or_bare_gives_the_same_steps(self):
+        lines = (
+            '  from asm have "Woman x" by blast\n'
+            '  then have "Lady x" using explanation_1 by blast\n'
+            "  then show ?thesis using asm by blast\n"
+        )
+        wrapped = fenced("proof -\n" + lines + "qed")
+        bare = fenced(lines)
+        assert extract_stage_output(
+            StageKind.CONSTRUCT_PROOF, wrapped
+        ) == extract_stage_output(StageKind.CONSTRUCT_PROOF, bare)
+
+    def test_construct_proof_stops_at_qed(self):
+        raw = fenced(
+            "proof -\n"
+            '  from asm have "Woman x" by blast\n'
+            "  then show ?thesis using asm by blast\n"
+            "qed\n"
+            "Hope this helps!"
+        )
+        steps = extract_stage_output(StageKind.CONSTRUCT_PROOF, raw)
+        assert [s.kind for s in steps] == [
+            StepKind.FROM_ASM_HAVE,
+            StepKind.THEN_SHOW_THESIS,
+        ]
+
     def test_construct_proof_rejects_foreign_tactics(self):
         with pytest.raises(MalformedStageOutput):
             extract_stage_output(StageKind.CONSTRUCT_PROOF, fenced("apply auto"))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from helpers import formula_strategy, make_formulas
 from verifine.logic import (
+    MAX_NESTING,
     And,
     ArityConflict,
     ArityError,
@@ -27,6 +28,7 @@ from verifine.logic import (
     sanitize_name,
     validate_signature,
 )
+from verifine.theory import TheoryParseError, isabelle_formula, parse_inner_formula
 
 
 def atom(name, *args):
@@ -178,6 +180,50 @@ class TestParseErrors:
             parse_formula("P(x) & P(x, y)")
         assert info.value.name == "P"
         assert info.value.arities == (1, 2)
+
+
+def _quantifiers(n, forall, exists, body):
+    # Alternating kinds, since a same-kind prefix flattens into one binder.
+    return "".join(
+        "%s%s. " % (exists if i % 2 else forall, "x%d" % i) for i in range(n)
+    ) + body
+
+
+# Each spelling nests `n` levels: (canonical text, inner text).
+NESTINGS = {
+    "parentheses": lambda n: ("(" * n + "P(x)" + ")" * n, "(" * n + "P x" + ")" * n),
+    "negations": lambda n: ("¬" * n + "P(x)", "\\<not> " * n + "P x"),
+    "conjunctions": lambda n: (
+        " ∧ ".join(["P(x)"] * (n + 1)),
+        " \\<and> ".join(["P x"] * (n + 1)),
+    ),
+    "quantifiers": lambda n: (
+        _quantifiers(n, "∀", "∃", "P(x0)"),
+        _quantifiers(n, "\\<forall>", "\\<exists>", "P x0"),
+    ),
+}
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("kind", sorted(NESTINGS))
+    def test_formula_at_the_bound_survives_every_walker(self, kind):
+        canonical, inner = NESTINGS[kind](MAX_NESTING)
+        f = parse_formula(canonical)
+        again = parse_inner_formula(inner)
+        assert hash(f) == hash(again)
+        assert f == again
+        assert parse_formula(render_formula(f)) == f
+        assert parse_inner_formula(isabelle_formula(f)) == f
+        assert free_variables(f) <= {Variable("x")}
+
+    @pytest.mark.parametrize("kind", sorted(NESTINGS))
+    def test_one_level_past_the_bound_is_a_parse_error(self, kind):
+        canonical, inner = NESTINGS[kind](MAX_NESTING + 1)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_formula(canonical)
+        with pytest.raises(TheoryParseError, match="nested too deeply") as info:
+            parse_inner_formula(inner)
+        assert isinstance(info.value.__cause__, ParseError)
 
 
 class TestConstruction:

@@ -1,0 +1,76 @@
+"""Source hygiene: every name the package imports is used."""
+
+import ast
+import os
+
+import pytest
+
+PACKAGE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "verifine")
+
+
+def _modules():
+    for root, _, files in os.walk(PACKAGE_DIR):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                yield os.path.relpath(path, PACKAGE_DIR), path
+
+
+def _names_in_annotation(node) -> set:
+    # A quoted annotation ("TheoryDoc") names its types inside a string.
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval")
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import and never referenced; `__all__` entries
+    count as references, so a package's re-exports are exempt."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            used |= _names_in_annotation(node.annotation)
+        elif isinstance(node, ast.FunctionDef) and node.returns:
+            used |= _names_in_annotation(node.returns)
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts}
+    return sorted(
+        "%s (line %d)" % (name, line)
+        for name, line in imported.items()
+        if name not in used
+    )
+
+
+def test_the_check_sees_an_unused_import():
+    source = "from typing import List, Optional\nimport os\nx: List[int] = []\n"
+    assert unused_imports(source) == ["Optional (line 1)", "os (line 2)"]
+
+
+def test_quoted_annotations_and_all_count_as_uses():
+    source = (
+        "from .a import A, B\n"
+        "def f() -> 'A':\n    pass\n"
+        "__all__ = ['B']\n"
+    )
+    assert unused_imports(source) == []
+
+
+MODULES = dict(_modules())
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_module_has_no_unused_imports(module):
+    with open(MODULES[module], encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == []

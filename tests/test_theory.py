@@ -28,12 +28,14 @@ from verifine.theory import (
     isabelle_formula,
     line_span,
     parse_inner_formula,
+    parse_proof_block,
     parse_proof_line,
     parse_theory,
     proof_region,
     proof_step_lines,
     render_proof,
     render_theory,
+    shows_line,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -213,6 +215,39 @@ class TestProofRendering:
         assert parse_proof_line("  apply auto") is None
 
 
+class TestProofBlock:
+    STEPS = (
+        'from asm have "P x" by blast',
+        'then have "Q x" using explanation_1 by blast',
+        "then show ?thesis using asm by blast",
+    )
+
+    def test_opener_blank_lines_and_qed_frame_the_same_steps(self):
+        bare = parse_proof_block("\n".join(self.STEPS))
+        wrapped = parse_proof_block(
+            "proof -\n\n  " + "\n  ".join(self.STEPS) + "\nqed\n"
+        )
+        assert wrapped == bare
+        assert [s.kind for s in bare] == [
+            StepKind.FROM_ASM_HAVE,
+            StepKind.THEN_HAVE,
+            StepKind.THEN_SHOW_THESIS,
+        ]
+
+    def test_reading_stops_at_qed(self):
+        text = "\n".join(self.STEPS) + "\nqed\n\nend\n"
+        assert len(parse_proof_block(text)) == 3
+
+    def test_unrecognised_line_is_named(self):
+        with pytest.raises(TheoryParseError, match="proof line: 'apply auto'"):
+            parse_proof_block("  apply auto\n" + self.STEPS[2])
+
+    @pytest.mark.parametrize("text", ["", "qed", STEPS[0]])
+    def test_last_step_must_show_the_thesis(self, text):
+        with pytest.raises(TheoryParseError, match="must close with `then show"):
+            parse_proof_block(text)
+
+
 class TestGoldenRendering:
     def test_violin_theory_matches_golden_file(self):
         with open(
@@ -288,6 +323,22 @@ class TestSpans:
     def test_proof_region_absent_without_proof(self):
         assert proof_region(violin_doc().without_proof()) is None
 
+    @pytest.mark.parametrize("with_proof", [True, False])
+    def test_shows_line_is_the_theorem_goal(self, with_proof):
+        doc = violin_doc() if with_proof else violin_doc().without_proof()
+        lines = doc.rendered.split("\n")
+        assert lines[shows_line(doc) - 1] == '  shows "%s"' % isabelle_formula(
+            doc.theorem.goal
+        )
+
+    def test_shows_line_ignores_a_constant_named_shows(self):
+        goal = parse_formula("exists x. shows(x)")
+        doc = TheoryDoc(
+            "t", validate_signature([goal]), (), build_theorem(None, goal)
+        )
+        lines = doc.rendered.split("\n")
+        assert lines[shows_line(doc) - 1].startswith('  shows "')
+
 
 class TestParseTheory:
     def test_full_round_trip(self):
@@ -339,6 +390,11 @@ class TestParseTheory:
         )
         with pytest.raises(TheoryParseError):
             parse_theory(text)
+
+    def test_second_proof_opener_is_skipped(self):
+        doc = violin_doc()
+        text = doc.rendered.replace("proof -\n", "proof -\nproof -\n")
+        assert parse_theory(text).proof == doc.proof
 
     def test_dangling_proof_citation_rejected(self):
         text = violin_doc().rendered.replace(
