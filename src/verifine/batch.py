@@ -11,7 +11,7 @@ import logging
 import os
 import re
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .pipeline import (
     NLIProblem,
@@ -59,23 +59,21 @@ def run_batch(
 
     When `out_dir` is given, each trace is written there as
     trace_<id>.json as soon as its problem finishes; ids that sanitise
-    alike get numeric suffixes.
+    alike (or repeat) get numeric suffixes.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    stems: Dict[str, str] = {}
+    # Stems and results go by input index: problem ids need not be unique.
     taken: set = set()
-    for problem in problems:
-        stems[problem.id] = _safe_stem(problem.id, taken)
+    stems = [_safe_stem(problem.id, taken) for problem in problems]
+    results: List[Optional[RefinementTrace]] = [None] * len(problems)
 
-    results: Dict[str, RefinementTrace] = {}
-
-    def finish(problem: NLIProblem, trace: RefinementTrace) -> None:
-        results[problem.id] = trace
+    def finish(index: int, trace: RefinementTrace) -> None:
+        results[index] = trace
         if out_dir is not None:
-            path = os.path.join(out_dir, "trace_%s.json" % stems[problem.id])
+            path = os.path.join(out_dir, "trace_%s.json" % stems[index])
             # Renamed into place, so `report` never reads a half-written trace.
             partial = path + ".partial"
             try:
@@ -99,11 +97,11 @@ def run_batch(
             # Futures that finish together are handled in input order, so
             # one worker reports problems exactly in input order.
             for future in sorted(done, key=pending.__getitem__):
-                problem = problems[pending.pop(future)]
+                index = pending.pop(future)
                 try:
                     trace = future.result()
                 except Exception as exc:
-                    log.error("problem %s failed: %s", problem.id, exc)
-                    trace = _failure_trace(problem, exc)
-                finish(problem, trace)
-    return [results[p.id] for p in problems]
+                    log.error("problem %s failed: %s", problems[index].id, exc)
+                    trace = _failure_trace(problems[index], exc)
+                finish(index, trace)
+    return results

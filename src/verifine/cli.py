@@ -121,11 +121,17 @@ def _backend(args: argparse.Namespace):
 
 
 def _cache(args: argparse.Namespace) -> Optional[TranscriptCache]:
-    if args.mode in ("record", "replay"):
-        if not args.cache:
-            raise SystemExit("--cache is required in %s mode" % args.mode)
-        return TranscriptCache(args.cache)
-    return TranscriptCache(args.cache) if args.cache else None
+    if args.mode == "live":
+        # Live calls neither read nor write a cache.
+        if args.cache:
+            raise SystemExit(
+                "--cache is unused in live mode; use --mode record to save "
+                "transcripts or --mode replay to serve them"
+            )
+        return None
+    if not args.cache:
+        raise SystemExit("--cache is required in %s mode" % args.mode)
+    return TranscriptCache(args.cache)
 
 
 def _refiner_config(args: argparse.Namespace) -> RefinerConfig:

@@ -45,16 +45,15 @@ from .prover import (
     ProverError,
     ProverMessage,
     SessionHandle,
-    SpanUnmapped,
     build_report,
     check_theory,
+    classify_error,
     locate_failed_step,
     start_session,
     syntax_error_count,
 )
 from .theory import (
     Axiom,
-    DanglingFactReference,
     MalformedPremise,
     OpenFormula,
     ProofStep,
@@ -64,6 +63,7 @@ from .theory import (
     build_axioms,
     build_theorem,
     parse_theory,
+    proof_region,
     proof_step_text,
 )
 from .prover.messages import ErrorClass
@@ -211,10 +211,11 @@ class RefinerConfig:
 
 
 class PipelineContext:
-    """Per-problem state: stage plumbing plus formalisation caches."""
+    """Per-problem state: the problem, stage calls and formalisation caches."""
 
     def __init__(self, cfg: RefinerConfig, problem: NLIProblem):
         self.cfg = cfg
+        self.problem = problem
         self.events: Dict[str, List[str]] = {}
         self.formulas: Dict[Tuple[str, str], str] = {}
         self.used_ids: Set[str] = {f.id for f in problem.explanation}
@@ -224,15 +225,12 @@ class PipelineContext:
             if match:
                 self._counter = max(self._counter, int(match.group(1)))
 
-    def complete(self, stage: StageKind, bindings: Mapping[str, str]) -> str:
-        return complete(
-            stage,
-            bindings,
-            self.cfg.llm,
-            self.cfg.mode,
-            self.cfg.cache,
-            self.cfg.transport,
-        )
+    def ask(self, stage: StageKind, bindings: Mapping[str, str]):
+        """One stage call: render, complete, extract.  Raises
+        MalformedStageOutput when the reply has no usable output."""
+        cfg = self.cfg
+        raw = complete(stage, bindings, cfg.llm, cfg.mode, cfg.cache, cfg.transport)
+        return extract_stage_output(stage, raw)
 
     def next_fact_id(self) -> str:
         while True:
@@ -257,8 +255,7 @@ def _detect_events(sentences: Sequence[str], ctx: PipelineContext):
         return
     numbered = "\n".join("%d. %s" % (i + 1, s) for i, s in enumerate(pending))
     try:
-        raw = ctx.complete(StageKind.DETECT_EVENTS, {"sentences": numbered})
-        rows = extract_stage_output(StageKind.DETECT_EVENTS, raw)
+        rows = ctx.ask(StageKind.DETECT_EVENTS, {"sentences": numbered})
     except MalformedStageOutput as exc:
         raise StageFailed(StageKind.DETECT_EVENTS, exc.reason)
     verbs_by_index: Dict[int, List[str]] = {}
@@ -282,8 +279,7 @@ def _sentence_formula(sentence: str, role: str, ctx: PipelineContext) -> str:
         "events": ", ".join(events) if events else "(none)",
     }
     try:
-        raw = ctx.complete(StageKind.SENTENCE_TO_LOGIC, bindings)
-        text = extract_stage_output(StageKind.SENTENCE_TO_LOGIC, raw)
+        text = ctx.ask(StageKind.SENTENCE_TO_LOGIC, bindings)
     except MalformedStageOutput as exc:
         raise StageFailed(StageKind.SENTENCE_TO_LOGIC, exc.reason)
     ctx.formulas[key] = text
@@ -383,9 +379,6 @@ class SyntaxLoopOutcome:
 
 
 def _format_errors(report: CheckReport, doc: TheoryDoc) -> str:
-    from .prover import classify_error
-    from .theory import proof_region
-
     region = proof_region(doc)
     lines = []
     for message in report.errors():
@@ -396,13 +389,11 @@ def _format_errors(report: CheckReport, doc: TheoryDoc) -> str:
 
 
 def refine_syntax_loop(
-    doc: TheoryDoc,
-    handle: SessionHandle,
-    cfg: RefinerConfig,
-    ctx: PipelineContext,
+    ctx: PipelineContext, doc: TheoryDoc, handle: SessionHandle
 ) -> SyntaxLoopOutcome:
     """Check the proofless theory and repair syntax errors, at most
     cfg.syntax_iterations times.  Residual errors are carried forward."""
+    cfg = ctx.cfg
     current = doc.without_proof()
     report = check_theory(handle, current, cfg.timeout_s)
     before = syntax_error_count(report, current)
@@ -414,9 +405,7 @@ def refine_syntax_loop(
             "errors": _format_errors(report, current),
         }
         try:
-            raw = ctx.complete(StageKind.REFINE_SYNTAX, bindings)
-            corrected = extract_stage_output(StageKind.REFINE_SYNTAX, raw)
-            candidate = parse_theory(corrected)
+            candidate = parse_theory(ctx.ask(StageKind.REFINE_SYNTAX, bindings))
             # The theory name is part of the problem contract; a repair
             # that rewrote it would break span bookkeeping downstream.
             current = replace(candidate.without_proof(), name=current.name)
@@ -438,23 +427,19 @@ def _facts_listing(facts: Sequence[Fact]) -> str:
 
 
 def infer_and_prove(
-    problem: NLIProblem,
-    doc: TheoryDoc,
-    cfg: RefinerConfig,
-    ctx: PipelineContext,
-    explanation: Optional[Sequence[Fact]] = None,
+    ctx: PipelineContext, doc: TheoryDoc, facts: Sequence[Fact]
 ) -> Tuple[Optional[InferenceStrategy], Tuple[ProofStep, ...], TheoryDoc]:
     """Sketch the argument, then construct and attach a linear proof.
 
     Either stage may fail; the round then proceeds with what it has
     (no strategy, or no proof steps) and the check reports accordingly.
     """
-    facts = tuple(explanation if explanation is not None else problem.explanation)
+    problem = ctx.problem
     known_ids = [f.id for f in facts]
 
     strategy: Optional[InferenceStrategy]
     try:
-        raw = ctx.complete(
+        payload = ctx.ask(
             StageKind.ROUGH_INFERENCE,
             {
                 "premise": problem.premise_text or "(none)",
@@ -462,7 +447,6 @@ def infer_and_prove(
                 "facts": _facts_listing(facts),
             },
         )
-        payload = extract_stage_output(StageKind.ROUGH_INFERENCE, raw)
         relevant = tuple(i for i in known_ids if i in set(payload["relevant"]))
         redundant = tuple(
             i
@@ -476,17 +460,13 @@ def infer_and_prove(
 
     steps: Tuple[ProofStep, ...] = ()
     if strategy is not None:
+        bindings = {"theory": doc.rendered, "strategy": strategy.narrative or "(none)"}
         try:
-            raw = ctx.complete(
-                StageKind.CONSTRUCT_PROOF,
-                {"theory": doc.rendered, "strategy": strategy.narrative or "(none)"},
-            )
-            # Step goal texts arrive normalised by the proof-line parser.
-            steps = tuple(extract_stage_output(StageKind.CONSTRUCT_PROOF, raw))
-            candidate = doc.with_proof(steps)
-            candidate.rendered  # renders eagerly; flags dangling references
-            doc = candidate
-        except (MalformedStageOutput, DanglingFactReference, TheoryError) as exc:
+            # Step goal texts arrive normalised by the proof-line parser;
+            # with_proof refuses a step that cites an undeclared fact.
+            steps = tuple(ctx.ask(StageKind.CONSTRUCT_PROOF, bindings))
+            doc = doc.with_proof(steps)
+        except (MalformedStageOutput, TheoryError) as exc:
             log.debug("proof construction unusable: %s", exc)
             steps = ()
     return strategy, steps, doc
@@ -526,11 +506,7 @@ def _describe_step(step: Optional[ProofStep], index: Optional[int]) -> str:
 
 
 def refine_explanation(
-    bundle: FeedbackBundle,
-    problem: NLIProblem,
-    current: Sequence[Fact],
-    cfg: RefinerConfig,
-    ctx: PipelineContext,
+    ctx: PipelineContext, bundle: FeedbackBundle, current: Sequence[Fact]
 ) -> Tuple[Fact, ...]:
     """Rewrite the explanation using prover feedback.
 
@@ -538,6 +514,7 @@ def refine_explanation(
     or reworded gets a fresh id.  A malformed response leaves the
     explanation unchanged.
     """
+    problem = ctx.problem
     current = tuple(current)
     relevant_sentences = "\n".join(
         "- " + a.source_text for a in bundle.relevant_axioms if a.source_text
@@ -552,8 +529,7 @@ def refine_explanation(
         "relevant_sentences": relevant_sentences,
     }
     try:
-        raw = ctx.complete(StageKind.REFINE_EXPLANATION, bindings)
-        sentences = extract_stage_output(StageKind.REFINE_EXPLANATION, raw)
+        sentences = ctx.ask(StageKind.REFINE_EXPLANATION, bindings)
     except MalformedStageOutput as exc:
         log.debug("refinement stage unusable: %s", exc)
         return current
@@ -578,39 +554,26 @@ def _synthetic_failure_report(text: str) -> CheckReport:
 
 
 def _assemble_feedback(
-    report: CheckReport,
-    doc: Optional[TheoryDoc],
-    strategy: Optional[InferenceStrategy],
+    report: CheckReport, doc: TheoryDoc, strategy: Optional[InferenceStrategy]
 ) -> FeedbackBundle:
     if report.first_error is not None:
         error_text = report.first_error[0].text
     else:
         error_text = "prover reported failure without messages"
-    failed_step = None
-    failed_index = None
-    relevant: Tuple[Axiom, ...] = ()
-    if doc is not None and doc.proof:
-        try:
-            located = locate_failed_step(report, doc)
-        except SpanUnmapped:
-            located = None
-        if located is not None:
-            failed_index, names = located
-            failed_step = doc.proof[failed_index]
-            by_name = {a.name: a for a in doc.axioms}
-            relevant = tuple(by_name[n] for n in names if n in by_name)
-    return FeedbackBundle(error_text, failed_step, failed_index, strategy, relevant)
+    index = locate_failed_step(report, doc)
+    if index is None:
+        return FeedbackBundle(error_text, strategy=strategy)
+    step = doc.proof[index]
+    cited = _cited_axioms(step.facts_used, doc)
+    return FeedbackBundle(error_text, step, index, strategy, cited)
 
 
 def _run_iteration(
-    problem: NLIProblem,
-    explanation: Tuple[Fact, ...],
-    cfg: RefinerConfig,
-    ctx: PipelineContext,
-    handle: SessionHandle,
+    ctx: PipelineContext, explanation: Tuple[Fact, ...], handle: SessionHandle
 ) -> IterationRecord:
+    cfg = ctx.cfg
     try:
-        doc = formalise(problem, cfg, explanation, ctx)
+        doc = formalise(ctx.problem, cfg, explanation, ctx)
     except (StageFailed, FormulaRejected) as exc:
         report = _synthetic_failure_report(str(exc))
         bundle = FeedbackBundle(str(exc))
@@ -624,20 +587,15 @@ def _run_iteration(
             feedback=bundle,
             explanation_after=explanation,
         )
-    syntax = refine_syntax_loop(doc, handle, cfg, ctx)
-    doc = syntax.doc
-    strategy, steps, doc = infer_and_prove(problem, doc, cfg, ctx, explanation)
+    syntax = refine_syntax_loop(ctx, doc, handle)
+    strategy, steps, doc = infer_and_prove(ctx, syntax.doc, explanation)
     report = check_theory(handle, doc, cfg.timeout_s)
     if report.status == "valid":
         feedback = None
         processed = len(steps)
     else:
         feedback = _assemble_feedback(report, doc, strategy)
-        processed = (
-            feedback.failed_step_index
-            if feedback.failed_step_index is not None
-            else 0
-        )
+        processed = feedback.failed_step_index or 0
     return IterationRecord(
         explanation_before=explanation,
         theory=doc,
@@ -667,7 +625,7 @@ def run_refiner(problem: NLIProblem, cfg: RefinerConfig) -> RefinementTrace:
             diagnostic = "backend unavailable: %s" % exc
             break
         try:
-            record = _run_iteration(problem, explanation, cfg, ctx, handle)
+            record = _run_iteration(ctx, explanation, handle)
         finally:
             handle.close()
         if record.report.status == "valid":
@@ -684,7 +642,7 @@ def run_refiner(problem: NLIProblem, cfg: RefinerConfig) -> RefinementTrace:
             filtered = filter_facts(explanation, strategy, record.theory.proof)
         else:
             filtered = list(explanation)
-        refined = refine_explanation(record.feedback, problem, filtered, cfg, ctx)
+        refined = refine_explanation(ctx, record.feedback, filtered)
         record = replace(record, explanation_after=refined)
         iterations.append(record)
         explanation = refined

@@ -10,7 +10,6 @@ from .messages import (
     ProverError,
     ProverMessage,
     Span,
-    SpanUnmapped,
     SYNTAX_CLASSES,
     build_report,
     classify_error,
@@ -90,7 +89,6 @@ __all__ = [
     "SessionDead",
     "SessionHandle",
     "Span",
-    "SpanUnmapped",
     "SYNTAX_CLASSES",
     "build_report",
     "check_theory",

@@ -20,10 +20,6 @@ class ProverError(Exception):
     """Base class for prover client failures."""
 
 
-class SpanUnmapped(ProverError):
-    """An error span points outside every known region of the theory."""
-
-
 class Span(NamedTuple):
     line: int          # 1-based line in the rendered theory
     start_offset: int  # 1-based character offset, inclusive
@@ -152,34 +148,20 @@ def syntax_error_count(report: CheckReport, doc: Optional[TheoryDoc] = None) -> 
     )
 
 
-def locate_failed_step(
-    report: CheckReport, doc: TheoryDoc
-) -> Optional[Tuple[int, Tuple[str, ...]]]:
-    """Map the first error back to the proof step it struck.
+def locate_failed_step(report: CheckReport, doc: TheoryDoc) -> Optional[int]:
+    """Index of the proof step the first error struck.
 
-    Returns (step_index, axiom names that step cites) or None when the
-    error precedes the proof block (or carries no span, or the theory
-    has no proof).  Raises SpanUnmapped when the span points outside
-    every known region of the rendered text.
+    An error on the `proof -` opener counts as the first step.  None when
+    the error carries no span, or its line is neither the opener nor a
+    step line (which covers a theory without a proof).
     """
     if report.status == "valid":
         raise ValueError("cannot locate a failed step in a valid report")
-    if report.first_error is None:
+    if report.first_error is None or report.first_error[0].span is None:
         return None
-    msg = report.first_error[0]
-    if msg.span is None:
-        return None
-    line = msg.span.line
-    if not 1 <= line <= doc.rendered.count("\n") + 1:
-        raise SpanUnmapped("line %d outside theory text" % line)
     region = proof_region(doc)
-    if region is None or line < region[0]:
+    if region is None:
         return None
-    if line >= region[1]:
-        raise SpanUnmapped("line %d not mapped to a proof step" % line)
-    # Step lines follow the opener contiguously; an error pinned on the
-    # `proof -` opener counts as the first step.
-    index = max(line - region[0] - 1, 0)
-    axiom_names = set(doc.axiom_names())
-    refs = tuple(n for n in doc.proof[index].facts_used if n in axiom_names)
-    return (index, refs)
+    # Step lines follow the opener contiguously.
+    offset = report.first_error[0].span.line - region[0]
+    return max(offset - 1, 0) if 0 <= offset <= len(doc.proof) else None

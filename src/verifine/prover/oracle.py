@@ -31,7 +31,6 @@ from ..logic import (
 )
 from ..theory import (
     ASSUMPTION_NAME,
-    DanglingFactReference,
     StepKind,
     TheoryDoc,
     TheoryParseError,
@@ -298,23 +297,14 @@ class OracleSession:
         deadline = started + timeout_s
         try:
             if doc.proof:
-                report = self._check_proof(doc, deadline, started)
-            else:
-                report = self._check_direct(doc, deadline, started)
+                return self._check_proof(doc, deadline, started)
+            return self._check_direct(doc, deadline, started)
         except OracleTimeout:
             elapsed = time.monotonic() - started
             message = ProverMessage(
                 "error", "Timeout: solve budget of %.1fs exhausted" % timeout_s
             )
-            report = build_report("timeout", [message], elapsed, doc)
-        except DanglingFactReference as exc:
-            # A proof that cannot render (a dangling citation) still gets
-            # a report rather than an exception.
-            message = ProverMessage("error", "Undefined fact: %s" % exc)
-            report = build_report(
-                "failed", [message], time.monotonic() - started, None
-            )
-        return report
+            return build_report("timeout", [message], elapsed, doc)
 
     def close(self):
         self.closed = True
@@ -344,8 +334,8 @@ class OracleSession:
     ) -> CheckReport:
         axioms = {a.name: a.formula for a in doc.axioms}
         previous: Optional[Formula] = None
-        # Rendering the step lines rejects a citation the theory lacks, so
-        # every cited name is the assumption or an axiom.
+        # A TheoryDoc refuses a citation it does not declare, so every
+        # cited name is the assumption or an axiom.
         for line_no, step in zip(proof_step_lines(doc), doc.proof):
             premises: List[Formula] = []
             if step.kind is not StepKind.FROM_ASM_HAVE and previous is not None:

@@ -149,6 +149,9 @@ def build_theorem(
 
 @dataclass(frozen=True)
 class TheoryDoc:
+    """A theory; building one whose proof cites a name that is neither
+    the assumption nor an axiom raises DanglingFactReference."""
+
     name: str
     signature: Signature
     axioms: Tuple[Axiom, ...]
@@ -158,8 +161,15 @@ class TheoryDoc:
     def __post_init__(self):
         object.__setattr__(self, "axioms", tuple(self.axioms))
         object.__setattr__(self, "proof", tuple(self.proof))
-        if self.proof and self.proof[-1].kind is not StepKind.THEN_SHOW_THESIS:
+        if not self.proof:
+            return
+        if self.proof[-1].kind is not StepKind.THEN_SHOW_THESIS:
             raise TheoryError("final proof step must be then_show_thesis")
+        known = {ASSUMPTION_NAME, *self.axiom_names()}
+        for index, step in enumerate(self.proof):
+            for name in step.facts_used:
+                if name not in known:
+                    raise DanglingFactReference(index, name)
 
     @cached_property
     def rendered(self) -> str:
@@ -209,24 +219,6 @@ def proof_step_text(step: ProofStep) -> str:
     return "%s by %s" % (line, step.tactic)
 
 
-def render_proof(
-    steps: Sequence[ProofStep], axiom_names: Sequence[str]
-) -> List[str]:
-    """Render proof steps to Isar lines.
-
-    Raises DanglingFactReference when a step cites a name that is neither
-    the assumption nor a declared axiom.
-    """
-    known = {ASSUMPTION_NAME} | set(axiom_names)
-    lines = []
-    for idx, step in enumerate(steps):
-        for name in step.facts_used:
-            if name not in known:
-                raise DanglingFactReference(idx, name)
-        lines.append("  " + proof_step_text(step))
-    return lines
-
-
 def render_theory(doc: TheoryDoc) -> str:
     """Deterministically render the full theory document."""
     out: List[str] = []
@@ -267,7 +259,7 @@ def render_theory(doc: TheoryDoc) -> str:
     out.append('  shows "%s"' % isabelle_formula(doc.theorem.goal))
     if doc.proof:
         out.append("proof -")
-        out.extend(render_proof(doc.proof, doc.axiom_names()))
+        out.extend("  " + proof_step_text(step) for step in doc.proof)
         out.append("qed")
     out.append("")
     out.append("end")
@@ -392,12 +384,16 @@ def parse_proof_block(text: str) -> List[ProofStep]:
 
 
 _THEORY_NAME_RE = re.compile(r"^\s*theory\s+([A-Za-z][A-Za-z0-9_]*)", re.M)
+_THEOREM_RE = re.compile(r"^[ \t]*theorem\b", re.M)
 _AXIOM_ENTRY_RE = re.compile(
     r"([A-Za-z][A-Za-z0-9_]*)\s*:\s*\"([^\"]*)\"", re.M
 )
 _ASSUMES_RE = re.compile(r"assumes\s+asm\s*:\s*\"([^\"]*)\"")
 _SHOWS_RE = re.compile(r"shows\s+\"([^\"]*)\"")
-_COMMENT_RE = re.compile(r"\(\*\s*(Explanation\s+\d+|Premise|Hypothesis)\s*:\s*(.*?)\s*\*\)")
+# Any comment, over every line it spans; a labelled one holds a sentence.
+_COMMENT_RE = re.compile(
+    r"\(\*(?:\s*(Explanation\s+\d+|Premise|Hypothesis)\s*:)?\s*(.*?)\s*\*\)", re.S
+)
 
 
 def parse_theory(text: str) -> TheoryDoc:
@@ -407,19 +403,24 @@ def parse_theory(text: str) -> TheoryDoc:
     block that fell out of sync with the axioms does not matter.  Raises
     TheoryParseError when the layout or any formula is malformed.
     """
+    # Comments hold free sentence text, so the structural scans below
+    # run on the text with every comment lifted out.
+    comments: Dict[str, str] = {}
+    for match in _COMMENT_RE.finditer(text):
+        if match.group(1):
+            key = match.group(1).lower().replace(" ", "")
+            comments.setdefault(key, match.group(2))
+    text = _COMMENT_RE.sub(" ", text)
+
     name_match = _THEORY_NAME_RE.search(text)
     if name_match is None:
         raise TheoryParseError("missing `theory <name>` header")
     name = name_match.group(1)
 
-    theorem_at = text.find("theorem")
-    if theorem_at < 0:
+    theorem_match = _THEOREM_RE.search(text)
+    if theorem_match is None:
         raise TheoryParseError("missing theorem block")
-
-    comments: Dict[str, str] = {}
-    for match in _COMMENT_RE.finditer(text):
-        key = match.group(1).lower().replace(" ", "")
-        comments.setdefault(key, match.group(2))
+    theorem_at = theorem_match.start()
 
     axioms: List[Axiom] = []
     head = text[:theorem_at]
@@ -470,9 +471,6 @@ def parse_theory(text: str) -> TheoryDoc:
         raise TheoryParseError(str(exc)) from exc
 
     try:
-        doc = TheoryDoc(name, signature, tuple(axioms), theorem, tuple(proof))
-        # Rendering the steps rejects a citation the theory does not declare.
-        render_proof(doc.proof, doc.axiom_names())
+        return TheoryDoc(name, signature, tuple(axioms), theorem, tuple(proof))
     except TheoryError as exc:
         raise TheoryParseError(str(exc)) from exc
-    return doc

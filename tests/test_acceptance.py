@@ -143,8 +143,7 @@ def test_04_live_prover_round_trip():
         report = handle.check_document(weak, timeout_s=65.0)
         assert report.status == "failed"
         assert report.first_error[1] is ErrorClass.PROOF_FAILURE
-        index, _refs = locate_failed_step(report, weak)
-        assert index == 1
+        assert locate_failed_step(report, weak) == 1
     finally:
         handle.close()
     announce(4, "live-prover")

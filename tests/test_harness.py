@@ -661,6 +661,25 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="workers"):
             run_batch([], replay_cfg("batch50.jsonl"), workers=0)
 
+    def test_repeated_ids_keep_every_trace(self, tmp_path, monkeypatch):
+        import verifine.batch
+
+        def echo(problem, cfg):
+            return RefinementTrace(
+                problem.id, problem.dataset, (), "valid_initially", 0,
+                diagnostic=problem.hypothesis_text,
+            )
+
+        monkeypatch.setattr(verifine.batch, "run_refiner", echo)
+        problems = [NLIProblem("p", None, text, ()) for text in ("One.", "Two.")]
+        out_dir = tmp_path / "t"
+        traces = run_batch(problems, replay_cfg("batch50.jsonl"), str(out_dir), workers=2)
+        assert [t.diagnostic for t in traces] == ["One.", "Two."]
+        assert sorted(os.listdir(out_dir)) == ["trace_p.json", "trace_p_2.json"]
+        for name, text in (("trace_p.json", "One."), ("trace_p_2.json", "Two.")):
+            with open(out_dir / name, "r", encoding="utf-8") as fh:
+                assert json.load(fh)["diagnostic"] == text
+
     def test_one_worker_reports_problems_in_input_order(self, monkeypatch):
         import verifine.batch
 
@@ -1015,6 +1034,27 @@ class TestCLI:
         cfg = _llm_config(args)
         assert cfg.model_for(StageKind.REFINE_EXPLANATION) == "big"
         assert cfg.model_for(StageKind.SENTENCE_TO_LOGIC) == "base"
+
+    @pytest.mark.parametrize("command", ["formalise", "refine", "batch"])
+    def test_cache_in_live_mode_exits(self, command, tmp_path):
+        cache = tmp_path / "transcripts.jsonl"
+        with pytest.raises(SystemExit, match="--mode record"):
+            self.run(
+                command,
+                "--problems",
+                os.path.join(DATA_DIR, "esnli_pairs.jsonl"),
+                "--out",
+                str(tmp_path / "out"),
+                "--model",
+                "m",
+                "--mode",
+                "live",
+                "--llm-endpoint",
+                "http://127.0.0.1:9/v1/chat/completions",
+                "--cache",
+                str(cache),
+            )
+        assert not cache.exists()
 
     def test_isabelle_backend_requires_port(self):
         with pytest.raises(SystemExit, match="--isabelle-port"):

@@ -228,7 +228,7 @@ class TestSyntaxRepairLoop:
     def loop(self, doc, session, transport, **overrides):
         cfg = make_cfg(transport, **overrides)
         problem = gadget_problem(GADGET_FACT)
-        return refine_syntax_loop(doc, session, cfg, PipelineContext(cfg, problem))
+        return refine_syntax_loop(PipelineContext(cfg, problem), doc, session)
 
     def test_clean_theory_skips_repair(self):
         doc = violin_doc()
@@ -309,7 +309,7 @@ class TestInferAndProve:
         cfg = make_cfg(transport)
         ctx = PipelineContext(cfg, problem)
         doc = formalise(problem, cfg, ctx=ctx)
-        return problem, doc, cfg, ctx
+        return problem, doc, ctx
 
     def test_strategy_and_proof_attached(self):
         t = gadget_transport()
@@ -327,8 +327,8 @@ class TestInferAndProve:
                 "then show ?thesis using explanation_2 by blast"
             ),
         )
-        problem, doc, cfg, ctx = self.formalised(t, GADGET_FACT, BRIDGE_FACT)
-        strategy, steps, proved = infer_and_prove(problem, doc, cfg, ctx=ctx)
+        problem, doc, ctx = self.formalised(t, GADGET_FACT, BRIDGE_FACT)
+        strategy, steps, proved = infer_and_prove(ctx, doc, problem.explanation)
         assert strategy is not None
         assert strategy.relevant_fact_ids == ("f1", "f2")
         assert strategy.redundant_fact_ids == ()
@@ -350,8 +350,8 @@ class TestInferAndProve:
             fenced("sketch\nRelevant: f2, f9, f1\nRedundant: f1, f2, f77"),
         )
         t.add(StageKind.CONSTRUCT_PROOF, "no fence")
-        problem, doc, cfg, ctx = self.formalised(t, GADGET_FACT, BRIDGE_FACT)
-        strategy, steps, proved = infer_and_prove(problem, doc, cfg, ctx=ctx)
+        problem, doc, ctx = self.formalised(t, GADGET_FACT, BRIDGE_FACT)
+        strategy, steps, proved = infer_and_prove(ctx, doc, problem.explanation)
         # Known ids only, input order, redundant never repeats relevant.
         assert strategy.relevant_fact_ids == ("f1", "f2")
         assert strategy.redundant_fact_ids == ()
@@ -360,8 +360,8 @@ class TestInferAndProve:
     def test_malformed_sketch_skips_proof_construction(self):
         t = gadget_transport()
         t.add(StageKind.ROUGH_INFERENCE, "no fenced block")
-        problem, doc, cfg, ctx = self.formalised(t, GADGET_FACT)
-        strategy, steps, proved = infer_and_prove(problem, doc, cfg, ctx=ctx)
+        problem, doc, ctx = self.formalised(t, GADGET_FACT)
+        strategy, steps, proved = infer_and_prove(ctx, doc, problem.explanation)
         assert strategy is None
         assert steps == ()
         assert proved.rendered == doc.rendered
@@ -373,8 +373,8 @@ class TestInferAndProve:
         t = gadget_transport()
         t.add(StageKind.ROUGH_INFERENCE, fenced("sketch\nRelevant: f1\nRedundant:"))
         t.add(StageKind.CONSTRUCT_PROOF, fenced("apply auto"))
-        problem, doc, cfg, ctx = self.formalised(t, GADGET_FACT)
-        strategy, steps, proved = infer_and_prove(problem, doc, cfg, ctx=ctx)
+        problem, doc, ctx = self.formalised(t, GADGET_FACT)
+        strategy, steps, proved = infer_and_prove(ctx, doc, problem.explanation)
         assert strategy is not None
         assert steps == ()
         assert proved.proof == ()
@@ -389,8 +389,8 @@ class TestInferAndProve:
                 "then show ?thesis by blast"
             ),
         )
-        problem, doc, cfg, ctx = self.formalised(t, GADGET_FACT)
-        strategy, steps, proved = infer_and_prove(problem, doc, cfg, ctx=ctx)
+        problem, doc, ctx = self.formalised(t, GADGET_FACT)
+        strategy, steps, proved = infer_and_prove(ctx, doc, problem.explanation)
         assert steps == ()
         assert proved.proof == ()
 
@@ -474,7 +474,7 @@ class TestRefineExplanation:
         cfg = make_cfg(t)
         bundle = bundle or FeedbackBundle("proof failed")
         ctx = PipelineContext(cfg, problem)
-        return refine_explanation(bundle, problem, current, cfg, ctx), t
+        return refine_explanation(ctx, bundle, current), t
 
     def test_verbatim_sentences_keep_their_ids(self):
         current = (Fact("f1", GADGET_FACT), Fact("f2", PAINT_FACT))

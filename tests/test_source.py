@@ -1,4 +1,5 @@
-"""Source hygiene: every name the package imports is used."""
+"""Source hygiene: every name the package imports is used, and every
+package attribute the bench wraps still exists."""
 
 import ast
 import os
@@ -6,6 +7,7 @@ import os
 import pytest
 
 PACKAGE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "verifine")
+BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
 def _modules():
@@ -74,3 +76,16 @@ MODULES = dict(_modules())
 def test_module_has_no_unused_imports(module):
     with open(MODULES[module], encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_bench_patch_points_exist(monkeypatch):
+    """The bench's traced mode wraps package attributes by name, so a
+    renamed or deleted one fails here too, not only in `bench/tests`."""
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import tracing
+
+    instrumentation = tracing.Instrumentation(tracing.Tracer())
+    try:
+        instrumentation.install()
+    finally:
+        instrumentation.uninstall()

@@ -33,7 +33,6 @@ from verifine.theory import (
     parse_theory,
     proof_region,
     proof_step_lines,
-    render_proof,
     render_theory,
     shows_line,
 )
@@ -79,6 +78,21 @@ def violin_doc() -> TheoryDoc:
         axioms=tuple(axioms),
         theorem=theorem,
         proof=steps,
+    )
+
+
+def sentence_doc(source="", premise_text="", name="sentences", proof=()):
+    """Two axioms over P and Q; the first carries `source` as its
+    sentence and the premise comment carries `premise_text`."""
+    rule = parse_formula("forall x. (P(x) -> Q(x))")
+    premise = parse_formula("P(a)")
+    goal = parse_formula("exists x. Q(x)")
+    return TheoryDoc(
+        name,
+        validate_signature([rule, rule, premise, goal]),
+        tuple(build_axioms([("f1", rule, source), ("f2", rule, "")])),
+        build_theorem(premise, goal, premise_text, "Something is Q."),
+        proof,
     )
 
 
@@ -178,28 +192,32 @@ class TestInnerSyntax:
 
 class TestProofRendering:
     def test_three_step_forms(self):
-        lines = render_proof(
-            (
-                ProofStep(StepKind.FROM_ASM_HAVE, "P x", ("asm", "explanation_1")),
-                ProofStep(StepKind.THEN_HAVE, "Q x", ("asm", "explanation_2")),
-                ProofStep(StepKind.THEN_SHOW_THESIS, "", ()),
-            ),
-            ("explanation_1", "explanation_2"),
-        )
-        assert lines == [
+        doc = sentence_doc(proof=(
+            ProofStep(StepKind.FROM_ASM_HAVE, "P x", ("asm", "explanation_1")),
+            ProofStep(StepKind.THEN_HAVE, "Q x", ("asm", "explanation_2")),
+            ProofStep(StepKind.THEN_SHOW_THESIS, "", ()),
+        ))
+        lines = doc.rendered.split("\n")
+        assert [lines[n - 1] for n in proof_step_lines(doc)] == [
             '  from asm have "P x" using explanation_1 by blast',
             '  then have "Q x" using asm explanation_2 by blast',
             "  then show ?thesis by blast",
         ]
 
     def test_dangling_reference_is_rejected(self):
-        with pytest.raises(DanglingFactReference) as info:
-            render_proof(
-                (ProofStep(StepKind.THEN_HAVE, "P x", ("explanation_7",)),),
-                ("explanation_1",),
-            )
-        assert info.value.step_index == 0
-        assert info.value.name == "explanation_7"
+        # A document whose proof cites an undeclared fact is refused when
+        # it is built, whether directly or through with_proof.
+        doc = violin_doc()
+        steps = doc.proof[:1] + (
+            ProofStep(StepKind.THEN_SHOW_THESIS, "", ("explanation_7",)),
+        )
+        for build in (
+            lambda: TheoryDoc(doc.name, doc.signature, doc.axioms, doc.theorem, steps),
+            lambda: doc.with_proof(steps),
+        ):
+            with pytest.raises(DanglingFactReference) as info:
+                build()
+            assert (info.value.step_index, info.value.name) == (1, "explanation_7")
 
     def test_parse_proof_line_inverts_rendering(self):
         steps = (
@@ -207,8 +225,9 @@ class TestProofRendering:
             ProofStep(StepKind.THEN_HAVE, "Q x", ("explanation_1",)),
             ProofStep(StepKind.THEN_SHOW_THESIS, "", ("asm",)),
         )
-        lines = render_proof(steps, ("explanation_1",))
-        parsed = tuple(parse_proof_line(line) for line in lines)
+        doc = sentence_doc(proof=steps)
+        lines = doc.rendered.split("\n")
+        parsed = tuple(parse_proof_line(lines[n - 1]) for n in proof_step_lines(doc))
         assert parsed == steps
 
     def test_parse_proof_line_rejects_garbage(self):
@@ -424,6 +443,29 @@ class TestParseTheory:
     def test_comment_text_recovered(self):
         parsed = parse_theory(violin_doc().rendered)
         assert parsed.axioms[0].source_text == "A violin is an instrument."
+
+    # Sentences are free text, and theory names come from problem ids, so
+    # neither may steer the structural scans.
+    @pytest.mark.parametrize(
+        "source, premise_text, name",
+        [
+            ('The sign says: "stop" here.', "", "t"),
+            ("first line\nsecond line", "", "t"),
+            ("", 'It shows "Q x" plainly.', "t"),
+            ("Every theorem has a proof.", "", "t"),
+            ("", "", "theorem_1"),
+        ],
+        ids=[
+            "quoted-word-in-sentence",
+            "sentence-over-two-lines",
+            "shows-in-premise-sentence",
+            "theorem-in-sentence",
+            "theorem-in-theory-name",
+        ],
+    )
+    def test_sentences_and_names_round_trip(self, source, premise_text, name):
+        doc = sentence_doc(source, premise_text, name)
+        assert parse_theory(doc.rendered) == doc
 
     def test_render_theory_function_matches_property(self):
         doc = violin_doc()
