@@ -16,15 +16,16 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import List, Optional, Set
 
 from .batch import run_batch
 from .datasets import DatasetError, load_problems
-from .llm import LLMConfig, TranscriptCache
+from .llm import LLMConfig, MalformedStageOutput, TranscriptCache
 from .llmtypes import StageKind
 from .logic import sanitize_name
-from .pipeline import PipelineError, RefinerConfig, formalise, trace_from_dict
+from .pipeline import FormulaRejected, RefinerConfig, formalise, trace_from_dict
 from .prover import (
     GroundOracle,
     IsabelleServer,
@@ -38,6 +39,16 @@ from .theory import TheoryParseError, parse_theory
 log = logging.getLogger(__name__)
 
 _STAGE_NAMES = sorted(stage.value for stage in StageKind)
+
+
+@contextmanager
+def _usage_errors(args: argparse.Namespace):
+    """A flag value the program refuses (a `ValueError` from what is built
+    of it, e.g. a temperature above 2) is a usage error, exit 2."""
+    try:
+        yield
+    except ValueError as exc:
+        args.usage_error(str(exc))
 
 
 def _add_llm_flags(parser: argparse.ArgumentParser) -> None:
@@ -98,18 +109,20 @@ def _llm_config(args: argparse.Namespace) -> LLMConfig:
         overrides[StageKind(stage)] = model
     if args.mode in ("live", "record") and not args.llm_endpoint:
         raise SystemExit("--llm-endpoint is required in %s mode" % args.mode)
-    return LLMConfig(
-        endpoint=args.llm_endpoint,
-        model_name=args.model,
-        temperature=args.temperature,
-        max_tokens=args.max_tokens,
-        per_stage_overrides=overrides,
-    )
+    with _usage_errors(args):
+        return LLMConfig(
+            endpoint=args.llm_endpoint,
+            model_name=args.model,
+            temperature=args.temperature,
+            max_tokens=args.max_tokens,
+            per_stage_overrides=overrides,
+        )
 
 
 def _backend(args: argparse.Namespace):
     if args.backend == "oracle":
-        return GroundOracle(domain_bound=args.domain_bound)
+        with _usage_errors(args):
+            return GroundOracle(domain_bound=args.domain_bound)
     if not args.isabelle_port:
         raise SystemExit("--isabelle-port is required with --backend isabelle")
     return IsabelleServer(
@@ -176,7 +189,7 @@ def _cmd_formalise(args: argparse.Namespace) -> int:
     for problem in problems:
         try:
             doc = formalise(problem, cfg)
-        except PipelineError as exc:
+        except (FormulaRejected, MalformedStageOutput) as exc:
             failures += 1
             print("%s: FAILED (%s)" % (problem.id, exc))
             continue
@@ -232,13 +245,12 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     problems = _load(args)
     cfg = _refiner_config(args)
-    traces = run_batch(
-        problems,
-        cfg,
-        out_dir=args.out,
-        workers=args.workers,
-        on_result=_print_trace_line,
-    )
+    # run_batch refuses a worker count below 1 before it starts; a
+    # problem's own failure becomes its trace, never an exception here.
+    with _usage_errors(args):
+        traces = run_batch(
+            problems, cfg, args.out, workers=args.workers, on_result=_print_trace_line
+        )
     print()
     print(render_text(aggregate(traces)), end="")
     return 0
@@ -334,6 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write here instead of stdout")
     p.set_defaults(func=_cmd_report)
 
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return parser
 
 

@@ -11,27 +11,31 @@ Three call modes keep experiments reproducible:
 The cache file is append-only JSON lines, safe for a single process with
 many worker threads (writes are serialised through a lock; the last
 record for a key wins on load).
+
+The gateway knows no stage's output format: `extract_stage_output`
+reads the last fenced block of a reply and hands it to the parser the
+calling stage passes in.
 """
 
 import hashlib
 import json
 import logging
 import os
-import re
 import string
 import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 import requests
 
 from .llmtypes import StageKind
 from .prompts import TEMPLATES
-from .theory import parse_proof_block
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 MODES = ("live", "record", "replay")
 
@@ -73,7 +77,7 @@ class MalformedStageOutput(GatewayError):
     def __init__(self, stage: StageKind, reason: str):
         self.stage = stage
         self.reason = reason
-        super().__init__("stage %s output malformed: %s" % (stage.value, reason))
+        super().__init__("stage %s failed: %s" % (stage.value, reason))
 
 
 @dataclass(frozen=True)
@@ -277,6 +281,8 @@ def complete(
     """Run one prompt stage and return the raw model response."""
     if mode not in MODES:
         raise ValueError("mode must be one of %s" % (MODES,))
+    if mode == "record" and cache is None:
+        raise ValueError("record mode requires a transcript cache")
     prompt = render_prompt(stage, bindings)
     model = cfg.model_for(stage)
     key = transcript_key(stage, prompt, model, cfg.temperature)
@@ -301,8 +307,6 @@ def complete(
     }
     response = _call_with_retries(transport or http_transport, request, cfg)
     if mode == "record":
-        if cache is None:
-            raise ValueError("record mode requires a transcript cache")
         cache.put(
             Transcript(
                 key,
@@ -335,83 +339,16 @@ def last_fenced_block(raw: str) -> Optional[str]:
     return "\n".join(lines[start + 1 : end])
 
 
-def _split_ids(text: str) -> List[str]:
-    tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
-    for token in tokens:
-        if not re.fullmatch(r"[A-Za-z0-9_]+", token):
-            raise ValueError("not an id: %r" % token)
-    return tokens
-
-
-def _strip_bullet(line: str) -> str:
-    return re.sub(r"^\s*(?:[-*•]|\d+[.)])\s*", "", line).strip()
-
-
-def extract_stage_output(stage: StageKind, raw: str):
-    """Parse a raw model response into the stage's typed payload.
+def extract_stage_output(stage: StageKind, raw: str, parse: Callable[[str], T]) -> T:
+    """Apply the stage's `parse` to the stripped last fenced block.
 
     Total over arbitrary text: the only exception this ever raises is
-    MalformedStageOutput.
+    MalformedStageOutput, whatever `parse` raises.
     """
     try:
         block = last_fenced_block(raw)
         if block is None:
             raise ValueError("no fenced code block in response")
-        return _parse_block(stage, block)
-    except MalformedStageOutput:
-        raise
+        return parse(block.strip())
     except Exception as exc:
         raise MalformedStageOutput(stage, str(exc))
-
-
-def _parse_block(stage: StageKind, block: str):
-    text = block.strip()
-    if stage is StageKind.DETECT_EVENTS:
-        result: List[Tuple[str, List[str]]] = []
-        for line in text.split("\n"):
-            line = line.strip()
-            if not line:
-                continue
-            head, sep, rest = line.partition(":")
-            if not sep or not head.strip().split():
-                raise ValueError("expected `<id>: verbs` lines, got %r" % line)
-            sentence_id = head.strip()
-            verbs = [v for v in rest.replace(",", " ").split() if v]
-            result.append((sentence_id, verbs))
-        return result
-    if stage is StageKind.SENTENCE_TO_LOGIC:
-        if not text:
-            raise ValueError("empty formula")
-        return " ".join(text.split("\n")).strip()
-    if stage is StageKind.REFINE_SYNTAX:
-        if not text:
-            raise ValueError("empty theory fragment")
-        return text
-    if stage is StageKind.ROUGH_INFERENCE:
-        narrative_lines: List[str] = []
-        relevant: List[str] = []
-        redundant: List[str] = []
-        for line in text.split("\n"):
-            stripped = line.strip()
-            lowered = stripped.lower()
-            if lowered.startswith("relevant:"):
-                relevant = _split_ids(stripped.partition(":")[2])
-            elif lowered.startswith("redundant:"):
-                redundant = _split_ids(stripped.partition(":")[2])
-            elif stripped:
-                narrative_lines.append(stripped)
-        return {
-            "narrative": "\n".join(narrative_lines),
-            "relevant": relevant,
-            "redundant": redundant,
-        }
-    if stage is StageKind.CONSTRUCT_PROOF:
-        return parse_proof_block(text)
-    if stage is StageKind.REFINE_EXPLANATION:
-        sentences = [
-            _strip_bullet(line) for line in text.split("\n") if _strip_bullet(line)
-        ]
-        if not sentences:
-            raise ValueError("no sentences in response")
-        return sentences
-    raise ValueError("unknown stage %r" % stage)

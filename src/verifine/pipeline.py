@@ -8,9 +8,12 @@ filtered to the facts the attempt actually used and rewritten by the
 refinement stage.  The initial check plus up to `max_refinement_iterations`
 refined re-checks make a trace.
 
-Stage failures never abort a problem: a malformed stage output consumes
-the round and the loop moves on with whatever it has.  A backend that
-cannot even open a session aborts with a diagnostic on the trace.
+Each stage's reply parser sits beside the stage and returns the value
+the loop uses; the gateway turns anything a parser raises into
+MalformedStageOutput.  Stage failures never abort a problem: a malformed
+stage output consumes the round and the loop moves on with whatever it
+has.  A backend that cannot even open a session aborts with a diagnostic
+on the trace.
 """
 
 import enum
@@ -19,7 +22,7 @@ import logging
 import re
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .llm import (
     LLMConfig,
@@ -58,10 +61,9 @@ from .theory import (
     OpenFormula,
     ProofStep,
     TheoryDoc,
-    TheoryError,
-    TheoryParseError,
     build_axioms,
     build_theorem,
+    parse_proof_block,
     parse_theory,
     proof_region,
     proof_step_text,
@@ -75,20 +77,7 @@ FINAL_STATUSES = ("valid_initially", "refined_valid", "exhausted_invalid")
 PROBLEM_SOURCES = ("entailment", "mcqa")
 
 
-class PipelineError(Exception):
-    """Base class for pipeline failures."""
-
-
-class StageFailed(PipelineError):
-    """A required stage produced unusable output."""
-
-    def __init__(self, stage: StageKind, reason: str):
-        self.stage = stage
-        self.reason = reason
-        super().__init__("stage %s failed: %s" % (stage.value, reason))
-
-
-class FormulaRejected(PipelineError):
+class FormulaRejected(Exception):
     """A produced formula could not be adopted into the theory."""
 
     def __init__(self, sentence_id: str, detail: str):
@@ -225,12 +214,13 @@ class PipelineContext:
             if match:
                 self._counter = max(self._counter, int(match.group(1)))
 
-    def ask(self, stage: StageKind, bindings: Mapping[str, str]):
-        """One stage call: render, complete, extract.  Raises
-        MalformedStageOutput when the reply has no usable output."""
+    def ask(self, stage: StageKind, bindings: Mapping[str, str], parse: Callable):
+        """One stage call: render, complete, then `parse` the reply's last
+        fenced block.  Raises MalformedStageOutput when the reply has no
+        usable output."""
         cfg = self.cfg
         raw = complete(stage, bindings, cfg.llm, cfg.mode, cfg.cache, cfg.transport)
-        return extract_stage_output(stage, raw)
+        return extract_stage_output(stage, raw, parse)
 
     def next_fact_id(self) -> str:
         while True:
@@ -249,22 +239,37 @@ _ROLE_FACT = "explanation fact"
 _ROLE_HYPOTHESIS = "hypothesis"
 
 
+def _parse_events(block: str) -> Dict[int, List[str]]:
+    """`<id>: verb, verb` lines to verbs by the id's sentence number; an
+    id without digits names no sentence."""
+    verbs_by_index: Dict[int, List[str]] = {}
+    for line in block.split("\n"):
+        line = line.strip()
+        if not line:
+            continue
+        head, sep, rest = line.partition(":")
+        if not sep or not head.strip():
+            raise ValueError("expected `<id>: verbs` lines, got %r" % line)
+        digits = re.sub(r"\D", "", head)
+        if digits:
+            verbs_by_index[int(digits)] = rest.replace(",", " ").split()
+    return verbs_by_index
+
+
 def _detect_events(sentences: Sequence[str], ctx: PipelineContext):
     pending = [s for s in sentences if s not in ctx.events]
     if not pending:
         return
     numbered = "\n".join("%d. %s" % (i + 1, s) for i, s in enumerate(pending))
-    try:
-        rows = ctx.ask(StageKind.DETECT_EVENTS, {"sentences": numbered})
-    except MalformedStageOutput as exc:
-        raise StageFailed(StageKind.DETECT_EVENTS, exc.reason)
-    verbs_by_index: Dict[int, List[str]] = {}
-    for sentence_id, verbs in rows:
-        digits = re.sub(r"\D", "", sentence_id)
-        if digits:
-            verbs_by_index[int(digits)] = verbs
+    verbs_by_index = ctx.ask(StageKind.DETECT_EVENTS, {"sentences": numbered}, _parse_events)
     for i, sentence in enumerate(pending):
         ctx.events[sentence] = verbs_by_index.get(i + 1, [])
+
+
+def _one_line_formula(block: str) -> str:
+    if not block:
+        raise ValueError("empty formula")
+    return " ".join(block.split("\n"))
 
 
 def _sentence_formula(sentence: str, role: str, ctx: PipelineContext) -> str:
@@ -278,10 +283,7 @@ def _sentence_formula(sentence: str, role: str, ctx: PipelineContext) -> str:
         "role": role,
         "events": ", ".join(events) if events else "(none)",
     }
-    try:
-        text = ctx.ask(StageKind.SENTENCE_TO_LOGIC, bindings)
-    except MalformedStageOutput as exc:
-        raise StageFailed(StageKind.SENTENCE_TO_LOGIC, exc.reason)
+    text = ctx.ask(StageKind.SENTENCE_TO_LOGIC, bindings, _one_line_formula)
     ctx.formulas[key] = text
     return text
 
@@ -388,6 +390,12 @@ def _format_errors(report: CheckReport, doc: TheoryDoc) -> str:
     return "\n".join(lines) if lines else "(none)"
 
 
+def _repaired_theory(name: str, block: str) -> TheoryDoc:
+    # The theory name is part of the problem contract; a repair that
+    # rewrote it would break span bookkeeping downstream.
+    return replace(parse_theory(block).without_proof(), name=name)
+
+
 def refine_syntax_loop(
     ctx: PipelineContext, doc: TheoryDoc, handle: SessionHandle
 ) -> SyntaxLoopOutcome:
@@ -399,17 +407,15 @@ def refine_syntax_loop(
     before = syntax_error_count(report, current)
     used = 0
     remaining = before
+    parse = functools.partial(_repaired_theory, current.name)
     while remaining > 0 and used < cfg.syntax_iterations:
         bindings = {
             "theory": current.rendered,
             "errors": _format_errors(report, current),
         }
         try:
-            candidate = parse_theory(ctx.ask(StageKind.REFINE_SYNTAX, bindings))
-            # The theory name is part of the problem contract; a repair
-            # that rewrote it would break span bookkeeping downstream.
-            current = replace(candidate.without_proof(), name=current.name)
-        except (MalformedStageOutput, TheoryParseError, TheoryError) as exc:
+            current = ctx.ask(StageKind.REFINE_SYNTAX, bindings, parse)
+        except MalformedStageOutput as exc:
             log.debug("syntax repair attempt unusable: %s", exc)
         used += 1
         report = check_theory(handle, current, cfg.timeout_s)
@@ -426,50 +432,65 @@ def _facts_listing(facts: Sequence[Fact]) -> str:
     return "\n".join("%s: %s" % (f.id, f.text) for f in facts)
 
 
+def _parse_strategy(known_ids: Sequence[str], block: str) -> InferenceStrategy:
+    """A sketch, then `relevant:` and `redundant:` id lines.  Ids outside
+    `known_ids` are dropped, the rest keep that order, and a fact listed
+    as both counts as relevant."""
+    narrative: List[str] = []
+    listed: Dict[str, Set[str]] = {"relevant": set(), "redundant": set()}
+    for line in block.split("\n"):
+        stripped = line.strip()
+        label, sep, rest = stripped.partition(":")
+        if sep and label.lower() in listed:
+            ids = [t for t in re.split(r"[,\s]+", rest) if t]
+            for token in ids:
+                if not re.fullmatch(r"[A-Za-z0-9_]+", token):
+                    raise ValueError("not an id: %r" % token)
+            listed[label.lower()] = set(ids)
+        elif stripped:
+            narrative.append(stripped)
+    relevant = tuple(i for i in known_ids if i in listed["relevant"])
+    redundant = tuple(
+        i for i in known_ids if i in listed["redundant"] and i not in relevant
+    )
+    return InferenceStrategy("\n".join(narrative), relevant, redundant)
+
+
+def _attach_proof(doc: TheoryDoc, block: str) -> TheoryDoc:
+    # Step goal texts arrive normalised by the proof-line parser;
+    # with_proof refuses a step that cites an undeclared fact.
+    return doc.with_proof(parse_proof_block(block))
+
+
 def infer_and_prove(
     ctx: PipelineContext, doc: TheoryDoc, facts: Sequence[Fact]
-) -> Tuple[Optional[InferenceStrategy], Tuple[ProofStep, ...], TheoryDoc]:
+) -> Tuple[Optional[InferenceStrategy], TheoryDoc]:
     """Sketch the argument, then construct and attach a linear proof.
 
     Either stage may fail; the round then proceeds with what it has
-    (no strategy, or no proof steps) and the check reports accordingly.
+    (no strategy, or a proofless theory) and the check reports accordingly.
     """
     problem = ctx.problem
-    known_ids = [f.id for f in facts]
-
-    strategy: Optional[InferenceStrategy]
+    bindings = {
+        "premise": problem.premise_text or "(none)",
+        "hypothesis": problem.hypothesis_text,
+        "facts": _facts_listing(facts),
+    }
+    parse = functools.partial(_parse_strategy, [f.id for f in facts])
     try:
-        payload = ctx.ask(
-            StageKind.ROUGH_INFERENCE,
-            {
-                "premise": problem.premise_text or "(none)",
-                "hypothesis": problem.hypothesis_text,
-                "facts": _facts_listing(facts),
-            },
-        )
-        relevant = tuple(i for i in known_ids if i in set(payload["relevant"]))
-        redundant = tuple(
-            i
-            for i in known_ids
-            if i in set(payload["redundant"]) and i not in relevant
-        )
-        strategy = InferenceStrategy(payload["narrative"], relevant, redundant)
+        strategy = ctx.ask(StageKind.ROUGH_INFERENCE, bindings, parse)
     except MalformedStageOutput as exc:
         log.debug("rough inference unusable: %s", exc)
-        strategy = None
+        return None, doc
 
-    steps: Tuple[ProofStep, ...] = ()
-    if strategy is not None:
-        bindings = {"theory": doc.rendered, "strategy": strategy.narrative or "(none)"}
-        try:
-            # Step goal texts arrive normalised by the proof-line parser;
-            # with_proof refuses a step that cites an undeclared fact.
-            steps = tuple(ctx.ask(StageKind.CONSTRUCT_PROOF, bindings))
-            doc = doc.with_proof(steps)
-        except (MalformedStageOutput, TheoryError) as exc:
-            log.debug("proof construction unusable: %s", exc)
-            steps = ()
-    return strategy, steps, doc
+    bindings = {"theory": doc.rendered, "strategy": strategy.narrative or "(none)"}
+    try:
+        doc = ctx.ask(
+            StageKind.CONSTRUCT_PROOF, bindings, functools.partial(_attach_proof, doc)
+        )
+    except MalformedStageOutput as exc:
+        log.debug("proof construction unusable: %s", exc)
+    return strategy, doc
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +526,18 @@ def _describe_step(step: Optional[ProofStep], index: Optional[int]) -> str:
     return prefix + proof_step_text(step)
 
 
+_BULLET_RE = re.compile(r"^\s*(?:[-*•]|\d+[.)])\s*")
+
+
+def _parse_sentences(block: str) -> List[str]:
+    """One sentence per line, list bullets and numbering stripped."""
+    sentences = [_BULLET_RE.sub("", line).strip() for line in block.split("\n")]
+    sentences = [s for s in sentences if s]
+    if not sentences:
+        raise ValueError("no sentences in response")
+    return sentences
+
+
 def refine_explanation(
     ctx: PipelineContext, bundle: FeedbackBundle, current: Sequence[Fact]
 ) -> Tuple[Fact, ...]:
@@ -529,7 +562,7 @@ def refine_explanation(
         "relevant_sentences": relevant_sentences,
     }
     try:
-        sentences = ctx.ask(StageKind.REFINE_EXPLANATION, bindings)
+        sentences = ctx.ask(StageKind.REFINE_EXPLANATION, bindings, _parse_sentences)
     except MalformedStageOutput as exc:
         log.debug("refinement stage unusable: %s", exc)
         return current
@@ -574,7 +607,7 @@ def _run_iteration(
     cfg = ctx.cfg
     try:
         doc = formalise(ctx.problem, cfg, explanation, ctx)
-    except (StageFailed, FormulaRejected) as exc:
+    except (MalformedStageOutput, FormulaRejected) as exc:
         report = _synthetic_failure_report(str(exc))
         bundle = FeedbackBundle(str(exc))
         return IterationRecord(
@@ -588,11 +621,11 @@ def _run_iteration(
             explanation_after=explanation,
         )
     syntax = refine_syntax_loop(ctx, doc, handle)
-    strategy, steps, doc = infer_and_prove(ctx, syntax.doc, explanation)
+    strategy, doc = infer_and_prove(ctx, syntax.doc, explanation)
     report = check_theory(handle, doc, cfg.timeout_s)
     if report.status == "valid":
         feedback = None
-        processed = len(steps)
+        processed = len(doc.proof)
     else:
         feedback = _assemble_feedback(report, doc, strategy)
         processed = feedback.failed_step_index or 0
@@ -605,7 +638,7 @@ def _run_iteration(
         report=report,
         feedback=feedback,
         explanation_after=explanation,
-        proof_steps_suggested=len(steps),
+        proof_steps_suggested=len(doc.proof),
         proof_steps_processed=processed,
     )
 

@@ -199,8 +199,9 @@ def _const_type(arity: int) -> str:
 
 
 def _comment(label: str, text: str) -> str:
-    # "*)" inside the text would terminate the comment early.
-    safe = text.replace("*)", "* )")
+    # A body without "*" can neither nest a comment nor close one early:
+    # backslashes double and each star becomes the \<star> symbol.
+    safe = text.replace("\\", "\\\\").replace("*", "\\<star>")
     return "(* %s: %s *)" % (label, safe)
 
 
@@ -394,6 +395,8 @@ _SHOWS_RE = re.compile(r"shows\s+\"([^\"]*)\"")
 _COMMENT_RE = re.compile(
     r"\(\*(?:\s*(Explanation\s+\d+|Premise|Hypothesis)\s*:)?\s*(.*?)\s*\*\)", re.S
 )
+# Inverts the escape `_comment` applies to a sentence.
+_COMMENT_ESCAPE_RE = re.compile(r"\\(\\|<star>)")
 
 
 def parse_theory(text: str) -> TheoryDoc:
@@ -409,7 +412,10 @@ def parse_theory(text: str) -> TheoryDoc:
     for match in _COMMENT_RE.finditer(text):
         if match.group(1):
             key = match.group(1).lower().replace(" ", "")
-            comments.setdefault(key, match.group(2))
+            body = _COMMENT_ESCAPE_RE.sub(
+                lambda m: "*" if m.group(1) == "<star>" else "\\", match.group(2)
+            )
+            comments.setdefault(key, body)
     text = _COMMENT_RE.sub(" ", text)
 
     name_match = _THEORY_NAME_RE.search(text)

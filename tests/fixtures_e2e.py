@@ -1,16 +1,23 @@
 """Shared end-to-end fixtures: two worked NLI problems with fully
-scripted stage responses, plus a 50-problem synthetic batch corpus.
+scripted stage responses, a 50-problem synthetic batch corpus, and a
+paths corpus that takes each malformed-reply, syntax-repair and
+proof-failure path of the loop at least once.
 
 The scripted transports stand in for the model endpoint.  Recording a
 run against them produces the transcript caches under tests/data/replay
 that the replay tests (and the acceptance suite) consume.
 """
 
+import contextlib
+import json
 import re
 
+from verifine import pipeline
 from verifine.llm import LLMConfig
 from verifine.llmtypes import StageKind
-from verifine.pipeline import Fact, NLIProblem
+from verifine.pipeline import Fact, NLIProblem, trace_to_dict
+from verifine.prover import OracleSession, ProverMessage, Span, build_report
+from verifine.theory import line_span
 
 from helpers import ScriptedTransport, fenced
 
@@ -433,6 +440,304 @@ def batch_transport(extra_formulas=None):
         raise AssertionError("unexpected stage %s" % stage)
 
     return transport
+
+
+# ---------------------------------------------------------------------------
+# Paths corpus: one small problem per path through the loop
+#
+# Every problem shares a hypothesis and has its own premise, so a rule
+# keyed on the premise text answers for exactly one problem.  Stages no
+# rule answers fall back on the shared tables below.
+
+SYNTAX_MARKER = "Garbled"
+
+_PATHS_HYPOTHESIS = "Some pump works."
+_PATHS_GOOD = "A running pump works."
+_PATHS_WEAK = "A pump is a machine."
+_PATHS_MARKED = "A running pump surely works."
+_PATHS_MCQA_GOOD = "Every pump is a machine."
+_PATHS_MCQA_WEAK = "A pump moves water."
+_PATHS_EVENT = "A running pump that moves water through a hose works."
+_TANGO_PREMISE = "Running pump tango moves the water w through the hose h."
+
+_PATHS_FORMULAS = {
+    _PATHS_HYPOTHESIS: "∃x. Pump(x) ∧ Working(x)",
+    _PATHS_GOOD: "∀x. Pump(x) ∧ Running(x) → Working(x)",
+    _PATHS_WEAK: "∀x. Pump(x) → Machine(x)",
+    _PATHS_MARKED: "∀x. Pump(x) ∧ Running(x) → %sWorking(x)" % SYNTAX_MARKER,
+    _PATHS_MCQA_GOOD: "∀x. Pump(x) → Machine(x)",
+    _PATHS_MCQA_WEAK: "∀x. Pump(x) → Mover(x)",
+    "A pump is a kind of machine": "∀x. Pump(x) → Machine(x)",
+    _PATHS_EVENT: "∀x y z e. Pump(x) ∧ Running(x) ∧ Water(y) ∧ Hose(z) ∧ Moving(e) "
+    "∧ Agent(e, x) ∧ Patient(e, y) ∧ Through(e, z) → Working(x)",
+    _TANGO_PREMISE: "Pump(tango) ∧ Running(tango) ∧ Water(w) ∧ Hose(h) ∧ Moving(e) "
+    "∧ Agent(e, tango) ∧ Patient(e, w) ∧ Through(e, h)",
+}
+
+# Sentences whose stage replies are scripted per path.
+_EVENTS_NO_FENCE = "A running pump hums and works."
+_EVENTS_UNLABELLED = "A running pump always works."
+_FORMULA_NO_FENCE = "A running pump works well."
+_FORMULA_EMPTY = "A running pump works hard."
+_FORMULA_REJECTED = "A running pump works fine."
+
+_NO_FENCE = "I am not sure how to answer this one."
+_BLANK_REFINEMENT = fenced("\n- \n")
+
+
+def _paths_premise(name):
+    return _TANGO_PREMISE if name == "tango" else "Pump %s is running." % name
+
+
+def _proof(*lines):
+    return fenced("\n".join(lines))
+
+
+def _good_proof(name):
+    return _proof(
+        'from asm have "Pump %s \\<and> Running %s" by blast' % (name, name),
+        'then have "Working %s" using explanation_1 by blast' % name,
+        "then show ?thesis using asm by blast",
+    )
+
+
+def _repair(mode):
+    """A REFINE_SYNTAX reply computed from the theory in the prompt."""
+
+    def reply(prompt):
+        theory = re.search(r"Theory:\n(.*?)\n\nAnswer with", prompt, re.S).group(1)
+        if mode == "fix":
+            return fenced(theory.replace(SYNTAX_MARKER, ""))
+        if mode == "leave":
+            return fenced(theory)
+        if mode == "garbage":
+            return fenced("theory repaired\nthe axioms are fine now")
+        return _NO_FENCE
+
+    return reply
+
+
+# (id suffix, premise constant, first explanation, rules).  A rule is
+# (stage, needle, reply): a sentence-to-logic rule matches its needle, any
+# other rule the problem's premise plus its needle when one is given.
+_PATHS_PLAN = [
+    ("events_no_fence", "alpha", [_EVENTS_NO_FENCE], [
+        (StageKind.DETECT_EVENTS, _EVENTS_NO_FENCE, _NO_FENCE),
+    ]),
+    ("events_unlabelled", "bravo", [_EVENTS_UNLABELLED], [
+        (StageKind.DETECT_EVENTS, _EVENTS_UNLABELLED,
+         fenced("1: running\nno colon here\n3:")),
+    ]),
+    ("formula_no_fence", "charlie", [_FORMULA_NO_FENCE], [
+        (StageKind.SENTENCE_TO_LOGIC, _FORMULA_NO_FENCE, _NO_FENCE),
+    ]),
+    # The blank formula comes back every round, so the budget runs out.
+    ("formula_empty", "delta", [_FORMULA_EMPTY], [
+        (StageKind.SENTENCE_TO_LOGIC, _FORMULA_EMPTY, fenced("  \n ")),
+        (StageKind.REFINE_EXPLANATION, None, _NO_FENCE),
+    ]),
+    ("formula_rejected", "echo", [_FORMULA_REJECTED], [
+        (StageKind.SENTENCE_TO_LOGIC, _FORMULA_REJECTED,
+         fenced("∀x. Pump(x) ∧ Running(x) →")),
+    ]),
+    ("inference_no_fence", "foxtrot", [_PATHS_WEAK], [
+        (StageKind.ROUGH_INFERENCE, None, _NO_FENCE),
+    ]),
+    ("inference_unknown_ids", "golf", [_PATHS_WEAK], [
+        (StageKind.ROUGH_INFERENCE, _PATHS_WEAK,
+         fenced("Pumps are machines.\nRelevant: f1, f7\nRedundant: f9")),
+    ]),
+    ("inference_bad_token", "hotel", [_PATHS_WEAK], [
+        (StageKind.ROUGH_INFERENCE, None,
+         fenced("Pumps are machines.\nRelevant: f1, f#2\nRedundant:")),
+    ]),
+    ("proof_no_show", "india", [_PATHS_WEAK], [
+        (StageKind.CONSTRUCT_PROOF, _PATHS_WEAK, _proof(
+            'from asm have "Pump india" by blast',
+            'then have "Machine india" using explanation_1 by blast',
+        )),
+    ]),
+    ("proof_dangling", "juliet", [_PATHS_GOOD], [
+        (StageKind.CONSTRUCT_PROOF, None, _proof(
+            'from asm have "Working juliet" using explanation_7 by blast',
+            "then show ?thesis using asm by blast",
+        )),
+    ]),
+    ("proof_first_step", "kilo", [_PATHS_WEAK], [
+        (StageKind.CONSTRUCT_PROOF, _PATHS_WEAK, _proof(
+            'from asm have "Working kilo" by blast',
+            "then show ?thesis using asm by blast",
+        )),
+    ]),
+    ("proof_later_step", "lima", [_PATHS_WEAK], [
+        (StageKind.CONSTRUCT_PROOF, _PATHS_WEAK, _proof(
+            'from asm have "Pump lima \\<and> Running lima" by blast',
+            'then have "Working lima" using explanation_1 by blast',
+            "then show ?thesis using asm by blast",
+        )),
+        (StageKind.CONSTRUCT_PROOF, _PATHS_GOOD, _good_proof("lima")),
+    ]),
+    ("syntax_fixed", "mike", [_PATHS_MARKED], [
+        (StageKind.REFINE_SYNTAX, None, _repair("fix")),
+        (StageKind.CONSTRUCT_PROOF, None, _good_proof("mike")),
+    ]),
+    ("syntax_left", "november", [_PATHS_MARKED], [
+        (StageKind.REFINE_SYNTAX, None, _repair("leave")),
+    ]),
+    ("syntax_unparsed", "oscar", [_PATHS_MARKED], [
+        (StageKind.REFINE_SYNTAX, None, _repair("garbage")),
+    ]),
+    ("syntax_no_fence", "papa", [_PATHS_MARKED], [
+        (StageKind.REFINE_SYNTAX, None, _repair("no_fence")),
+    ]),
+    # A blank rewrite leaves the explanation as it was, every round.
+    ("refine_blank", "quebec", [_PATHS_WEAK], [
+        (StageKind.REFINE_EXPLANATION, None, _BLANK_REFINEMENT),
+    ]),
+    ("proof_last_step", "sierra", [_PATHS_WEAK], [
+        (StageKind.CONSTRUCT_PROOF, _PATHS_WEAK, _proof(
+            'from asm have "Pump sierra" by blast',
+            'then have "Machine sierra" using explanation_1 by blast',
+            'then have "Machine sierra \\<and> Running sierra" using asm by blast',
+            "then show ?thesis by blast",
+        )),
+    ]),
+    # Event semantics: a universal block four variables wide.
+    ("event_width", "tango", [_PATHS_EVENT], [
+        (StageKind.DETECT_EVENTS, _PATHS_EVENT, fenced("1:\n2: moves\n3:")),
+    ]),
+]
+
+for _, _const, _, _ in _PATHS_PLAN:
+    _PATHS_FORMULAS.setdefault(
+        _paths_premise(_const), "Pump(%s) ∧ Running(%s)" % (_const, _const)
+    )
+
+_PATHS_MCQA = {
+    "id": "paths_mcqa",
+    "question": "A pump is a kind of ____?",
+    "options": ["plant", "machine"],
+    "answer_index": 1,
+    "explanation": [_PATHS_MCQA_WEAK],
+    "dataset": "qasc",
+}
+
+
+def paths_rows():
+    """Raw JSONL rows of the paths corpus: entailment rows plus one
+    multiple-choice row."""
+    rows = [
+        {
+            "id": "paths_" + name,
+            "premise": _paths_premise(const),
+            "hypothesis": _PATHS_HYPOTHESIS,
+            "explanation": explanation,
+            "dataset": "paths",
+        }
+        for name, const, explanation, _ in _PATHS_PLAN
+    ]
+    rows.append(_PATHS_MCQA)
+    return rows
+
+
+def paths_transport():
+    """Programmatic model for the paths corpus.
+
+    Scripted rules come first.  Otherwise event detection finds no
+    verbs, sentences map to formulas through a fixed table, the sketch
+    calls every fact relevant, proof construction declines, and a
+    refinement swaps in the one fact that closes the gap.
+    """
+    rules = []
+    for _, const, _, plan in _PATHS_PLAN:
+        for stage, needle, reply in plan:
+            if stage is StageKind.SENTENCE_TO_LOGIC:
+                needles = (needle,)
+            else:
+                needles = (_paths_premise(const),) + ((needle,) if needle else ())
+            rules.append((stage.value, needles, reply))
+
+    def transport(request):
+        stage = request["stage"]
+        prompt = request["prompt"]
+        for rule_stage, needles, reply in rules:
+            if rule_stage == stage and all(n in prompt for n in needles):
+                return reply(prompt) if callable(reply) else reply
+        if stage == StageKind.DETECT_EVENTS.value:
+            numbers = _NUMBERED_RE.findall(prompt)
+            return fenced("\n".join("%s:" % n for n in numbers))
+        if stage == StageKind.SENTENCE_TO_LOGIC.value:
+            sentence = _SENTENCE_RE.search(prompt).group(1)
+            return fenced(_PATHS_FORMULAS[sentence])
+        if stage == StageKind.ROUGH_INFERENCE.value:
+            ids = _FACT_LINE_RE.findall(prompt)
+            return fenced(
+                "The facts bridge the premise to the goal.\n"
+                "Relevant: %s\nRedundant:" % ", ".join(ids)
+            )
+        if stage == StageKind.CONSTRUCT_PROOF.value:
+            return _NO_FENCE
+        if stage == StageKind.REFINE_EXPLANATION.value:
+            good = _PATHS_MCQA_GOOD if "Premise: (none)" in prompt else _PATHS_GOOD
+            return fenced("- " + good)
+        raise AssertionError("no scripted reply for stage %s" % stage)
+
+    return transport
+
+
+class MarkerSyntaxSession(OracleSession):
+    """The ground oracle, except that every axiom whose formula uses a
+    predicate named with SYNTAX_MARKER draws an inner syntax error, the
+    way a live prover rejects a malformed term.  The oracle itself never
+    reports syntax errors, so this is what drives the syntax repair
+    paths offline."""
+
+    def check_document(self, doc, timeout_s=65.0):
+        messages = []
+        for line_no, line in enumerate(doc.rendered.split("\n"), start=1):
+            match = re.match(r'\s+(explanation_\d+): ".*%s' % SYNTAX_MARKER, line)
+            if match:
+                start, end = line_span(doc.rendered, line_no)
+                messages.append(ProverMessage(
+                    "error",
+                    "Inner syntax error: unexpected token in axiom %s"
+                    % match.group(1),
+                    Span(line_no, start, end),
+                ))
+        if messages:
+            return build_report("failed", messages, 0.0, doc)
+        return super().check_document(doc, timeout_s)
+
+
+@contextlib.contextmanager
+def corpus_sessions(corpus):
+    """While the paths corpus runs, `pipeline.start_session` opens
+    MarkerSyntaxSession handles; the other corpora use the oracle as is."""
+    if corpus != "paths":
+        yield
+        return
+    original = pipeline.start_session
+    pipeline.start_session = lambda backend: MarkerSyntaxSession(
+        backend.domain_bound
+    )
+    try:
+        yield
+    finally:
+        pipeline.start_session = original
+
+
+# Corpus name -> (problem file, transcript cache, golden traces), all
+# relative to tests/data.
+CORPORA = {
+    "esnli": ("esnli_pairs.jsonl", "replay/esnli.jsonl", "golden/esnli.jsonl"),
+    "batch50": ("batch50.jsonl", "replay/batch50.jsonl", "golden/batch50.jsonl"),
+    "paths": ("paths.jsonl", "replay/paths.jsonl", "golden/paths.jsonl"),
+}
+
+
+def golden_line(trace):
+    """A trace as one golden line: scrubbed, keys in trace order."""
+    return json.dumps(scrub_elapsed(trace_to_dict(trace)), ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,40 @@
-"""Regenerate the transcript caches and problem files under tests/data.
+"""Regenerate the problem files, transcript caches and golden traces
+under tests/data.
 
 Run from the repository root:
 
-    python3 tests/make_replay_fixtures.py
+    python3 tests/make_replay_fixtures.py [--corpus NAME ...]
 
 The script records refiner runs against the scripted transports from
 fixtures_e2e, sanity-checks the resulting traces, then replays them from
 the freshly written caches to prove the recordings are self-contained.
+The scrubbed replayed traces become the corpus's golden file, which the
+golden test compares every later replay against.
 """
 
 import argparse
+import json
 import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from verifine.datasets import save_problems
+from verifine.datasets import load_problems, save_problems
 from verifine.llm import TranscriptCache
-from verifine.pipeline import RefinerConfig, run_refiner, trace_to_dict
+from verifine.pipeline import RefinerConfig, run_refiner
 from verifine.prover import GroundOracle
 
 from fixtures_e2e import (
+    CORPORA,
     worked_example_problems,
     worked_example_transport,
     batch_problems,
     batch_transport,
+    corpus_sessions,
     gateway_config,
-    scrub_elapsed,
+    golden_line,
+    paths_rows,
+    paths_transport,
 )
 
 LADY_ROUNDS = 2
@@ -43,49 +51,52 @@ def _config(mode, cache_path, transport):
     )
 
 
-def _record_corpus(label, problems, transport, cache_path):
+def _record_corpus(corpus, problems, transport, data_dir, check):
+    """Record `problems` into the corpus's cache and replay them from it.
+    The goldens are written only once the replay equals the recording
+    and `check` (which raises SystemExit on a wrong verdict) passes."""
+    cache_path = os.path.join(data_dir, CORPORA[corpus][1])
     if os.path.exists(cache_path):
         os.remove(cache_path)
     cfg = _config("record", cache_path, transport)
-    recorded = [run_refiner(problem, cfg) for problem in problems]
+    with corpus_sessions(corpus):
+        recorded = [run_refiner(problem, cfg) for problem in problems]
 
-    replay_cfg = _config("replay", cache_path, None)
-    for problem, first in zip(problems, recorded):
-        again = run_refiner(problem, replay_cfg)
-        before = scrub_elapsed(trace_to_dict(first))
-        after = scrub_elapsed(trace_to_dict(again))
-        if before != after:
+    cfg = _config("replay", cache_path, None)
+    with corpus_sessions(corpus):
+        replayed = [run_refiner(problem, cfg) for problem in problems]
+    for problem, first, again in zip(problems, recorded, replayed):
+        if golden_line(first) != golden_line(again):
             raise SystemExit(
                 "%s: replay of %s diverges from the recording"
-                % (label, problem.id)
+                % (corpus, problem.id)
             )
     print(
         "%s: recorded %d problems into %s"
-        % (label, len(problems), os.path.relpath(cache_path))
+        % (corpus, len(problems), os.path.relpath(cache_path))
     )
-    return recorded
+    check(replayed)
 
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--data-dir",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "data"),
-        help="directory that receives the problem files and caches",
+    golden_path = os.path.join(data_dir, CORPORA[corpus][2])
+    os.makedirs(os.path.dirname(golden_path), exist_ok=True)
+    with open(golden_path, "w", encoding="utf-8") as fh:
+        for trace in replayed:
+            fh.write(golden_line(trace) + "\n")
+    print(
+        "%s: wrote %d golden traces to %s"
+        % (corpus, len(replayed), os.path.relpath(golden_path))
     )
-    args = parser.parse_args(argv)
 
-    data_dir = args.data_dir
-    replay_dir = os.path.join(data_dir, "replay")
-    os.makedirs(replay_dir, exist_ok=True)
 
-    pairs = worked_example_problems()
-    traces = _record_corpus(
-        "worked examples",
-        pairs,
-        worked_example_transport(),
-        os.path.join(replay_dir, "esnli.jsonl"),
-    )
+def _print_verdicts(traces):
+    for trace in traces:
+        print(
+            "  %s: %s after %d refinement rounds"
+            % (trace.problem_id, trace.final_status, trace.total_iterations)
+        )
+
+
+def _check_esnli(traces):
     for trace, rounds in zip(traces, (LADY_ROUNDS, BARTENDER_ROUNDS)):
         if trace.final_status != "refined_valid":
             raise SystemExit(
@@ -97,29 +108,66 @@ def main(argv=None):
                 "%s took %d rounds, expected %d"
                 % (trace.problem_id, trace.total_iterations, rounds)
             )
-        print(
-            "  %s: %s after %d refinement rounds"
-            % (trace.problem_id, trace.final_status, trace.total_iterations)
-        )
-    save_problems(pairs, os.path.join(data_dir, "esnli_pairs.jsonl"))
+    _print_verdicts(traces)
 
-    corpus = batch_problems()
-    batch_traces = _record_corpus(
-        "batch corpus",
-        corpus,
-        batch_transport(),
-        os.path.join(replay_dir, "batch50.jsonl"),
-    )
+
+def _check_batch50(traces):
     expected = {0: "valid_initially", 1: "refined_valid"}
-    for i, trace in enumerate(batch_traces):
+    for i, trace in enumerate(traces):
         want = expected[i % 2]
         if trace.final_status != want:
             raise SystemExit(
                 "%s ended %s, expected %s (diagnostic: %s)"
                 % (trace.problem_id, trace.final_status, want, trace.diagnostic)
             )
-    save_problems(corpus, os.path.join(data_dir, "batch50.jsonl"))
-    print("batch corpus: all %d verdicts as expected" % len(corpus))
+    print("batch50: all %d verdicts as expected" % len(traces))
+
+
+def _record_esnli(data_dir):
+    pairs = worked_example_problems()
+    _record_corpus("esnli", pairs, worked_example_transport(), data_dir, _check_esnli)
+    save_problems(pairs, os.path.join(data_dir, CORPORA["esnli"][0]))
+
+
+def _record_batch50(data_dir):
+    corpus = batch_problems()
+    _record_corpus("batch50", corpus, batch_transport(), data_dir, _check_batch50)
+    save_problems(corpus, os.path.join(data_dir, CORPORA["batch50"][0]))
+
+
+def _record_paths(data_dir):
+    # Raw rows, so the multiple-choice row stays one on disk.  The
+    # coverage test in test_golden.py checks this corpus's paths.
+    path = os.path.join(data_dir, CORPORA["paths"][0])
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in paths_rows():
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    problems = load_problems(path)
+    _record_corpus("paths", problems, paths_transport(), data_dir, _print_verdicts)
+
+
+RECORDERS = {"esnli": _record_esnli, "batch50": _record_batch50, "paths": _record_paths}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--data-dir",
+        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "data"),
+        help="directory that receives the problem files, caches and goldens",
+    )
+    parser.add_argument(
+        "--corpus",
+        action="append",
+        choices=sorted(CORPORA),
+        help="only this corpus; repeatable (default: all)",
+    )
+    args = parser.parse_args(argv)
+
+    data_dir = args.data_dir
+    os.makedirs(os.path.join(data_dir, "replay"), exist_ok=True)
+    for corpus in args.corpus or list(CORPORA):
+        RECORDERS[corpus](data_dir)
 
 
 if __name__ == "__main__":

@@ -934,6 +934,63 @@ class TestCLI:
             assert text.startswith("theory %s\n" % stem)
             assert parse_theory(text).name == stem
 
+    def test_formalise_reports_a_malformed_reply(self, tmp_path, capsys):
+        code = self.run(
+            "formalise",
+            "--problems",
+            os.path.join(DATA_DIR, "paths.jsonl"),
+            "--id",
+            "paths_events_no_fence",
+            "--model",
+            "scripted-model",
+            "--mode",
+            "replay",
+            "--cache",
+            os.path.join(DATA_DIR, "replay", "paths.jsonl"),
+            "--out",
+            str(tmp_path / "theories"),
+        )
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "paths_events_no_fence: FAILED (stage detect_events failed: "
+            "no fenced code block in response)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, flag, value, refusal",
+        [
+            ("refine", "--domain-bound", "0", "domain_bound must be >= 1"),
+            ("batch", "--workers", "0", "workers must be >= 1"),
+            ("refine", "--temperature", "5", "temperature must be within [0, 2]"),
+            ("refine", "--temperature", "nan", "temperature must be within [0, 2]"),
+        ],
+    )
+    def test_out_of_range_flag_is_a_usage_error(
+        self, command, flag, value, refusal, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "traces"
+        with pytest.raises(SystemExit) as exc:
+            self.run(
+                command,
+                "--problems",
+                os.path.join(DATA_DIR, "esnli_pairs.jsonl"),
+                "--model",
+                "scripted-model",
+                "--mode",
+                "replay",
+                "--cache",
+                os.path.join(DATA_DIR, "replay", "esnli.jsonl"),
+                "--out",
+                str(out_dir),
+                flag,
+                value,
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: verifine %s " % command)
+        assert err.endswith("verifine %s: error: %s\n" % (command, refusal))
+        assert not out_dir.exists()
+
     def test_verify_valid_theory(self, capsys):
         code = self.run(
             "verify",

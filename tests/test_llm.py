@@ -1,5 +1,7 @@
-"""Gateway behaviour: templates, caching, transport retries, extraction."""
+"""Gateway behaviour: templates, caching, transport retries, and stage
+output extraction through the parsers the pipeline passes in."""
 
+import functools
 import hashlib
 import json
 import string
@@ -27,10 +29,20 @@ from verifine.llm import (
     transcript_key,
 )
 from verifine.llmtypes import StageKind
+from verifine.pipeline import (
+    InferenceStrategy,
+    _attach_proof,
+    _one_line_formula,
+    _parse_events,
+    _parse_sentences,
+    _parse_strategy,
+    _repaired_theory,
+)
 from verifine.prompts import TEMPLATES
 from verifine.theory import StepKind
 
 from helpers import fenced
+from test_theory import violin_doc
 
 
 def placeholder_names(stage):
@@ -268,6 +280,18 @@ class TestCompleteModes:
                 transport=lambda request: "x",
             )
 
+    def test_record_without_cache_never_calls_the_transport(self):
+        calls = []
+        with pytest.raises(ValueError, match="record mode requires a transcript cache"):
+            complete(
+                self.STAGE,
+                bindings_for(self.STAGE),
+                make_config(),
+                mode="record",
+                transport=self.transport_returning("x", calls),
+            )
+        assert calls == []
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             complete(
@@ -486,32 +510,67 @@ class TestFencedBlocks:
         assert last_fenced_block(raw) == "line one\n\nline three"
 
 
+KNOWN_IDS = ("f1", "f2", "f3")
+
+
+def stage_parser(stage):
+    """The parser the pipeline passes the gateway for `stage`; a round's
+    theory is the proofless violin theory, its fact ids f1-f3."""
+    doc = violin_doc().without_proof()
+    return {
+        StageKind.DETECT_EVENTS: _parse_events,
+        StageKind.SENTENCE_TO_LOGIC: _one_line_formula,
+        StageKind.REFINE_SYNTAX: functools.partial(_repaired_theory, doc.name),
+        StageKind.ROUGH_INFERENCE: functools.partial(_parse_strategy, KNOWN_IDS),
+        StageKind.CONSTRUCT_PROOF: functools.partial(_attach_proof, doc),
+        StageKind.REFINE_EXPLANATION: _parse_sentences,
+    }[stage]
+
+
+def extract(stage, raw):
+    return extract_stage_output(stage, raw, stage_parser(stage))
+
+
 class TestExtraction:
     def test_detect_events_lines(self):
         raw = fenced("1: peruses, sits\n2:\n3: making")
-        assert extract_stage_output(StageKind.DETECT_EVENTS, raw) == [
-            ("1", ["peruses", "sits"]),
-            ("2", []),
-            ("3", ["making"]),
-        ]
+        assert extract(StageKind.DETECT_EVENTS, raw) == {
+            1: ["peruses", "sits"],
+            2: [],
+            3: ["making"],
+        }
 
     def test_detect_events_rejects_unlabelled_line(self):
-        with pytest.raises(MalformedStageOutput):
-            extract_stage_output(StageKind.DETECT_EVENTS, fenced("no colon here"))
+        with pytest.raises(MalformedStageOutput) as exc:
+            extract(StageKind.DETECT_EVENTS, fenced("no colon here"))
+        assert str(exc.value) == (
+            "stage detect_events failed: expected `<id>: verbs` lines, "
+            "got 'no colon here'"
+        )
 
     def test_sentence_to_logic_joins_lines(self):
         raw = fenced("∀x. Woman(x) →\n  Lady(x)")
-        out = extract_stage_output(StageKind.SENTENCE_TO_LOGIC, raw)
+        out = extract(StageKind.SENTENCE_TO_LOGIC, raw)
         assert out == "∀x. Woman(x) →   Lady(x)"
 
     def test_sentence_to_logic_rejects_empty_block(self):
-        with pytest.raises(MalformedStageOutput):
-            extract_stage_output(StageKind.SENTENCE_TO_LOGIC, fenced("  \n "))
+        with pytest.raises(MalformedStageOutput) as exc:
+            extract(StageKind.SENTENCE_TO_LOGIC, fenced("  \n "))
+        assert str(exc.value) == "stage sentence_to_logic failed: empty formula"
 
     @pytest.mark.parametrize("stage", [StageKind.REFINE_SYNTAX], ids=lambda s: s.value)
     def test_theory_fragments_come_back_verbatim(self, stage):
-        fragment = 'axiomatization where\n  explanation_1: "True"'
-        assert extract_stage_output(stage, fenced(fragment)) == fragment
+        fragment = violin_doc().without_proof().rendered
+        assert extract(stage, fenced(fragment)).rendered == fragment
+
+    def test_repaired_theory_keeps_the_problem_name_and_drops_the_proof(self):
+        renamed = violin_doc().rendered.replace("theory violin", "theory other")
+        repaired = extract(StageKind.REFINE_SYNTAX, fenced(renamed))
+        assert repaired == violin_doc().without_proof()
+
+    def test_unparseable_repair_is_malformed(self):
+        with pytest.raises(MalformedStageOutput):
+            extract(StageKind.REFINE_SYNTAX, fenced("  \n"))
 
     def test_rough_inference_sections(self):
         raw = fenced(
@@ -520,26 +579,18 @@ class TestExtraction:
             "Relevant: f2, f3\n"
             "Redundant: f1"
         )
-        out = extract_stage_output(StageKind.ROUGH_INFERENCE, raw)
-        assert out["relevant"] == ["f2", "f3"]
-        assert out["redundant"] == ["f1"]
-        assert "bridging fact" in out["narrative"]
+        out = extract(StageKind.ROUGH_INFERENCE, raw)
+        assert out.relevant_fact_ids == ("f2", "f3")
+        assert out.redundant_fact_ids == ("f1",)
+        assert "bridging fact" in out.narrative
 
     def test_rough_inference_sections_optional(self):
-        out = extract_stage_output(
-            StageKind.ROUGH_INFERENCE, fenced("nothing stands out")
-        )
-        assert out == {
-            "narrative": "nothing stands out",
-            "relevant": [],
-            "redundant": [],
-        }
+        out = extract(StageKind.ROUGH_INFERENCE, fenced("nothing stands out"))
+        assert out == InferenceStrategy("nothing stands out")
 
     def test_rough_inference_rejects_bad_ids(self):
         with pytest.raises(MalformedStageOutput):
-            extract_stage_output(
-                StageKind.ROUGH_INFERENCE, fenced("Relevant: f#1")
-            )
+            extract(StageKind.ROUGH_INFERENCE, fenced("Relevant: f#1"))
 
     def test_construct_proof_parses_steps(self):
         raw = fenced(
@@ -549,7 +600,7 @@ class TestExtraction:
             "  then show ?thesis using asm by blast\n"
             "qed"
         )
-        steps = extract_stage_output(StageKind.CONSTRUCT_PROOF, raw)
+        steps = extract(StageKind.CONSTRUCT_PROOF, raw).proof
         assert [s.kind for s in steps] == [
             StepKind.FROM_ASM_HAVE,
             StepKind.THEN_HAVE,
@@ -565,9 +616,9 @@ class TestExtraction:
         )
         wrapped = fenced("proof -\n" + lines + "qed")
         bare = fenced(lines)
-        assert extract_stage_output(
-            StageKind.CONSTRUCT_PROOF, wrapped
-        ) == extract_stage_output(StageKind.CONSTRUCT_PROOF, bare)
+        assert extract(StageKind.CONSTRUCT_PROOF, wrapped) == extract(
+            StageKind.CONSTRUCT_PROOF, bare
+        )
 
     def test_construct_proof_stops_at_qed(self):
         raw = fenced(
@@ -577,7 +628,7 @@ class TestExtraction:
             "qed\n"
             "Hope this helps!"
         )
-        steps = extract_stage_output(StageKind.CONSTRUCT_PROOF, raw)
+        steps = extract(StageKind.CONSTRUCT_PROOF, raw).proof
         assert [s.kind for s in steps] == [
             StepKind.FROM_ASM_HAVE,
             StepKind.THEN_SHOW_THESIS,
@@ -585,12 +636,21 @@ class TestExtraction:
 
     def test_construct_proof_rejects_foreign_tactics(self):
         with pytest.raises(MalformedStageOutput):
-            extract_stage_output(StageKind.CONSTRUCT_PROOF, fenced("apply auto"))
+            extract(StageKind.CONSTRUCT_PROOF, fenced("apply auto"))
 
     def test_construct_proof_requires_final_show(self):
         raw = fenced('from asm have "Woman x" by blast')
         with pytest.raises(MalformedStageOutput):
-            extract_stage_output(StageKind.CONSTRUCT_PROOF, raw)
+            extract(StageKind.CONSTRUCT_PROOF, raw)
+
+    def test_construct_proof_rejects_a_dangling_citation(self):
+        raw = fenced(
+            'from asm have "Woman x" using explanation_9 by blast\n'
+            "then show ?thesis by blast"
+        )
+        with pytest.raises(MalformedStageOutput) as exc:
+            extract(StageKind.CONSTRUCT_PROOF, raw)
+        assert "undeclared fact 'explanation_9'" in str(exc.value)
 
     def test_refine_explanation_strips_bullets(self):
         raw = fenced(
@@ -599,7 +659,7 @@ class TestExtraction:
             "1. If a woman is perusing a photo album, then the woman is "
             "with a book."
         )
-        out = extract_stage_output(StageKind.REFINE_EXPLANATION, raw)
+        out = extract(StageKind.REFINE_EXPLANATION, raw)
         assert out == [
             "A woman can be referred to as a lady.",
             "A photo album is a type of book.",
@@ -608,11 +668,14 @@ class TestExtraction:
 
     def test_refine_explanation_rejects_blank_block(self):
         with pytest.raises(MalformedStageOutput):
-            extract_stage_output(StageKind.REFINE_EXPLANATION, fenced("\n- \n"))
+            extract(StageKind.REFINE_EXPLANATION, fenced("\n- \n"))
 
     def test_missing_fence_is_malformed(self):
-        with pytest.raises(MalformedStageOutput):
-            extract_stage_output(StageKind.ROUGH_INFERENCE, "relevant: f1 f2")
+        with pytest.raises(MalformedStageOutput) as exc:
+            extract(StageKind.ROUGH_INFERENCE, "relevant: f1 f2")
+        assert str(exc.value) == (
+            "stage rough_inference failed: no fenced code block in response"
+        )
 
 
 class TestExtractionTotality:
@@ -620,7 +683,7 @@ class TestExtractionTotality:
     @given(stage=st.sampled_from(list(StageKind)), raw=st.text(max_size=300))
     def test_raw_text_never_escapes_contract(self, stage, raw):
         try:
-            extract_stage_output(stage, raw)
+            extract(stage, raw)
         except MalformedStageOutput:
             pass
 
@@ -628,6 +691,6 @@ class TestExtractionTotality:
     @given(stage=st.sampled_from(list(StageKind)), body=st.text(max_size=300))
     def test_fenced_garbage_never_escapes_contract(self, stage, body):
         try:
-            extract_stage_output(stage, "```\n" + body + "\n```")
+            extract(stage, "```\n" + body + "\n```")
         except MalformedStageOutput:
             pass

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from verifine.llm import TranscriptCache
+from verifine.llm import MalformedStageOutput, TranscriptCache
 from verifine.llmtypes import StageKind
 from verifine.logic import parse_formula
 from verifine.pipeline import (
@@ -22,7 +22,6 @@ from verifine.pipeline import (
     NLIProblem,
     PipelineContext,
     RefinerConfig,
-    StageFailed,
     filter_facts,
     formalise,
     infer_and_prove,
@@ -215,9 +214,12 @@ class TestFormalise:
         t = gadget_transport()
         t.rules = [r for r in t.rules if r[0] != StageKind.DETECT_EVENTS.value]
         t.add(StageKind.DETECT_EVENTS, "no fenced block here")
-        with pytest.raises(StageFailed) as exc:
+        with pytest.raises(MalformedStageOutput) as exc:
             formalise(gadget_problem(GADGET_FACT), make_cfg(t))
         assert exc.value.stage is StageKind.DETECT_EVENTS
+        assert str(exc.value) == (
+            "stage detect_events failed: no fenced code block in response"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +330,14 @@ class TestInferAndProve:
             ),
         )
         problem, doc, ctx = self.formalised(t, GADGET_FACT, BRIDGE_FACT)
-        strategy, steps, proved = infer_and_prove(ctx, doc, problem.explanation)
+        strategy, proved = infer_and_prove(ctx, doc, problem.explanation)
+        steps = proved.proof
         assert strategy is not None
         assert strategy.relevant_fact_ids == ("f1", "f2")
         assert strategy.redundant_fact_ids == ()
         assert len(steps) == 2
         assert steps[0].kind is StepKind.FROM_ASM_HAVE
         assert steps[0].facts_used == ("asm", "explanation_1")
-        assert proved.proof == steps
         assert "using explanation_2 by blast" in proved.rendered
         construct_prompt = [
             p for s, p in t.calls if s == StageKind.CONSTRUCT_PROOF.value
@@ -351,19 +353,18 @@ class TestInferAndProve:
         )
         t.add(StageKind.CONSTRUCT_PROOF, "no fence")
         problem, doc, ctx = self.formalised(t, GADGET_FACT, BRIDGE_FACT)
-        strategy, steps, proved = infer_and_prove(ctx, doc, problem.explanation)
+        strategy, proved = infer_and_prove(ctx, doc, problem.explanation)
         # Known ids only, input order, redundant never repeats relevant.
         assert strategy.relevant_fact_ids == ("f1", "f2")
         assert strategy.redundant_fact_ids == ()
-        assert steps == ()
+        assert proved.proof == ()
 
     def test_malformed_sketch_skips_proof_construction(self):
         t = gadget_transport()
         t.add(StageKind.ROUGH_INFERENCE, "no fenced block")
         problem, doc, ctx = self.formalised(t, GADGET_FACT)
-        strategy, steps, proved = infer_and_prove(ctx, doc, problem.explanation)
+        strategy, proved = infer_and_prove(ctx, doc, problem.explanation)
         assert strategy is None
-        assert steps == ()
         assert proved.rendered == doc.rendered
         assert [
             s for s, _ in t.calls if s == StageKind.CONSTRUCT_PROOF.value
@@ -374,9 +375,8 @@ class TestInferAndProve:
         t.add(StageKind.ROUGH_INFERENCE, fenced("sketch\nRelevant: f1\nRedundant:"))
         t.add(StageKind.CONSTRUCT_PROOF, fenced("apply auto"))
         problem, doc, ctx = self.formalised(t, GADGET_FACT)
-        strategy, steps, proved = infer_and_prove(ctx, doc, problem.explanation)
+        strategy, proved = infer_and_prove(ctx, doc, problem.explanation)
         assert strategy is not None
-        assert steps == ()
         assert proved.proof == ()
 
     def test_dangling_citation_discards_the_proof(self):
@@ -390,8 +390,7 @@ class TestInferAndProve:
             ),
         )
         problem, doc, ctx = self.formalised(t, GADGET_FACT)
-        strategy, steps, proved = infer_and_prove(ctx, doc, problem.explanation)
-        assert steps == ()
+        strategy, proved = infer_and_prove(ctx, doc, problem.explanation)
         assert proved.proof == ()
 
 

@@ -89,3 +89,33 @@ def test_bench_patch_points_exist(monkeypatch):
         instrumentation.install()
     finally:
         instrumentation.uninstall()
+
+
+def package_imports(source: str) -> set:
+    """Modules of this package a source file imports, relative or not."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found.add(node.module or ".")
+            elif node.module and node.module.split(".")[0] == "verifine":
+                found.add(node.module.partition(".")[2] or ".")
+        elif isinstance(node, ast.Import):
+            found |= {
+                a.name.partition(".")[2] or "."
+                for a in node.names
+                if a.name.split(".")[0] == "verifine"
+            }
+    return found
+
+
+def test_the_layering_check_sees_package_imports():
+    source = "from .theory import x\nimport verifine.logic\nfrom . import pipeline\n"
+    assert package_imports(source) == {"theory", "logic", "."}
+
+
+def test_the_gateway_imports_only_stage_names_and_prompts():
+    """The gateway parses no stage's output: every stage parser lives
+    with its stage in the pipeline, so `llm` needs only these two."""
+    with open(MODULES["llm.py"], encoding="utf-8") as fh:
+        assert package_imports(fh.read()) <= {"llmtypes", "prompts"}

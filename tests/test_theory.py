@@ -4,6 +4,7 @@ import os
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import formula_strategy
 from verifine.logic import (
@@ -466,6 +467,34 @@ class TestParseTheory:
     def test_sentences_and_names_round_trip(self, source, premise_text, name):
         doc = sentence_doc(source, premise_text, name)
         assert parse_theory(doc.rendered) == doc
+
+    # Comment syntax and the escape's own characters come up often.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.text(st.sampled_from("(*) \\<star>\n") | st.characters(), max_size=30)
+            .map(str.strip),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    def test_any_stripped_sentence_round_trips(self, sentences):
+        source, premise_text = sentences
+        doc = sentence_doc(source, premise_text)
+        assert parse_theory(doc.rendered) == doc
+
+    def test_text_without_star_or_backslash_renders_unescaped(self):
+        doc = sentence_doc("A (simple) sentence.", 'It says "hi" (twice).')
+        assert "(* Explanation 1: A (simple) sentence. *)" in doc.rendered
+        assert '(* Premise: It says "hi" (twice). *)' in doc.rendered
+
+    def test_comment_brackets_in_a_sentence_stay_inside_one_comment(self):
+        doc = sentence_doc("Use (* and *) as brackets.")
+        line = "  (* Explanation 1: Use (\\<star> and \\<star>) as brackets. *)"
+        assert line in doc.rendered.split("\n")
+        assert parse_theory(doc.rendered).axioms[0].source_text == (
+            "Use (* and *) as brackets."
+        )
 
     def test_render_theory_function_matches_property(self):
         doc = violin_doc()
