@@ -5,91 +5,9 @@ explanation given as simple sentences) into a first-order theory,
 checks it with a prover backend, and iteratively rewrites the
 explanation from prover feedback until the hypothesis is proved or the
 iteration budget runs out.
+
+The package re-exports nothing: import each name from the module that
+defines it.
 """
 
-from .batch import run_batch
-from .datasets import MCQAItem, load_problems, mcqa_to_nli, save_problems
-from .llm import LLMConfig, TranscriptCache, complete, extract_stage_output
-from .llmtypes import StageKind
-from .logic import Formula, ParseError, Signature, parse_formula, render_formula
-from .pipeline import (
-    Fact,
-    FeedbackBundle,
-    InferenceStrategy,
-    IterationRecord,
-    NLIProblem,
-    RefinementTrace,
-    RefinerConfig,
-    filter_facts,
-    formalise,
-    infer_and_prove,
-    refine_explanation,
-    refine_syntax_loop,
-    run_refiner,
-    trace_from_dict,
-    trace_to_dict,
-)
-from .prover import (
-    CheckReport,
-    ErrorClass,
-    GroundOracle,
-    IsabelleServer,
-    ProverMessage,
-    check_theory,
-    start_session,
-)
-from .report import RunReport, aggregate, render_csv, render_json, render_text
-from .theory import ProofStep, StepKind, TheoryDoc, parse_theory, render_theory
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheckReport",
-    "ErrorClass",
-    "Fact",
-    "FeedbackBundle",
-    "Formula",
-    "GroundOracle",
-    "InferenceStrategy",
-    "IsabelleServer",
-    "IterationRecord",
-    "LLMConfig",
-    "MCQAItem",
-    "NLIProblem",
-    "ParseError",
-    "ProofStep",
-    "ProverMessage",
-    "RefinementTrace",
-    "RefinerConfig",
-    "RunReport",
-    "Signature",
-    "StageKind",
-    "StepKind",
-    "TheoryDoc",
-    "TranscriptCache",
-    "aggregate",
-    "check_theory",
-    "complete",
-    "extract_stage_output",
-    "filter_facts",
-    "formalise",
-    "infer_and_prove",
-    "load_problems",
-    "mcqa_to_nli",
-    "parse_formula",
-    "parse_theory",
-    "refine_explanation",
-    "refine_syntax_loop",
-    "render_csv",
-    "render_formula",
-    "render_json",
-    "render_text",
-    "render_theory",
-    "run_batch",
-    "run_refiner",
-    "save_problems",
-    "start_session",
-    "trace_from_dict",
-    "trace_to_dict",
-    "__version__",
-]

@@ -26,13 +26,8 @@ from .llm import LLMConfig, MalformedStageOutput, TranscriptCache
 from .llmtypes import StageKind
 from .logic import sanitize_name
 from .pipeline import FormulaRejected, RefinerConfig, formalise, trace_from_dict
-from .prover import (
-    GroundOracle,
-    IsabelleServer,
-    ProverError,
-    check_theory,
-    start_session,
-)
+from .prover import GroundOracle, IsabelleServer, check_theory, start_session
+from .prover.messages import CHECK_TIMEOUT_S, ProverError
 from .report import aggregate, render_csv, render_json, render_text
 from .theory import TheoryParseError, parse_theory
 
@@ -90,7 +85,10 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--isabelle-password", default="")
     group.add_argument("--isabelle-session", default="HOL")
     group.add_argument(
-        "--timeout", type=float, default=65.0, help="per-check prover budget (s)"
+        "--timeout",
+        type=float,
+        default=CHECK_TIMEOUT_S,
+        help="per-check prover budget (s)",
     )
 
 
@@ -148,15 +146,17 @@ def _cache(args: argparse.Namespace) -> Optional[TranscriptCache]:
 
 
 def _refiner_config(args: argparse.Namespace) -> RefinerConfig:
-    return RefinerConfig(
-        llm=_llm_config(args),
-        backend=_backend(args),
-        mode=args.mode,
-        cache=_cache(args),
-        max_refinement_iterations=args.max_iterations,
-        syntax_iterations=args.syntax_iterations,
-        timeout_s=args.timeout,
-    )
+    llm, backend, cache = _llm_config(args), _backend(args), _cache(args)
+    with _usage_errors(args):
+        return RefinerConfig(
+            llm=llm,
+            backend=backend,
+            mode=args.mode,
+            cache=cache,
+            max_refinement_iterations=args.max_iterations,
+            syntax_iterations=args.syntax_iterations,
+            timeout_s=args.timeout,
+        )
 
 
 def _load(args: argparse.Namespace):

@@ -38,7 +38,7 @@ syntax so rendered conjunction chains stay flat in both syntaxes.
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -196,15 +196,6 @@ class Signature:
             if p.name in seen and seen[p.name] != p.arity:
                 raise ArityConflict(p.name, (seen[p.name], p.arity), ())
             seen[p.name] = p.arity
-
-    def arity(self, name: str) -> Optional[int]:
-        for p in self.predicates:
-            if p.name == name:
-                return p.arity
-        return None
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(p.name for p in self.predicates)
 
 
 # ---------------------------------------------------------------------------

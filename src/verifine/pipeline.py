@@ -12,8 +12,8 @@ Each stage's reply parser sits beside the stage and returns the value
 the loop uses; the gateway turns anything a parser raises into
 MalformedStageOutput.  Stage failures never abort a problem: a malformed
 stage output consumes the round and the loop moves on with whatever it
-has.  A backend that cannot even open a session aborts with a diagnostic
-on the trace.
+has.  A check that times out ends its round with that report.  A backend
+that cannot even open a session aborts with a diagnostic on the trace.
 """
 
 import enum
@@ -42,17 +42,16 @@ from .logic import (
     sanitize_name,
     validate_signature,
 )
-from .prover import (
+from .prover import ProverBackend, SessionHandle, check_theory, start_session
+from .prover.messages import (
+    CHECK_TIMEOUT_S,
     CheckReport,
-    ProverBackend,
+    ErrorClass,
     ProverError,
     ProverMessage,
-    SessionHandle,
     build_report,
-    check_theory,
     classify_error,
     locate_failed_step,
-    start_session,
     syntax_error_count,
 )
 from .theory import (
@@ -68,7 +67,6 @@ from .theory import (
     proof_region,
     proof_step_text,
 )
-from .prover.messages import ErrorClass
 
 log = logging.getLogger(__name__)
 
@@ -196,7 +194,15 @@ class RefinerConfig:
     transport: Optional[Transport] = None
     max_refinement_iterations: int = 10
     syntax_iterations: int = 3
-    timeout_s: float = 65.0
+    timeout_s: float = CHECK_TIMEOUT_S
+
+    def __post_init__(self):
+        if self.max_refinement_iterations < 0:
+            raise ValueError("max_refinement_iterations must be >= 0")
+        if self.syntax_iterations < 0:
+            raise ValueError("syntax_iterations must be >= 0")
+        if not self.timeout_s > 0:
+            raise ValueError("timeout_s must be > 0")
 
 
 class PipelineContext:
@@ -621,8 +627,11 @@ def _run_iteration(
             explanation_after=explanation,
         )
     syntax = refine_syntax_loop(ctx, doc, handle)
-    strategy, doc = infer_and_prove(ctx, syntax.doc, explanation)
-    report = check_theory(handle, doc, cfg.timeout_s)
+    # A timed-out check ends the round: its report is the round's report.
+    strategy, doc, report = None, syntax.doc, syntax.last_report
+    if report.status != "timeout":
+        strategy, doc = infer_and_prove(ctx, doc, explanation)
+        report = check_theory(handle, doc, cfg.timeout_s)
     if report.status == "valid":
         feedback = None
         processed = len(doc.proof)

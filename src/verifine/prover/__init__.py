@@ -4,28 +4,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from ..theory import TheoryDoc
-from .messages import (
-    CheckReport,
-    ErrorClass,
-    ProverError,
-    ProverMessage,
-    Span,
-    SYNTAX_CLASSES,
-    build_report,
-    classify_error,
-    load_error_patterns,
-    locate_failed_step,
-    pick_first_error,
-    syntax_error_count,
-)
-from .oracle import OracleSession, entails
-from .isabelle import (
-    AuthFailed,
-    ConnectFailed,
-    IsabelleSession,
-    SessionBuildFailed,
-    SessionDead,
-)
+from .isabelle import IsabelleSession
+from .messages import CheckReport
+from .oracle import OracleSession
 
 
 @dataclass(frozen=True)
@@ -67,36 +48,7 @@ def start_session(backend: ProverBackend) -> SessionHandle:
 
 
 def check_theory(
-    handle: SessionHandle, doc: TheoryDoc, timeout_s: float = 65.0
+    handle: SessionHandle, doc: TheoryDoc, timeout_s: float
 ) -> CheckReport:
     """Check one theory document, enforcing the wall-clock budget."""
     return handle.check_document(doc, timeout_s)
-
-
-__all__ = [
-    "AuthFailed",
-    "CheckReport",
-    "ConnectFailed",
-    "ErrorClass",
-    "GroundOracle",
-    "IsabelleServer",
-    "IsabelleSession",
-    "OracleSession",
-    "ProverBackend",
-    "ProverError",
-    "ProverMessage",
-    "SessionBuildFailed",
-    "SessionDead",
-    "SessionHandle",
-    "Span",
-    "SYNTAX_CLASSES",
-    "build_report",
-    "check_theory",
-    "classify_error",
-    "entails",
-    "load_error_patterns",
-    "locate_failed_step",
-    "pick_first_error",
-    "start_session",
-    "syntax_error_count",
-]

@@ -25,6 +25,7 @@ from typing import List, Optional, Tuple
 
 from ..theory import TheoryDoc
 from .messages import (
+    CHECK_TIMEOUT_S,
     CheckReport,
     ProverError,
     ProverMessage,
@@ -208,11 +209,13 @@ class IsabelleSession:
 
     # -- checking
 
-    def check_document(self, doc: TheoryDoc, timeout_s: float = 65.0) -> CheckReport:
+    def check_document(
+        self, doc: TheoryDoc, timeout_s: float = CHECK_TIMEOUT_S
+    ) -> CheckReport:
         return self._check(doc.rendered, doc.name, timeout_s, doc)
 
     def check_source(
-        self, text: str, name: str, timeout_s: float = 65.0
+        self, text: str, name: str, timeout_s: float = CHECK_TIMEOUT_S
     ) -> CheckReport:
         return self._check(text, name, timeout_s, None)
 
@@ -240,8 +243,9 @@ class IsabelleSession:
         try:
             payload = self._run_async("use_theories", args, deadline)
         except _Deadline:
-            # The task may still be running server-side; this session is
-            # done regardless, the caller owns session-per-problem anyway.
+            # The task may still be running server-side, so this session
+            # is done; the round ends at this report and the next round
+            # opens a session of its own.
             self._dead = True
             elapsed = time.monotonic() - started
             message = ProverMessage(

@@ -16,6 +16,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from ..theory import TheoryDoc, proof_region
 
 
+# The wall-clock budget of one prover check, in seconds.
+CHECK_TIMEOUT_S = 65.0
+
+
 class ProverError(Exception):
     """Base class for prover client failures."""
 

@@ -40,6 +40,7 @@ from ..theory import (
     shows_line,
 )
 from .messages import (
+    CHECK_TIMEOUT_S,
     CheckReport,
     ProverMessage,
     ProverError,
@@ -292,7 +293,9 @@ class OracleSession:
         self.domain_bound = domain_bound
         self.closed = False
 
-    def check_document(self, doc: TheoryDoc, timeout_s: float = 65.0) -> CheckReport:
+    def check_document(
+        self, doc: TheoryDoc, timeout_s: float = CHECK_TIMEOUT_S
+    ) -> CheckReport:
         started = time.monotonic()
         deadline = started + timeout_s
         try:

@@ -16,7 +16,8 @@ from verifine import pipeline
 from verifine.llm import LLMConfig
 from verifine.llmtypes import StageKind
 from verifine.pipeline import Fact, NLIProblem, trace_to_dict
-from verifine.prover import OracleSession, ProverMessage, Span, build_report
+from verifine.prover.messages import ProverMessage, Span, build_report
+from verifine.prover.oracle import OracleSession
 from verifine.theory import line_span
 
 from helpers import ScriptedTransport, fenced

@@ -25,17 +25,15 @@ from verifine.pipeline import (
     trace_from_dict,
     trace_to_dict,
 )
-from verifine.prover import (
+from verifine.prover import GroundOracle, IsabelleServer, start_session
+from verifine.prover.messages import (
     ErrorClass,
-    GroundOracle,
-    IsabelleServer,
-    OracleSession,
     ProverMessage,
     classify_error,
     load_error_patterns,
     locate_failed_step,
-    start_session,
 )
+from verifine.prover.oracle import OracleSession
 from verifine.batch import run_batch
 from verifine.report import aggregate, render_csv
 from verifine.theory import ProofStep, StepKind

@@ -34,7 +34,8 @@ from verifine.pipeline import (
     trace_from_dict,
     trace_to_dict,
 )
-from verifine.prover import GroundOracle, ProverMessage, build_report
+from verifine.prover import GroundOracle
+from verifine.prover.messages import ProverMessage, build_report
 from verifine.report import (
     DatasetStats,
     aggregate,
@@ -963,6 +964,15 @@ class TestCLI:
             ("batch", "--workers", "0", "workers must be >= 1"),
             ("refine", "--temperature", "5", "temperature must be within [0, 2]"),
             ("refine", "--temperature", "nan", "temperature must be within [0, 2]"),
+            (
+                "refine",
+                "--max-iterations",
+                "-1",
+                "max_refinement_iterations must be >= 0",
+            ),
+            ("batch", "--syntax-iterations", "-5", "syntax_iterations must be >= 0"),
+            ("refine", "--timeout", "-1", "timeout_s must be > 0"),
+            ("refine", "--timeout", "nan", "timeout_s must be > 0"),
         ],
     )
     def test_out_of_range_flag_is_a_usage_error(

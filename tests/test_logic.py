@@ -307,9 +307,11 @@ class TestAnalysis:
         sig = validate_signature(
             [parse_formula("B(x) & A(x)"), parse_formula("C(x) & A(x)")]
         )
-        assert sig.names() == ("B", "A", "C")
-        assert sig.arity("A") == 1
-        assert sig.arity("missing") is None
+        assert sig.predicates == (
+            PredicateSymbol("B", 1),
+            PredicateSymbol("A", 1),
+            PredicateSymbol("C", 1),
+        )
 
     def test_signature_conflict_reports_formula_indices(self):
         with pytest.raises(ArityConflict) as info:

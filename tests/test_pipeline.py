@@ -31,13 +31,8 @@ from verifine.pipeline import (
     trace_from_dict,
     trace_to_dict,
 )
-from verifine.prover import (
-    GroundOracle,
-    IsabelleServer,
-    ProverMessage,
-    Span,
-    build_report,
-)
+from verifine.prover import GroundOracle, IsabelleServer
+from verifine.prover.messages import ProverMessage, Span, build_report
 from verifine.theory import Axiom, ProofStep, StepKind
 
 from helpers import ScriptedTransport, fenced
@@ -45,9 +40,11 @@ from fixtures_e2e import (
     BARTENDER_EXPLANATIONS,
     LADY_EXPLANATIONS,
     worked_example_problems,
+    worked_example_transport,
     gateway_config,
     scrub_elapsed,
 )
+from test_prover_client import FakeIsabelleServer
 from test_theory import violin_doc
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -631,6 +628,33 @@ class TestRunRefinerScripted:
         assert trace.iterations == ()
         assert trace.total_iterations == 0
         assert trace.diagnostic.startswith("backend unavailable:")
+
+    def test_timed_out_check_ends_the_round(self):
+        """A prover that never answers ends each round at its first check;
+        the next round opens a fresh session instead of failing the problem."""
+        server = FakeIsabelleServer()
+        server.hang_on_use_theories = True
+        transport = worked_example_transport()
+        cfg = RefinerConfig(
+            llm=gateway_config(),
+            backend=IsabelleServer("127.0.0.1", server.port, server.password),
+            mode="live",
+            transport=transport,
+            max_refinement_iterations=1,
+            timeout_s=0.3,
+        )
+        try:
+            trace = run_refiner(worked_example_problems()[0], cfg)
+        finally:
+            server.close()
+        assert trace.diagnostic is None
+        assert trace.final_status == "exhausted_invalid"
+        assert [r.report.status for r in trace.iterations] == ["timeout", "timeout"]
+        assert [name for name, _ in server.requests].count("use_theories") == 2
+        called = {stage for stage, _ in transport.calls}
+        assert called.isdisjoint(
+            {StageKind.ROUGH_INFERENCE.value, StageKind.CONSTRUCT_PROOF.value}
+        )
 
 
 # ---------------------------------------------------------------------------

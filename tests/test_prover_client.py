@@ -15,19 +15,16 @@ import time
 
 import pytest
 
-from verifine.prover import (
+from verifine.prover import GroundOracle, IsabelleServer, start_session
+from verifine.prover.isabelle import (
     AuthFailed,
     ConnectFailed,
-    ErrorClass,
-    GroundOracle,
-    IsabelleServer,
     IsabelleSession,
-    OracleSession,
     SessionBuildFailed,
     SessionDead,
-    locate_failed_step,
-    start_session,
 )
+from verifine.prover.messages import ErrorClass, locate_failed_step
+from verifine.prover.oracle import OracleSession
 from verifine.theory import ProofStep, StepKind
 
 from test_theory import violin_doc

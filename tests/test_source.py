@@ -1,12 +1,16 @@
-"""Source hygiene: every name the package imports is used, and every
-package attribute the bench wraps still exists."""
+"""Source hygiene: every name the package imports is used, the lower
+layers load without the gateway or the loop, and every package
+attribute the bench wraps still exists."""
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
-PACKAGE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "verifine")
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+PACKAGE_DIR = os.path.join(SRC_DIR, "verifine")
 BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
@@ -119,3 +123,25 @@ def test_the_gateway_imports_only_stage_names_and_prompts():
     with its stage in the pipeline, so `llm` needs only these two."""
     with open(MODULES["llm.py"], encoding="utf-8") as fh:
         assert package_imports(fh.read()) <= {"llmtypes", "prompts"}
+
+
+def test_lower_layers_load_without_the_gateway_or_the_loop():
+    """Importing the formula, theory and prover layers in a fresh
+    interpreter loads neither `requests`, the LLM gateway nor the loop:
+    the package has no facade that imports them all."""
+    code = (
+        "import sys, verifine.logic, verifine.theory, verifine.prover\n"
+        "for name in ('requests', 'verifine.llm', 'verifine.pipeline'):\n"
+        "    if name in sys.modules: print(name)\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
