@@ -26,7 +26,13 @@ from .llm import LLMConfig, MalformedStageOutput, TranscriptCache
 from .llmtypes import StageKind
 from .logic import sanitize_name
 from .pipeline import FormulaRejected, RefinerConfig, formalise, trace_from_dict
-from .prover import GroundOracle, IsabelleServer, check_theory, start_session
+from .prover import (
+    GroundOracle,
+    IsabelleServer,
+    check_theory,
+    checked_timeout,
+    start_session,
+)
 from .prover.messages import CHECK_TIMEOUT_S, ProverError
 from .report import aggregate, render_csv, render_json, render_text
 from .theory import TheoryParseError, parse_theory
@@ -206,6 +212,8 @@ def _cmd_formalise(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    with _usage_errors(args):
+        timeout_s = checked_timeout(args.timeout)
     try:
         with open(args.theory, "r", encoding="utf-8") as fh:
             doc = parse_theory(fh.read())
@@ -218,7 +226,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (ProverError, OSError) as exc:
         raise SystemExit("cannot start prover session: %s" % exc)
     try:
-        report = check_theory(handle, doc, args.timeout)
+        report = check_theory(handle, doc, timeout_s)
     finally:
         handle.close()
     print("status: %s (%.2fs)" % (report.status, report.elapsed))

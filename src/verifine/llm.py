@@ -12,23 +12,30 @@ The cache file is append-only JSON lines, safe for a single process with
 many worker threads (writes are serialised through a lock; the last
 record for a key wins on load).
 
+The HTTP transport uses only the standard library.  Each thread keeps
+one connection alive per endpoint, and the proxy settings come from the
+`http_proxy`, `https_proxy` and `no_proxy` environment variables.
+
 The gateway knows no stage's output format: `extract_stage_output`
 reads the last fenced block of a reply and hands it to the parser the
 calling stage passes in.
 """
 
+import base64
 import hashlib
+import http.client
 import json
 import logging
 import os
+import ssl
 import string
 import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
-
-import requests
+from urllib.parse import SplitResult, unquote, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 from .llmtypes import StageKind
 from .prompts import TEMPLATES
@@ -208,6 +215,100 @@ def render_prompt(stage: StageKind, bindings: Mapping[str, str]) -> str:
 Transport = Callable[[dict], str]
 
 
+class _Connections(dict):
+    """One thread's open connections, by (scheme, host, port, proxy);
+    closed when the thread ends and drops them."""
+
+    def __del__(self):
+        for conn in self.values():
+            conn.close()
+
+
+class _KeptAlive(threading.local):
+    def __init__(self):
+        self.connections = _Connections()
+
+
+_kept_alive = _KeptAlive()
+
+
+def _proxy_for(url: SplitResult) -> Optional[SplitResult]:
+    """The environment's proxy for `url`, or None to connect directly."""
+    proxy = getproxies().get(url.scheme)
+    if not proxy or proxy_bypass(url.hostname):
+        return None
+    if "://" not in proxy:
+        proxy = "http://" + proxy
+    return urlsplit(proxy)
+
+
+def _proxy_headers(proxy: SplitResult) -> Dict[str, str]:
+    if proxy.username is None:
+        return {}
+    credentials = "%s:%s" % (unquote(proxy.username), unquote(proxy.password or ""))
+    token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+    return {"Proxy-Authorization": "Basic " + token}
+
+
+def _connect(url: SplitResult, proxy: Optional[SplitResult]) -> http.client.HTTPConnection:
+    """An unopened connection to the endpoint, or to its proxy: plain
+    HTTP goes to the proxy as is, HTTPS through a CONNECT tunnel."""
+    if url.scheme == "https":
+        context = ssl.create_default_context()
+        if proxy is None:
+            return http.client.HTTPSConnection(url.hostname, url.port, context=context)
+        conn = http.client.HTTPSConnection(
+            proxy.hostname, proxy.port or 80, context=context
+        )
+        conn.set_tunnel(url.hostname, url.port, _proxy_headers(proxy))
+        return conn
+    if proxy is None:
+        return http.client.HTTPConnection(url.hostname, url.port)
+    return http.client.HTTPConnection(proxy.hostname, proxy.port or 80)
+
+
+def _post(
+    url: SplitResult, body: bytes, headers: Dict[str, str], timeout: float
+) -> Tuple[int, bytes]:
+    """POST over this thread's kept-alive connection to the endpoint;
+    returns the status and the whole body."""
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise HttpError("not an http(s) endpoint: %s" % url.geturl())
+    proxy = _proxy_for(url)
+    target = url.path or "/"
+    if url.query:
+        target += "?" + url.query
+    if proxy is not None and url.scheme == "http":
+        # A plain HTTP proxy takes the absolute URL as the request target.
+        target = "http://%s%s" % (url.netloc, target)
+        headers = dict(headers, **_proxy_headers(proxy))
+    key = (url.scheme, url.hostname, url.port, proxy)
+    conn = _kept_alive.connections.get(key)
+    if conn is None:
+        conn = _kept_alive.connections[key] = _connect(url, proxy)
+    reused = conn.sock is not None
+    conn.timeout = timeout
+    if reused:
+        conn.sock.settimeout(timeout)
+    try:
+        try:
+            conn.request("POST", target, body, headers)
+            response = conn.getresponse()
+        except ConnectionError:
+            if not reused:
+                raise
+            # The server closed the connection while it sat idle, before
+            # any byte of a response: send once more on a fresh one.
+            conn.close()
+            conn.request("POST", target, body, headers)
+            response = conn.getresponse()
+        return response.status, response.read()
+    except BaseException:
+        # An exchange cut short leaves the connection in an unknown state.
+        conn.close()
+        raise
+
+
 def http_transport(request: dict) -> str:
     """POST a chat-completion request; returns the message content."""
     headers = {"Content-Type": "application/json"}
@@ -219,26 +320,20 @@ def http_transport(request: dict) -> str:
         "temperature": request["temperature"],
         "max_tokens": request["max_tokens"],
     }
+    url = urlsplit(request["endpoint"])
     try:
-        response = requests.post(
-            request["endpoint"],
-            json=body,
-            headers=headers,
-            timeout=request["http_timeout"],
+        status, data = _post(
+            url, json.dumps(body).encode("utf-8"), headers, request["http_timeout"]
         )
-    except requests.RequestException as exc:
+    except (OSError, http.client.HTTPException) as exc:
         raise _TransientHttpError("transport failure: %s" % exc)
-    if response.status_code == 429 or response.status_code >= 500:
-        raise _TransientHttpError(
-            "endpoint returned %d" % response.status_code, response.status_code
-        )
-    if response.status_code != 200:
-        raise HttpError(
-            "endpoint returned %d: %s" % (response.status_code, response.text[:200]),
-            response.status_code,
-        )
+    if status == 429 or status >= 500:
+        raise _TransientHttpError("endpoint returned %d" % status, status)
+    if status != 200:
+        text = data.decode("utf-8", "replace")
+        raise HttpError("endpoint returned %d: %s" % (status, text[:200]), status)
     try:
-        payload = response.json()
+        payload = json.loads(data)
         return payload["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise HttpError("unexpected response shape: %s" % exc)

@@ -12,15 +12,27 @@ Each stage's reply parser sits beside the stage and returns the value
 the loop uses; the gateway turns anything a parser raises into
 MalformedStageOutput.  Stage failures never abort a problem: a malformed
 stage output consumes the round and the loop moves on with whatever it
-has.  A check that times out ends its round with that report.  A backend
-that cannot even open a session aborts with a diagnostic on the trace.
+has.  A check that times out ends its round with that report.
+
+A problem's rounds share one prover session, closed when the problem
+ends.  It is reopened only when a check has left it unusable: a timed-out
+Isabelle check kills its session.  An Isabelle session opens on a helper
+thread while the round formalises and is joined at the round's first
+check, so its start-up overlaps the round's first LLM calls; an oracle
+session is a plain object and opens inline.  A backend that cannot open
+a session ends the problem with a diagnostic on the trace and no
+recorded round, even when formalisation failed meanwhile.  So with a
+dead backend, round 0's formalisation calls are made before the failure
+shows.
 """
 
 import enum
 import functools
 import logging
 import re
+import threading
 import typing
+from concurrent.futures import Future
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -42,7 +54,14 @@ from .logic import (
     sanitize_name,
     validate_signature,
 )
-from .prover import ProverBackend, SessionHandle, check_theory, start_session
+from .prover import (
+    IsabelleServer,
+    ProverBackend,
+    SessionHandle,
+    check_theory,
+    checked_timeout,
+    start_session,
+)
 from .prover.messages import (
     CHECK_TIMEOUT_S,
     CheckReport,
@@ -201,8 +220,7 @@ class RefinerConfig:
             raise ValueError("max_refinement_iterations must be >= 0")
         if self.syntax_iterations < 0:
             raise ValueError("syntax_iterations must be >= 0")
-        if not self.timeout_s > 0:
-            raise ValueError("timeout_s must be > 0")
+        checked_timeout(self.timeout_s)
 
 
 class PipelineContext:
@@ -607,15 +625,69 @@ def _assemble_feedback(
     return FeedbackBundle(error_text, step, index, strategy, cited)
 
 
+class _BackendUnavailable(Exception):
+    """The prover backend could not open a session."""
+
+
+class _ProblemSession:
+    """The prover session one problem's rounds share."""
+
+    def __init__(self, backend: ProverBackend):
+        self._backend = backend
+        self._opened: Optional["Future[SessionHandle]"] = None
+
+    def begin_round(self) -> None:
+        """Start opening a session unless a usable one is open."""
+        if self._opened is not None:
+            handle = self._opened.result()
+            if handle.usable:
+                return
+            handle.close()
+        opened: "Future[SessionHandle]" = Future()
+        self._opened = opened
+        # An Isabelle session takes a server round trip or more to start,
+        # which a helper thread hides behind formalisation; an oracle
+        # session is a plain object, so a thread would cost more than it
+        # hides.
+        if isinstance(self._backend, IsabelleServer):
+            threading.Thread(target=self._open, args=(opened,), daemon=True).start()
+        else:
+            self._open(opened)
+
+    def _open(self, opened: "Future[SessionHandle]") -> None:
+        try:
+            # Through the module global, which tests and the bench replace.
+            opened.set_result(start_session(self._backend))
+        except Exception as exc:
+            opened.set_exception(exc)
+
+    def handle(self) -> SessionHandle:
+        """The round's session, once open; waits for a pending open."""
+        try:
+            return self._opened.result()
+        except (ProverError, OSError) as exc:
+            raise _BackendUnavailable(exc)
+
+    def close(self) -> None:
+        if self._opened is not None and self._opened.exception() is None:
+            self._opened.result().close()
+
+
 def _run_iteration(
-    ctx: PipelineContext, explanation: Tuple[Fact, ...], handle: SessionHandle
+    ctx: PipelineContext, explanation: Tuple[Fact, ...], session: _ProblemSession
 ) -> IterationRecord:
     cfg = ctx.cfg
+    failure: Optional[Exception] = None
     try:
         doc = formalise(ctx.problem, cfg, explanation, ctx)
     except (MalformedStageOutput, FormulaRejected) as exc:
-        report = _synthetic_failure_report(str(exc))
-        bundle = FeedbackBundle(str(exc))
+        failure = exc
+    finally:
+        # A failed session open outranks whatever formalisation raised.
+        handle = session.handle()
+    if failure is not None:
+        report = _synthetic_failure_report(str(failure))
+        bundle = FeedbackBundle(str(failure))
         return IterationRecord(
             explanation_before=explanation,
             theory=None,
@@ -660,35 +732,36 @@ def run_refiner(problem: NLIProblem, cfg: RefinerConfig) -> RefinementTrace:
     rounds = 0
     diagnostic: Optional[str] = None
     final = "exhausted_invalid"
-    while True:
-        try:
-            handle = start_session(cfg.backend)
-        except (ProverError, OSError) as exc:
-            diagnostic = "backend unavailable: %s" % exc
-            break
-        try:
-            record = _run_iteration(ctx, explanation, handle)
-        finally:
-            handle.close()
-        if record.report.status == "valid":
+    session = _ProblemSession(cfg.backend)
+    try:
+        while True:
+            session.begin_round()
+            try:
+                record = _run_iteration(ctx, explanation, session)
+            except _BackendUnavailable as exc:
+                diagnostic = "backend unavailable: %s" % exc
+                break
+            if record.report.status == "valid":
+                iterations.append(record)
+                final = "valid_initially" if rounds == 0 else "refined_valid"
+                break
+            if rounds >= cfg.max_refinement_iterations:
+                iterations.append(record)
+                break
+            # A failed round always carries feedback, and a strategy only
+            # exists when the round formalised a theory.
+            strategy = record.feedback.strategy
+            if strategy is not None:
+                filtered = filter_facts(explanation, strategy, record.theory.proof)
+            else:
+                filtered = list(explanation)
+            refined = refine_explanation(ctx, record.feedback, filtered)
+            record = replace(record, explanation_after=refined)
             iterations.append(record)
-            final = "valid_initially" if rounds == 0 else "refined_valid"
-            break
-        if rounds >= cfg.max_refinement_iterations:
-            iterations.append(record)
-            break
-        # A failed round always carries feedback, and a strategy only
-        # exists when the round formalised a theory.
-        strategy = record.feedback.strategy
-        if strategy is not None:
-            filtered = filter_facts(explanation, strategy, record.theory.proof)
-        else:
-            filtered = list(explanation)
-        refined = refine_explanation(ctx, record.feedback, filtered)
-        record = replace(record, explanation_after=refined)
-        iterations.append(record)
-        explanation = refined
-        rounds += 1
+            explanation = refined
+            rounds += 1
+    finally:
+        session.close()
     return RefinementTrace(
         problem_id=problem.id,
         dataset=problem.dataset,

@@ -47,8 +47,15 @@ def start_session(backend: ProverBackend) -> SessionHandle:
     raise TypeError("unknown backend: %r" % (backend,))
 
 
+def checked_timeout(timeout_s: float) -> float:
+    """A per-check wall-clock budget, refused unless it is > 0."""
+    if not timeout_s > 0:
+        raise ValueError("timeout_s must be > 0")
+    return timeout_s
+
+
 def check_theory(
     handle: SessionHandle, doc: TheoryDoc, timeout_s: float
 ) -> CheckReport:
     """Check one theory document, enforcing the wall-clock budget."""
-    return handle.check_document(doc, timeout_s)
+    return handle.check_document(doc, checked_timeout(timeout_s))

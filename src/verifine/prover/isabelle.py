@@ -207,6 +207,11 @@ class IsabelleSession:
         if not self.session_id:
             raise SessionBuildFailed("session_start returned no session_id")
 
+    @property
+    def usable(self) -> bool:
+        """False once the session is closed or a check left it dead."""
+        return not self._dead and self.session_id is not None
+
     # -- checking
 
     def check_document(
@@ -226,7 +231,7 @@ class IsabelleSession:
         timeout_s: float,
         doc: Optional[TheoryDoc],
     ) -> CheckReport:
-        if self._dead or self.session_id is None:
+        if not self.usable:
             raise SessionDead("session is not usable")
         started = time.monotonic()
         deadline = started + timeout_s
@@ -245,7 +250,7 @@ class IsabelleSession:
         except _Deadline:
             # The task may still be running server-side, so this session
             # is done; the round ends at this report and the next round
-            # opens a session of its own.
+            # opens a fresh session.
             self._dead = True
             elapsed = time.monotonic() - started
             message = ProverMessage(

@@ -293,6 +293,11 @@ class OracleSession:
         self.domain_bound = domain_bound
         self.closed = False
 
+    @property
+    def usable(self) -> bool:
+        """An oracle session is stateless, so only closing ends it."""
+        return not self.closed
+
     def check_document(
         self, doc: TheoryDoc, timeout_s: float = CHECK_TIMEOUT_S
     ) -> CheckReport:

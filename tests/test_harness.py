@@ -973,15 +973,19 @@ class TestCLI:
             ("batch", "--syntax-iterations", "-5", "syntax_iterations must be >= 0"),
             ("refine", "--timeout", "-1", "timeout_s must be > 0"),
             ("refine", "--timeout", "nan", "timeout_s must be > 0"),
+            ("verify", "--timeout", "-1", "timeout_s must be > 0"),
+            ("verify", "--timeout", "0", "timeout_s must be > 0"),
+            ("verify", "--timeout", "nan", "timeout_s must be > 0"),
         ],
     )
     def test_out_of_range_flag_is_a_usage_error(
         self, command, flag, value, refusal, tmp_path, capsys
     ):
         out_dir = tmp_path / "traces"
-        with pytest.raises(SystemExit) as exc:
-            self.run(
-                command,
+        if command == "verify":
+            inputs = ["--theory", os.path.join(DATA_DIR, "violin_golden.thy")]
+        else:
+            inputs = [
                 "--problems",
                 os.path.join(DATA_DIR, "esnli_pairs.jsonl"),
                 "--model",
@@ -992,9 +996,9 @@ class TestCLI:
                 os.path.join(DATA_DIR, "replay", "esnli.jsonl"),
                 "--out",
                 str(out_dir),
-                flag,
-                value,
-            )
+            ]
+        with pytest.raises(SystemExit) as exc:
+            self.run(command, *inputs, flag, value)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: verifine %s " % command)

@@ -1,11 +1,14 @@
 """Gateway behaviour: templates, caching, transport retries, and stage
 output extraction through the parsers the pipeline passes in."""
 
+import contextlib
 import functools
 import hashlib
 import json
+import socket
 import string
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -335,6 +338,10 @@ def chat_payload(content):
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    def setup(self):
+        super().setup()
+        self.server.connections += 1
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
         body = json.loads(self.rfile.read(length) or b"{}")
@@ -354,17 +361,54 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def endpoint():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+class _KeepAliveHandler(_StubHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        super().do_POST()
+        # A server that drops idle connections replies, then closes
+        # without saying so in the reply.
+        self.close_connection = self.server.drop_idle
+
+
+@contextlib.contextmanager
+def stub_server(handler=_StubHandler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.script = []
     server.seen = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server.connections = 0
+    server.drop_idle = False
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     url = "http://127.0.0.1:%d/v1/chat/completions" % server.server_address[1]
-    yield server, url
-    server.shutdown()
-    server.server_close()
+    try:
+        yield server, url
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def endpoint():
+    with stub_server() as served:
+        yield served
+
+
+@pytest.fixture
+def keepalive_endpoint():
+    with stub_server(_KeepAliveHandler) as served:
+        yield served
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
 
 
 def http_request(url, **overrides):
@@ -422,6 +466,50 @@ class TestHttpTransport:
         probe_url = "http://127.0.0.1:9/v1/chat/completions"
         with pytest.raises(llm._TransientHttpError):
             http_transport(http_request(probe_url, http_timeout=0.5))
+
+
+class TestKeptAliveTransport:
+    def test_calls_share_one_connection(self, keepalive_endpoint):
+        server, url = keepalive_endpoint
+        replies = [http_transport(http_request(url)) for _ in range(5)]
+        assert replies == ["fallback"] * 5
+        assert len(server.seen) == 5
+        assert server.connections == 1
+
+    def test_connection_the_server_dropped_is_replaced(self, keepalive_endpoint):
+        server, url = keepalive_endpoint
+        server.drop_idle = True
+        assert http_transport(http_request(url)) == "fallback"
+        # The kept connection is closed at the server by now; the call
+        # must neither fail nor count as a retry.
+        assert http_transport(http_request(url)) == "fallback"
+        assert len(server.seen) == 2
+        assert server.connections == 2
+
+    def test_silent_server_times_out_as_transient(self):
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        url = "http://127.0.0.1:%d/v1/chat/completions" % listener.getsockname()[1]
+        started = time.monotonic()
+        try:
+            with pytest.raises(llm._TransientHttpError, match="timed out"):
+                http_transport(http_request(url, http_timeout=0.5))
+        finally:
+            listener.close()
+        assert time.monotonic() - started < 1.5
+
+    def test_http_proxy_takes_the_absolute_url(self, endpoint, no_proxy_env):
+        server, url = endpoint
+        with stub_server() as (proxy, proxy_url):
+            no_proxy_env.setenv("http_proxy", proxy_url.split("/v1/")[0])
+            assert http_transport(http_request(url)) == "fallback"
+            assert [path for path, _, _ in proxy.seen] == [url]
+            assert server.seen == []
+            no_proxy_env.setenv("no_proxy", "127.0.0.1")
+            assert http_transport(http_request(url)) == "fallback"
+            assert len(proxy.seen) == 1
+            assert [path for path, _, _ in server.seen] == ["/v1/chat/completions"]
 
 
 class TestRetryLoop:

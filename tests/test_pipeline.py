@@ -6,11 +6,13 @@ import json
 import os
 import random
 import socket
+import threading
 import time
 from dataclasses import replace
 
 import pytest
 
+from verifine import pipeline
 from verifine.llm import MalformedStageOutput, TranscriptCache
 from verifine.llmtypes import StageKind
 from verifine.logic import parse_formula
@@ -650,11 +652,93 @@ class TestRunRefinerScripted:
         assert trace.diagnostic is None
         assert trace.final_status == "exhausted_invalid"
         assert [r.report.status for r in trace.iterations] == ["timeout", "timeout"]
-        assert [name for name, _ in server.requests].count("use_theories") == 2
+        lifecycle = [
+            name
+            for name, _ in server.requests
+            if name in ("session_start", "use_theories")
+        ]
+        assert lifecycle == ["session_start", "use_theories"] * 2
         called = {stage for stage, _ in transport.calls}
         assert called.isdisjoint(
             {StageKind.ROUGH_INFERENCE.value, StageKind.CONSTRUCT_PROOF.value}
         )
+
+
+# ---------------------------------------------------------------------------
+# The prover session a problem's rounds share
+
+
+def isabelle_cfg(server, transport, **overrides):
+    return RefinerConfig(
+        llm=gateway_config(),
+        backend=IsabelleServer("127.0.0.1", server.port, server.password),
+        mode="live",
+        transport=transport,
+        **overrides
+    )
+
+
+class TestProblemSession:
+    def test_rounds_share_one_session(self):
+        server = FakeIsabelleServer()
+        server.use_theories_payload = {
+            "ok": False,
+            "nodes": [
+                {"messages": [{"kind": "error", "message": "Failed to finish proof"}]}
+            ],
+        }
+        cfg = isabelle_cfg(
+            server, worked_example_transport(), max_refinement_iterations=1
+        )
+        try:
+            trace = run_refiner(worked_example_problems()[0], cfg)
+        finally:
+            server.close()
+        assert trace.final_status == "exhausted_invalid"
+        assert len(trace.iterations) == 2
+        names = [name for name, _ in server.requests]
+        for command in ("session_build", "session_start", "session_stop"):
+            assert names.count(command) == 1, command
+        dirs = [args["master_dir"] for name, args in server.requests
+                if name == "use_theories"]
+        assert len(dirs) == 4
+        assert len(set(dirs)) == 4
+
+    def test_session_opens_while_the_round_formalises(self):
+        """The server holds session_start until the round's first LLM
+        call, so a session opened before formalisation never comes up."""
+        server = FakeIsabelleServer()
+        server.start_gate = threading.Event()
+        scripted = worked_example_transport()
+
+        def transport(request):
+            server.start_gate.set()
+            return scripted(request)
+
+        try:
+            trace = run_refiner(
+                worked_example_problems()[0], isabelle_cfg(server, transport)
+            )
+        finally:
+            server.close()
+        assert trace.diagnostic is None
+        assert trace.final_status == "valid_initially"
+
+    def test_oracle_session_opens_on_the_calling_thread(self, monkeypatch):
+        opened_on = []
+        original = pipeline.start_session
+
+        def recording(backend):
+            opened_on.append(threading.current_thread())
+            return original(backend)
+
+        monkeypatch.setattr(pipeline, "start_session", recording)
+        t = gadget_transport()
+        t.add(StageKind.ROUGH_INFERENCE, fenced("direct\nRelevant: f1\nRedundant:"))
+        t.add(StageKind.CONSTRUCT_PROOF, "no usable proof")
+        trace = run_refiner(gadget_problem(GOOD_FACT), make_cfg(t))
+        assert trace.final_status == "valid_initially"
+        assert opened_on == [threading.current_thread()]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,9 @@ class FakeIsabelleServer:
         self.theories_seen = []
         self.build_ok = True
         self.fail_session_start = False
+        # When set, session_start waits up to 2 s for this event and
+        # fails if it never comes.
+        self.start_gate = None
         self.counted_replies = False
         self.close_on_connect = False
         self.hang_on_use_theories = False
@@ -121,7 +124,9 @@ class FakeIsabelleServer:
                 elif name == "session_start":
                     task = self._task()
                     self._send(conn, "OK %s" % json.dumps({"task": task}))
-                    if self.fail_session_start:
+                    gate = self.start_gate
+                    held = gate is not None and not gate.wait(2.0)
+                    if self.fail_session_start or held:
                         self._send(
                             conn,
                             "FAILED %s"

@@ -1,6 +1,7 @@
-"""Source hygiene: every name the package imports is used, the lower
-layers load without the gateway or the loop, and every package
-attribute the bench wraps still exists."""
+"""Source hygiene: every name the package imports is used, every module
+it imports is its own or the standard library's, the lower layers load
+without the gateway or the loop, and every package attribute the bench
+wraps still exists."""
 
 import ast
 import os
@@ -80,6 +81,27 @@ MODULES = dict(_modules())
 def test_module_has_no_unused_imports(module):
     with open(MODULES[module], encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_package_imports_only_the_standard_library():
+    """The package has no runtime dependency: every module it imports
+    is in the standard library or in the package itself."""
+    foreign = []
+    for module, path in sorted(MODULES.items()):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "verifine" and top not in sys.stdlib_module_names:
+                    foreign.append("%s: %s" % (module, name))
+    assert foreign == []
 
 
 def test_bench_patch_points_exist(monkeypatch):
