@@ -119,12 +119,16 @@ class Transcript:
 
 
 class TranscriptCache:
-    """Append-only JSONL store of prompt/response exchanges."""
+    """Append-only JSONL store of prompt/response exchanges.
+
+    Each line holds the whole exchange; memory holds only the response
+    of each key, the one thing a replay reads back.
+    """
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
-        self._entries: Dict[str, Transcript] = {}
+        self._responses: Dict[str, str] = {}
         # Byte offset of a torn final line, cut off before the next append.
         self._torn_at: Optional[int] = None
         if os.path.exists(path):
@@ -147,26 +151,21 @@ class TranscriptCache:
                 except ValueError as exc:
                     corrupt = (start, exc)
                     continue
-                entry = Transcript(
-                    record["key"],
-                    record["prompt"],
-                    record["response"],
-                    record["timestamp"],
-                )
-                self._entries[entry.key] = entry
+                self._responses[record["key"]] = record["response"]
         if corrupt is not None:
             log.warning("transcript cache %s: skipping torn final line", self.path)
             self._torn_at = corrupt[0]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._responses)
 
-    def get(self, key: str) -> Optional[Transcript]:
-        return self._entries.get(key)
+    def get(self, key: str) -> Optional[str]:
+        """The recorded response for `key`, or None."""
+        return self._responses.get(key)
 
     def put(self, entry: Transcript):
         with self._lock:
-            self._entries[entry.key] = entry
+            self._responses[entry.key] = entry.response
             directory = os.path.dirname(self.path)
             if directory:
                 os.makedirs(directory, exist_ok=True)
@@ -384,12 +383,12 @@ def complete(
     if mode == "replay":
         if cache is None:
             raise CacheMiss("replay mode requires a transcript cache")
-        entry = cache.get(key)
-        if entry is None:
+        response = cache.get(key)
+        if response is None:
             raise CacheMiss(
                 "no transcript for stage %s (key %s)" % (stage.value, key[:12])
             )
-        return entry.response
+        return response
     request = {
         "stage": stage.value,
         "endpoint": cfg.endpoint,

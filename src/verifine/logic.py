@@ -183,21 +183,6 @@ class Exists(Formula):
         _normalise_binder(self, self.vars, self.body)
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Predicate symbols in first-appearance order, names unique."""
-
-    predicates: Tuple[PredicateSymbol, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "predicates", tuple(self.predicates))
-        seen: Dict[str, int] = {}
-        for p in self.predicates:
-            if p.name in seen and seen[p.name] != p.arity:
-                raise ArityConflict(p.name, (seen[p.name], p.arity), ())
-            seen[p.name] = p.arity
-
-
 # ---------------------------------------------------------------------------
 # The grammar: one tokeniser, parser and renderer for both surface syntaxes
 
@@ -506,11 +491,12 @@ def has_quantifier(f: Formula) -> bool:
     return False
 
 
-def validate_signature(formulas: Sequence[Formula]) -> Signature:
+def validate_signature(formulas: Sequence[Formula]) -> Tuple[PredicateSymbol, ...]:
     """Merge the predicates of several formulas into one signature.
 
-    Predicates keep first-appearance order.  A name seen with two arities
-    raises ArityConflict carrying the formula indices involved.
+    Predicates keep first-appearance order, each name once.  A name seen
+    with two arities raises ArityConflict carrying the formula indices
+    involved.
     """
     order: List[PredicateSymbol] = []
     arities: Dict[str, int] = {}
@@ -527,7 +513,7 @@ def validate_signature(formulas: Sequence[Formula]) -> Signature:
                 order.append(atom.pred)
             elif prev != atom.pred.arity:
                 raise ArityConflict(name, (prev, atom.pred.arity), locs)
-    return Signature(tuple(order))
+    return tuple(order)
 
 
 def sanitize_name(raw: str, taken: Iterable[str] = ()) -> str:

@@ -52,7 +52,6 @@ from .logic import (
     ParseError,
     parse_formula,
     sanitize_name,
-    validate_signature,
 )
 from .prover import (
     IsabelleServer,
@@ -78,9 +77,8 @@ from .theory import (
     MalformedPremise,
     OpenFormula,
     ProofStep,
+    TheoremBlock,
     TheoryDoc,
-    build_axioms,
-    build_theorem,
     parse_proof_block,
     parse_theory,
     proof_region,
@@ -350,46 +348,36 @@ def formalise(
         text = _sentence_formula(problem.premise_text, _ROLE_PREMISE, ctx)
         premise_formula = _parse_sentence_formula("premise", text)
 
-    fact_formulas: List[Tuple[str, Formula, str]] = []
+    fact_formulas = []
     for fact in facts:
         text = _sentence_formula(fact.text, _ROLE_FACT, ctx)
-        fact_formulas.append(
-            (fact.id, _parse_sentence_formula(fact.id, text), fact.text)
-        )
+        fact_formulas.append(_parse_sentence_formula(fact.id, text))
 
     goal_text = _sentence_formula(problem.hypothesis_text, _ROLE_HYPOTHESIS, ctx)
     goal = _parse_sentence_formula("hypothesis", goal_text)
 
+    # The building blocks check themselves in this order: open facts,
+    # then the premise, then the goal, then arities across formulas.
     try:
-        axioms = build_axioms(fact_formulas)
-        theorem = build_theorem(
-            premise_formula,
-            goal,
-            problem.premise_text or "",
-            problem.hypothesis_text,
+        axioms = []
+        for k, (fact, formula) in enumerate(zip(facts, fact_formulas), start=1):
+            try:
+                axioms.append(Axiom("explanation_%d" % k, formula, fact.text))
+            except OpenFormula as exc:
+                # Named by its fact, which the refinement prompt knows.
+                raise OpenFormula(fact.id, exc.names)
+        theorem = TheoremBlock(
+            premise_formula, goal, problem.premise_text or "", problem.hypothesis_text
         )
+        return TheoryDoc(sanitize_name(problem.id), tuple(axioms), theorem)
     except OpenFormula as exc:
         raise FormulaRejected(
             exc.fact_id, "Malformed formula for %s: %s" % (exc.fact_id, exc)
         )
     except MalformedPremise as exc:
         raise FormulaRejected("premise", "Malformed premise: %s" % exc)
-
-    ordered = [f for _, f, _ in fact_formulas]
-    if premise_formula is not None:
-        ordered.append(premise_formula)
-    ordered.append(goal)
-    try:
-        signature = validate_signature(ordered)
     except ArityConflict as exc:
         raise FormulaRejected(exc.name, "Type unification failed: %s" % exc)
-
-    return TheoryDoc(
-        name=sanitize_name(problem.id),
-        signature=signature,
-        axioms=tuple(axioms),
-        theorem=theorem,
-    )
 
 
 # ---------------------------------------------------------------------------

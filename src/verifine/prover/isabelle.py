@@ -79,22 +79,26 @@ class IsabelleSession:
         self._buf = b""
         self._dead = False
         self._check_counter = 0
-        self._workdir = tempfile.mkdtemp(prefix="verifine_thy_")
         try:
             self._sock = socket.create_connection((host, port), connect_timeout)
         except OSError as exc:
             raise ConnectFailed("cannot connect to %s:%d: %s" % (host, port, exc))
-        self._sock.settimeout(0.25)
+        # A failed open leaves nothing behind: the connection closes and
+        # the scratch directory is made only once the session is up.
         try:
-            self._write_line(password)
-            kind, _payload = self._read_reply(time.monotonic() + connect_timeout)
-        except (_Deadline, SessionDead) as exc:
+            self._sock.settimeout(0.25)
+            try:
+                self._write_line(password)
+                kind, _payload = self._read_reply(time.monotonic() + connect_timeout)
+            except (_Deadline, SessionDead) as exc:
+                raise AuthFailed("no handshake reply: %s" % exc)
+            if kind != "OK":
+                raise AuthFailed("server refused password: %s" % kind)
+            self._start(build_timeout)
+            self._workdir = tempfile.mkdtemp(prefix="verifine_thy_")
+        except BaseException:
             self._sock.close()
-            raise AuthFailed("no handshake reply: %s" % exc)
-        if kind != "OK":
-            self._sock.close()
-            raise AuthFailed("server refused password: %s" % kind)
-        self._start(build_timeout)
+            raise
 
     # -- low-level framing
 

@@ -23,11 +23,9 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .logic import (
-    ArityConflict,
-    ArityError,
     Formula,
+    LogicError,
     ParseError,
-    Signature,
     free_variables,
     has_quantifier,
     validate_signature,
@@ -79,6 +77,8 @@ ENTITY_TYPE = "entity"
 
 @dataclass(frozen=True)
 class Axiom:
+    """A named axiom; its formula must be closed (OpenFormula)."""
+
     name: str
     formula: Formula
     source_text: str = ""
@@ -86,14 +86,29 @@ class Axiom:
     def __post_init__(self):
         if not AXIOM_NAME_RE.match(self.name):
             raise TheoryError("axiom name must be explanation_<k>: %r" % self.name)
+        free = free_variables(self.formula)
+        if free:
+            raise OpenFormula(self.name, (v.name for v in free))
 
 
 @dataclass(frozen=True)
 class TheoremBlock:
+    """The theorem.  The premise may be absent (the assumption renders as
+    "True") and must otherwise be quantifier-free (MalformedPremise); the
+    goal must be closed (OpenFormula named after the theorem)."""
+
     premise_assumption: Optional[Formula]
     goal: Formula
     premise_text: str = ""
     hypothesis_text: str = ""
+
+    def __post_init__(self):
+        premise = self.premise_assumption
+        if premise is not None and has_quantifier(premise):
+            raise MalformedPremise("premise assumption contains a quantifier")
+        free = free_variables(self.goal)
+        if free:
+            raise OpenFormula(THEOREM_NAME, (v.name for v in free))
 
 
 class StepKind(enum.Enum):
@@ -113,47 +128,18 @@ class ProofStep:
         object.__setattr__(self, "facts_used", tuple(self.facts_used))
 
 
-def build_axioms(facts: Sequence[Tuple[str, Formula, str]]) -> List[Axiom]:
-    """Turn (fact_id, formula, source_text) triples into numbered axioms.
-
-    Axioms are named explanation_1, explanation_2, ... in list order.
-    Raises OpenFormula when a fact formula has free variables.
-    """
-    axioms = []
-    for k, (fact_id, formula, source_text) in enumerate(facts, start=1):
-        free = free_variables(formula)
-        if free:
-            raise OpenFormula(fact_id, (v.name for v in free))
-        axioms.append(Axiom("explanation_%d" % k, formula, source_text))
-    return axioms
-
-
-def build_theorem(
-    premise: Optional[Formula],
-    hypothesis: Formula,
-    premise_text: str = "",
-    hypothesis_text: str = "",
-) -> TheoremBlock:
-    """Assemble the theorem block.
-
-    The premise may be absent (the assumption renders as "True") and must
-    otherwise be quantifier-free; the hypothesis must be closed.
-    """
-    if premise is not None and has_quantifier(premise):
-        raise MalformedPremise("premise assumption contains a quantifier")
-    free = free_variables(hypothesis)
-    if free:
-        raise OpenFormula("hypothesis", (v.name for v in free))
-    return TheoremBlock(premise, hypothesis, premise_text, hypothesis_text)
-
-
 @dataclass(frozen=True)
 class TheoryDoc:
-    """A theory; building one whose proof cites a name that is neither
-    the assumption nor an axiom raises DanglingFactReference."""
+    """A theory, well-formed once built.
+
+    `predicates` is derived, not passed: every predicate symbol of the
+    axioms, then the premise, then the goal, in first-appearance order.
+    A name used with two arities raises ArityConflict.  Building a
+    document whose proof cites a name that is neither the assumption nor
+    an axiom raises DanglingFactReference.
+    """
 
     name: str
-    signature: Signature
     axioms: Tuple[Axiom, ...]
     theorem: TheoremBlock
     proof: Tuple[ProofStep, ...] = ()
@@ -161,6 +147,11 @@ class TheoryDoc:
     def __post_init__(self):
         object.__setattr__(self, "axioms", tuple(self.axioms))
         object.__setattr__(self, "proof", tuple(self.proof))
+        formulas = [a.formula for a in self.axioms]
+        premise, goal = self.theorem.premise_assumption, self.theorem.goal
+        formulas += [goal] if premise is None else [premise, goal]
+        # Not a field, like `rendered`: equality and hashing ignore it.
+        object.__setattr__(self, "predicates", validate_signature(formulas))
         if not self.proof:
             return
         if self.proof[-1].kind is not StepKind.THEN_SHOW_THESIS:
@@ -229,9 +220,9 @@ def render_theory(doc: TheoryDoc) -> str:
     out.append("")
     out.append("typedecl %s" % ENTITY_TYPE)
     out.append("")
-    if doc.signature.predicates:
+    if doc.predicates:
         out.append("consts")
-        for pred in doc.signature.predicates:
+        for pred in doc.predicates:
             out.append('  %s :: "%s"' % (pred.name, _const_type(pred.arity)))
         out.append("")
     if doc.axioms:
@@ -402,9 +393,10 @@ _COMMENT_ESCAPE_RE = re.compile(r"\\(\\|<star>)")
 def parse_theory(text: str) -> TheoryDoc:
     """Parse theory text in the rendered layout back into a TheoryDoc.
 
-    The signature is re-inferred from the parsed formulas, so a consts
-    block that fell out of sync with the axioms does not matter.  Raises
-    TheoryParseError when the layout or any formula is malformed.
+    The consts block is not read: the document derives its predicates
+    from the parsed formulas.  Raises TheoryParseError when the layout or
+    any formula is malformed, and when the document refuses what was
+    read (an open axiom, a quantified premise, an arity clash, ...).
     """
     # Comments hold free sentence text, so the structural scans below
     # run on the text with every comment lifted out.
@@ -428,55 +420,30 @@ def parse_theory(text: str) -> TheoryDoc:
         raise TheoryParseError("missing theorem block")
     theorem_at = theorem_match.start()
 
-    axioms: List[Axiom] = []
+    axioms = []
     head = text[:theorem_at]
     if "axiomatization" in head:
         block = head[head.index("axiomatization"):]
         for match in _AXIOM_ENTRY_RE.finditer(block):
             axiom_name, body = match.group(1), match.group(2)
-            if not AXIOM_NAME_RE.match(axiom_name):
-                raise TheoryParseError("unexpected axiom name %r" % axiom_name)
-            formula = parse_inner_formula(body)
-            free = free_variables(formula)
-            if free:
-                raise TheoryParseError(
-                    "axiom %s has free variables %s"
-                    % (axiom_name, sorted(v.name for v in free))
-                )
             number = axiom_name.split("_")[-1]
             source = comments.get("explanation" + number, "")
-            axioms.append(Axiom(axiom_name, formula, source))
+            axioms.append((axiom_name, parse_inner_formula(body), source))
 
     assumes = _ASSUMES_RE.search(text, theorem_at)
     shows = _SHOWS_RE.search(text, theorem_at)
     if assumes is None or shows is None:
         raise TheoryParseError("theorem block needs `assumes asm:` and `shows`")
     premise = parse_assumption(assumes.group(1))
-    if premise is not None and has_quantifier(premise):
-        raise TheoryParseError("premise assumption contains a quantifier")
     goal = parse_inner_formula(shows.group(1))
-    if free_variables(goal):
-        raise TheoryParseError("theorem goal has free variables")
-    theorem = TheoremBlock(
-        premise,
-        goal,
-        comments.get("premise", ""),
-        comments.get("hypothesis", ""),
-    )
 
     opener = _PROOF_OPENER_RE.search(text, theorem_at)
     proof = parse_proof_block(text[opener.end():]) if opener else []
 
-    formulas = [a.formula for a in axioms]
-    if premise is not None:
-        formulas.append(premise)
-    formulas.append(goal)
     try:
-        signature = validate_signature(formulas)
-    except (ArityError, ArityConflict) as exc:
-        raise TheoryParseError(str(exc)) from exc
-
-    try:
-        return TheoryDoc(name, signature, tuple(axioms), theorem, tuple(proof))
-    except TheoryError as exc:
+        theorem = TheoremBlock(
+            premise, goal, comments.get("premise", ""), comments.get("hypothesis", "")
+        )
+        return TheoryDoc(name, tuple(Axiom(*a) for a in axioms), theorem, tuple(proof))
+    except (TheoryError, LogicError) as exc:
         raise TheoryParseError(str(exc)) from exc

@@ -23,7 +23,7 @@ from verifine.datasets import (
 )
 from verifine.llm import TranscriptCache
 from verifine.llmtypes import StageKind
-from verifine.logic import parse_formula, validate_signature
+from verifine.logic import parse_formula
 from verifine.pipeline import (
     Fact,
     FeedbackBundle,
@@ -44,7 +44,7 @@ from verifine.report import (
     render_text,
     report_to_dict,
 )
-from verifine.theory import TheoryDoc, build_theorem, parse_theory
+from verifine.theory import TheoremBlock, TheoryDoc, parse_theory
 
 from fixtures_e2e import batch_problems, gateway_config, scrub_elapsed
 
@@ -704,13 +704,7 @@ class TestRunBatch:
 
 def unprovable_theory_text():
     goal = parse_formula("∃x. Ghost(x)")
-    doc = TheoryDoc(
-        "unprovable_case",
-        validate_signature([goal]),
-        (),
-        build_theorem(None, goal),
-        (),
-    )
+    doc = TheoryDoc("unprovable_case", (), TheoremBlock(None, goal))
     return doc.rendered
 
 

@@ -126,8 +126,15 @@ class TestTranscriptCache:
         cache.put(Transcript("k2", "p2", "r2", "2026-01-01T00:00:01+00:00"))
         reloaded = TranscriptCache(path)
         assert len(reloaded) == 2
-        assert reloaded.get("k1").response == "r1"
-        assert reloaded.get("k2").prompt == "p2"
+        assert reloaded.get("k1") == "r1"
+        assert reloaded.get("k2") == "r2"
+        with open(path, encoding="utf-8") as fh:
+            assert json.loads(fh.readline()) == {
+                "key": "k1",
+                "prompt": "p1",
+                "response": "r1",
+                "timestamp": "2026-01-01T00:00:00+00:00",
+            }
 
     def test_last_record_wins(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
@@ -136,13 +143,13 @@ class TestTranscriptCache:
         cache.put(Transcript("k", "p", "second", "t1"))
         with open(path, encoding="utf-8") as fh:
             assert len(fh.readlines()) == 2
-        assert TranscriptCache(path).get("k").response == "second"
+        assert TranscriptCache(path).get("k") == "second"
 
     def test_blank_lines_tolerated(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         record = {"key": "k", "prompt": "p", "response": "r", "timestamp": "t"}
         path.write_text(json.dumps(record) + "\n\n", encoding="utf-8")
-        assert TranscriptCache(str(path)).get("k").response == "r"
+        assert TranscriptCache(str(path)).get("k") == "r"
 
     def test_torn_final_line_is_skipped_with_a_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
@@ -156,12 +163,12 @@ class TestTranscriptCache:
         with caplog.at_level("WARNING", logger="verifine.llm"):
             cache = TranscriptCache(str(path))
         assert len(cache) == 1
-        assert cache.get("k").response == "r"
+        assert cache.get("k") == "r"
         assert "torn" in caplog.text
         cache.put(Transcript("k3", "p3", "r3", "t3"))
         reloaded = TranscriptCache(str(path))
         assert len(reloaded) == 2
-        assert reloaded.get("k3").response == "r3"
+        assert reloaded.get("k3") == "r3"
 
     def test_corrupt_line_before_the_last_still_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"

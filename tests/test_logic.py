@@ -19,7 +19,6 @@ from verifine.logic import (
     Or,
     ParseError,
     PredicateSymbol,
-    Signature,
     Variable,
     free_variables,
     has_quantifier,
@@ -304,10 +303,10 @@ class TestAnalysis:
         assert not has_quantifier(parse_formula("P(x) & Q(y)"))
 
     def test_signature_first_appearance_order(self):
-        sig = validate_signature(
+        predicates = validate_signature(
             [parse_formula("B(x) & A(x)"), parse_formula("C(x) & A(x)")]
         )
-        assert sig.predicates == (
+        assert predicates == (
             PredicateSymbol("B", 1),
             PredicateSymbol("A", 1),
             PredicateSymbol("C", 1),
@@ -321,10 +320,6 @@ class TestAnalysis:
         assert info.value.name == "P"
         assert info.value.arities == (1, 2)
         assert 0 in info.value.locations and 2 in info.value.locations
-
-    def test_signature_type_rejects_conflicting_duplicates(self):
-        with pytest.raises(ArityConflict):
-            Signature((PredicateSymbol("P", 1), PredicateSymbol("P", 2)))
 
 
 class TestSanitizeName:

@@ -8,18 +8,19 @@ import time
 
 import pytest
 
-from verifine.logic import parse_formula, validate_signature
+from verifine.logic import parse_formula
 from verifine.prover.messages import (
     ErrorClass,
     locate_failed_step,
 )
 from verifine.prover.oracle import OracleSession, entails
 from verifine.theory import (
+    Axiom,
     ProofStep,
     StepKind,
+    TheoremBlock,
     TheoryDoc,
-    build_axioms,
-    build_theorem,
+    parse_theory,
     proof_step_lines,
 )
 
@@ -29,18 +30,23 @@ from test_theory import violin_doc
 
 def make_doc(axiom_texts, premise_text, goal_text, proof=(), name="case_1"):
     """Assemble a small TheoryDoc from formula source strings."""
-    facts = [
-        ("f%d" % (i + 1), parse_formula(text), "")
-        for i, text in enumerate(axiom_texts)
-    ]
-    axioms = build_axioms(facts)
+    axioms = tuple(
+        Axiom("explanation_%d" % k, parse_formula(text))
+        for k, text in enumerate(axiom_texts, start=1)
+    )
     premise = parse_formula(premise_text) if premise_text else None
-    theorem = build_theorem(premise, parse_formula(goal_text))
-    formulas = [a.formula for a in axioms] + [theorem.goal]
-    if premise is not None:
-        formulas.append(premise)
-    signature = validate_signature(formulas)
-    return TheoryDoc(name, signature, tuple(axioms), theorem, tuple(proof))
+    theorem = TheoremBlock(premise, parse_formula(goal_text))
+    return TheoryDoc(name, axioms, theorem, tuple(proof))
+
+
+def test_make_doc_equals_its_reparse():
+    # A premise predicate that first appears after the goal's in the
+    # argument order still takes its place between axioms and goal.
+    doc = make_doc(["forall x. P(x) -> Q(x)"], "P(a) & R(a)", "exists x. S(x)")
+    parsed = parse_theory(doc.rendered)
+    assert [p.name for p in doc.predicates] == ["P", "Q", "R", "S"]
+    assert parsed == doc
+    assert parsed.rendered == doc.rendered
 
 
 # label, axiom texts, premise text (or None), goal text, bound, expected

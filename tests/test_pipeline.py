@@ -179,35 +179,78 @@ class TestFormalise:
         t = gadget_transport(**{GADGET_FACT: "Gadget("})
         with pytest.raises(FormulaRejected) as exc:
             formalise(gadget_problem(GADGET_FACT), make_cfg(t))
-        assert str(exc.value).startswith("Inner syntax error in the formula for f1:")
+        assert str(exc.value) == (
+            "Inner syntax error in the formula for f1: "
+            "expected argument name at byte 7 (expected argument name)"
+        )
         assert exc.value.sentence_id == "f1"
 
     def test_arity_clash_inside_one_formula(self):
         t = gadget_transport(**{GADGET_FACT: "∀x. Gadget(x) ∧ Gadget(x, x)"})
         with pytest.raises(FormulaRejected) as exc:
             formalise(gadget_problem(GADGET_FACT), make_cfg(t))
-        assert str(exc.value).startswith("Type unification failed in the formula for f1:")
+        assert str(exc.value) == (
+            "Type unification failed in the formula for f1: "
+            "predicate 'Gadget' used with arities [1, 2]"
+        )
+        assert exc.value.sentence_id == "f1"
 
     def test_arity_clash_across_formulas(self):
         t = gadget_transport(**{GADGET_PREMISE: "Gadget(g, g)"})
         with pytest.raises(FormulaRejected) as exc:
             formalise(gadget_problem(GADGET_FACT), make_cfg(t))
-        message = str(exc.value)
-        assert message.startswith("Type unification failed:")
-        assert "in the formula for" not in message
+        assert str(exc.value) == (
+            "Type unification failed: predicate 'Gadget' has conflicting "
+            "arities [1, 2] (formulas [0, 1])"
+        )
+        assert exc.value.sentence_id == "Gadget"
 
     def test_open_fact_formula_rejected(self):
         t = gadget_transport(**{GADGET_FACT: "Machine(x) → Device(x)"})
         with pytest.raises(FormulaRejected) as exc:
             formalise(gadget_problem(GADGET_FACT), make_cfg(t))
-        assert str(exc.value).startswith("Malformed formula for f1:")
+        assert str(exc.value) == (
+            "Malformed formula for f1: formula for 'f1' must be closed (free: x)"
+        )
+        assert exc.value.sentence_id == "f1"
 
     def test_quantified_premise_rejected(self):
         t = gadget_transport(**{GADGET_PREMISE: "∀x. Gadget(x)"})
         with pytest.raises(FormulaRejected) as exc:
             formalise(gadget_problem(GADGET_FACT), make_cfg(t))
-        assert str(exc.value).startswith("Malformed premise:")
+        assert str(exc.value) == (
+            "Malformed premise: premise assumption contains a quantifier"
+        )
         assert exc.value.sentence_id == "premise"
+
+    def test_open_hypothesis_rejected(self):
+        t = gadget_transport(**{GADGET_HYPOTHESIS: "Device(x)"})
+        with pytest.raises(FormulaRejected) as exc:
+            formalise(gadget_problem(GADGET_FACT), make_cfg(t))
+        assert str(exc.value) == (
+            "Malformed formula for hypothesis: "
+            "formula for 'hypothesis' must be closed (free: x)"
+        )
+        assert exc.value.sentence_id == "hypothesis"
+
+    # Open facts (in fact order), then the premise, then the goal, then
+    # arities: the first failing check names the sentence to refine.
+    @pytest.mark.parametrize(
+        "formulas, sentence_id",
+        [
+            ({BRIDGE_FACT: "Machine(y) → Device(x)", GADGET_PREMISE: "Gadget(g, g)"}, "f2"),
+            ({BRIDGE_FACT: "Machine(x) → Device(x)", GADGET_PREMISE: "∀x. Gadget(x)"}, "f2"),
+            ({GADGET_PREMISE: "∀x. Gadget(x)", GADGET_HYPOTHESIS: "Device(x)"}, "premise"),
+            ({GADGET_HYPOTHESIS: "Gadget(x, x)"}, "hypothesis"),
+        ],
+        ids=["fact-before-arity", "fact-before-premise", "premise-before-goal",
+             "goal-before-arity"],
+    )
+    def test_first_failing_check_is_reported(self, formulas, sentence_id):
+        t = gadget_transport(**formulas)
+        with pytest.raises(FormulaRejected) as exc:
+            formalise(gadget_problem(GADGET_FACT, BRIDGE_FACT), make_cfg(t))
+        assert exc.value.sentence_id == sentence_id
 
     def test_event_detection_garbage_fails_the_stage(self):
         t = gadget_transport()

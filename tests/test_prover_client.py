@@ -10,6 +10,7 @@ run only when VERIFINE_ISABELLE_HOST and friends are exported.
 import json
 import os
 import socket
+import tempfile
 import threading
 import time
 
@@ -49,6 +50,8 @@ class FakeIsabelleServer:
         self.die_on_use_theories = False
         self.stray_task_noise = False
         self.use_theories_payload = None
+        # Connections whose client hung up.
+        self.hangups = 0
         self._tasks = 0
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -81,6 +84,9 @@ class FakeIsabelleServer:
                 conn, _ = self._sock.accept()
             except OSError:
                 return
+            # Replies go out line by line; without this each multi-line
+            # reply waits on the client's delayed acknowledgement.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
 
     def _handle(self, conn):
@@ -90,6 +96,7 @@ class FakeIsabelleServer:
             while b"\n" not in buf[0]:
                 chunk = conn.recv(65536)
                 if not chunk:
+                    self.hangups += 1
                     raise ConnectionError("client gone")
                 buf[0] += chunk
             line, _, rest = buf[0].partition(b"\n")
@@ -250,6 +257,43 @@ class TestHandshakeAndLifecycle:
         server.session_id = None
         with pytest.raises(SessionBuildFailed):
             connect(server)
+
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            ("closed_port", ConnectFailed),
+            ("wrong_password", AuthFailed),
+            ("close_on_connect", AuthFailed),
+            ("build_ok", SessionBuildFailed),
+            ("fail_session_start", SessionBuildFailed),
+        ],
+    )
+    def test_failed_open_leaves_no_scratch_dir_or_connection(
+        self, server, tmp_path, monkeypatch, fault, error
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        port, password = server.port, server.password
+        if fault == "closed_port":
+            probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+            probe.close()
+        elif fault == "wrong_password":
+            password = "not-it"
+        elif fault == "build_ok":
+            server.build_ok = False
+        else:
+            setattr(server, fault, True)
+        # The kept exception info holds the half-built session, so only
+        # an explicit close ends the connection before the test does.
+        with pytest.raises(error) as info:
+            IsabelleSession("127.0.0.1", port, password, connect_timeout=1.0)
+        assert os.listdir(str(tmp_path)) == []
+        if error is SessionBuildFailed:
+            deadline = time.monotonic() + 2.0
+            while server.hangups == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.hangups == 1, info.value
 
 
 class TestChecking:

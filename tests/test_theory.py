@@ -1,4 +1,4 @@
-"""Theory documents: builders, rendering, spans, parsing back."""
+"""Theory documents: construction, rendering, spans, parsing back."""
 
 import os
 
@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 
 from helpers import formula_strategy
 from verifine.logic import (
-    ParseError,
+    ArityConflict,
+    Exists,
+    Forall,
+    PredicateSymbol,
     Variable,
+    free_variables,
+    has_quantifier,
     parse_formula,
     render_formula,
-    validate_signature,
 )
 from verifine.theory import (
     Axiom,
@@ -21,11 +25,10 @@ from verifine.theory import (
     OpenFormula,
     ProofStep,
     StepKind,
+    TheoremBlock,
     TheoryDoc,
     TheoryError,
     TheoryParseError,
-    build_axioms,
-    build_theorem,
     isabelle_formula,
     line_span,
     parse_inner_formula,
@@ -51,8 +54,8 @@ def violin_doc() -> TheoryDoc:
         "exists x y e. (Woman(x) & Instrument(y) & Playing(e) & "
         "Agent(e, x) & Patient(e, y))"
     )
-    axioms = build_axioms([("f1", exp1, "A violin is an instrument.")])
-    theorem = build_theorem(
+    axioms = (Axiom("explanation_1", exp1, "A violin is an instrument."),)
+    theorem = TheoremBlock(
         prem,
         goal,
         "A smiling woman is playing the violin in front of a turquoise background.",
@@ -73,13 +76,7 @@ def violin_doc() -> TheoryDoc:
         ),
         ProofStep(StepKind.THEN_SHOW_THESIS, "", ("asm",)),
     )
-    return TheoryDoc(
-        name="violin_1",
-        signature=validate_signature([exp1, prem, goal]),
-        axioms=tuple(axioms),
-        theorem=theorem,
-        proof=steps,
-    )
+    return TheoryDoc(name="violin_1", axioms=axioms, theorem=theorem, proof=steps)
 
 
 def sentence_doc(source="", premise_text="", name="sentences", proof=()):
@@ -90,28 +87,19 @@ def sentence_doc(source="", premise_text="", name="sentences", proof=()):
     goal = parse_formula("exists x. Q(x)")
     return TheoryDoc(
         name,
-        validate_signature([rule, rule, premise, goal]),
-        tuple(build_axioms([("f1", rule, source), ("f2", rule, "")])),
-        build_theorem(premise, goal, premise_text, "Something is Q."),
+        (Axiom("explanation_1", rule, source), Axiom("explanation_2", rule)),
+        TheoremBlock(premise, goal, premise_text, "Something is Q."),
         proof,
     )
 
 
 class TestBuilders:
-    def test_axioms_are_numbered_in_order(self):
-        f = parse_formula("forall x. P(x)")
-        axioms = build_axioms([("a", f, "one"), ("b", f, "two"), ("c", f, "")])
-        assert [a.name for a in axioms] == [
-            "explanation_1",
-            "explanation_2",
-            "explanation_3",
-        ]
-        assert axioms[0].source_text == "one"
+    """Each building block refuses what it cannot hold."""
 
     def test_open_fact_formula_rejected(self):
         with pytest.raises(OpenFormula) as info:
-            build_axioms([("f9", parse_formula("P(x)"), "open")])
-        assert info.value.fact_id == "f9"
+            Axiom("explanation_9", parse_formula("P(x)"), "open")
+        assert info.value.fact_id == "explanation_9"
         assert info.value.names == ("x",)
 
     def test_axiom_name_shape_is_enforced(self):
@@ -123,18 +111,37 @@ class TestBuilders:
 
     def test_premise_must_be_quantifier_free(self):
         with pytest.raises(MalformedPremise):
-            build_theorem(
+            TheoremBlock(
                 parse_formula("forall x. P(x)"), parse_formula("exists x. P(x)")
             )
 
     def test_hypothesis_must_be_closed(self):
         with pytest.raises(OpenFormula) as info:
-            build_theorem(parse_formula("P(x)"), parse_formula("Q(y)"))
+            TheoremBlock(parse_formula("P(x)"), parse_formula("Q(y)"))
         assert info.value.fact_id == "hypothesis"
 
     def test_premise_may_be_absent(self):
-        block = build_theorem(None, parse_formula("exists x. P(x)"))
+        block = TheoremBlock(None, parse_formula("exists x. P(x)"))
         assert block.premise_assumption is None
+
+    def test_predicates_follow_axioms_premise_goal(self):
+        doc = TheoryDoc(
+            "t",
+            (Axiom("explanation_1", parse_formula("forall x. Q(x) -> P(x)")),),
+            TheoremBlock(parse_formula("R(a) & P(a)"), parse_formula("exists x. S(x)")),
+        )
+        assert doc.predicates == tuple(
+            PredicateSymbol(name, 1) for name in ("Q", "P", "R", "S")
+        )
+
+    def test_arity_clash_across_formulas_rejected(self):
+        with pytest.raises(ArityConflict) as info:
+            TheoryDoc(
+                "t",
+                (Axiom("explanation_1", parse_formula("forall x. P(x)")),),
+                TheoremBlock(None, parse_formula("exists x y. P(x, y)")),
+            )
+        assert (info.value.name, info.value.locations) == ("P", (0, 1))
 
     def test_proof_must_end_with_show_thesis(self):
         doc = violin_doc()
@@ -213,7 +220,7 @@ class TestProofRendering:
             ProofStep(StepKind.THEN_SHOW_THESIS, "", ("explanation_7",)),
         )
         for build in (
-            lambda: TheoryDoc(doc.name, doc.signature, doc.axioms, doc.theorem, steps),
+            lambda: TheoryDoc(doc.name, doc.axioms, doc.theorem, steps),
             lambda: doc.with_proof(steps),
         ):
             with pytest.raises(DanglingFactReference) as info:
@@ -303,9 +310,8 @@ class TestGoldenRendering:
     def test_absent_premise_renders_true(self):
         doc = TheoryDoc(
             name="no_premise",
-            signature=validate_signature([parse_formula("exists x. P(x)")]),
             axioms=(),
-            theorem=build_theorem(None, parse_formula("exists x. P(x)")),
+            theorem=TheoremBlock(None, parse_formula("exists x. P(x)")),
         )
         assert '  assumes asm: "True"' in doc.rendered
 
@@ -313,9 +319,8 @@ class TestGoldenRendering:
         f = parse_formula("forall x. P(x)")
         doc = TheoryDoc(
             name="tricky",
-            signature=validate_signature([f]),
-            axioms=tuple(build_axioms([("f1", f, "weird *) text")])),
-            theorem=build_theorem(None, parse_formula("exists x. P(x)")),
+            axioms=(Axiom("explanation_1", f, "weird *) text"),),
+            theorem=TheoremBlock(None, parse_formula("exists x. P(x)")),
         )
         assert "*) text" not in doc.rendered.split("shows")[0].split("(* Expl")[1]
         assert parse_theory(doc.rendered).name == "tricky"
@@ -353,9 +358,7 @@ class TestSpans:
 
     def test_shows_line_ignores_a_constant_named_shows(self):
         goal = parse_formula("exists x. shows(x)")
-        doc = TheoryDoc(
-            "t", validate_signature([goal]), (), build_theorem(None, goal)
-        )
+        doc = TheoryDoc("t", (), TheoremBlock(None, goal))
         lines = doc.rendered.split("\n")
         assert lines[shows_line(doc) - 1].startswith('  shows "')
 
@@ -482,6 +485,29 @@ class TestParseTheory:
         source, premise_text = sentences
         doc = sentence_doc(source, premise_text)
         assert parse_theory(doc.rendered) == doc
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(formula_strategy(), max_size=3),
+        st.none() | formula_strategy().filter(lambda f: not has_quantifier(f)),
+        formula_strategy(),
+    )
+    def test_any_document_equals_its_reparse(self, facts, premise, goal):
+        def closed(binder, f):
+            free = tuple(sorted(free_variables(f)))
+            return binder(free, f) if free else f
+
+        doc = TheoryDoc(
+            "t",
+            tuple(
+                Axiom("explanation_%d" % k, closed(Forall, f))
+                for k, f in enumerate(facts, start=1)
+            ),
+            TheoremBlock(premise, closed(Exists, goal)),
+        )
+        parsed = parse_theory(doc.rendered)
+        assert parsed == doc
+        assert parsed.rendered == doc.rendered
 
     def test_text_without_star_or_backslash_renders_unescaped(self):
         doc = sentence_doc("A (simple) sentence.", 'It says "hi" (twice).')
