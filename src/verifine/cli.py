@@ -84,7 +84,9 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         "--domain-bound",
         type=int,
         default=3,
-        help="extra fresh constants for the ground oracle",
+        help="fresh constants the ground oracle grounds over where the "
+        "entailment is outside the Bernays–Schönfinkel fragment (an "
+        "existential under a universal); inside it the pool is exact",
     )
     group.add_argument("--isabelle-host", default="127.0.0.1")
     group.add_argument("--isabelle-port", type=int)

@@ -420,17 +420,21 @@ def _check_arities(formula: Formula):
 
 
 def iter_atoms(formula: Formula) -> Iterable[Atom]:
-    if isinstance(formula, Atom):
-        yield formula
-    elif isinstance(formula, Not):
-        yield from iter_atoms(formula.child)
-    elif isinstance(formula, (And, Or, Implies)):
-        yield from iter_atoms(formula.left)
-        yield from iter_atoms(formula.right)
-    elif isinstance(formula, (Forall, Exists)):
-        yield from iter_atoms(formula.body)
-    else:
-        raise TypeError("not a formula: %r" % (formula,))
+    """The atoms of a formula, left to right."""
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            yield f
+        elif isinstance(f, Not):
+            stack.append(f.child)
+        elif isinstance(f, (And, Or, Implies)):
+            stack.append(f.right)
+            stack.append(f.left)
+        elif isinstance(f, (Forall, Exists)):
+            stack.append(f.body)
+        else:
+            raise TypeError("not a formula: %r" % (f,))
 
 
 def _render(f: Formula, syntax: _Syntax, need: int = 0) -> str:

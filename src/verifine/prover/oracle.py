@@ -1,17 +1,29 @@
 """Ground-enumeration prover backend.
 
-Quantifiers are grounded over a fixed constant pool: every free variable
-of the premise (and of any proof-step goal) acts as a named constant,
-plus `domain_bound` fresh anonymous constants.  Universals expand to
-conjunctions over the pool, existentials to disjunctions.  Entailment of
-a goal from premises is then decided propositionally: the premises plus
-the negated goal are clausified and handed to a small DPLL solver, and
-the goal is entailed exactly when that set is unsatisfiable.
+Quantifiers are grounded over a finite constant pool: every free variable
+of the premises and the goal acts as a named constant, plus some fresh
+anonymous constants.  Universals expand to conjunctions over the pool,
+existentials to disjunctions.  Entailment of a goal from premises is then
+decided propositionally: the premises plus the negated goal are clausified
+and handed to a small DPLL solver, and the goal is entailed exactly when
+that set is unsatisfiable.
+
+How many fresh constants a session grounds over depends on the
+entailment.  When no existential sits under a universal in the negation
+normal form of the premises and the negated goal (the Bernays–Schönfinkel
+class), Skolemising the outer existentials yields constants only, and the
+set has a model iff it has one over those constants and the free names
+(Piskac, de Moura & Bjørner 2010).  One fresh constant per outer
+existential variable then decides entailment exactly.  Outside that
+fragment the pool is the free names plus `domain_bound` fresh constants,
+and a verdict of "entailed" holds only up to that bound.
 
 A document without proof steps is checked as one entailment (assumption
 and axioms against the theorem goal).  A document with a proof is checked
 step by step the way an interactive prover would: each step's goal must
 follow from the chained previous goal plus whatever facts the step cites.
+A session decides each distinct entailment once and answers repeats from
+its verdicts; a check that ran out of time is not remembered.
 """
 
 import itertools
@@ -154,11 +166,17 @@ def _satisfiable(
 
 # --- grounding -------------------------------------------------------------
 
+# Quantifier instances grounded between two looks at the clock.
+_INSTANCES_PER_CLOCK_CHECK = 256
+
+
 class _Grounder:
     """Maps ground atoms to propositional variables and clausifies."""
 
-    def __init__(self, domain_size: int):
+    def __init__(self, domain_size: int, deadline: Optional[float] = None):
         self.domain = list(range(domain_size))
+        self.deadline = deadline
+        self.instances = 0
         self.atom_vars: Dict[Tuple[str, Tuple[int, ...]], int] = {}
         self.next_var = 1
 
@@ -207,6 +225,13 @@ class _Grounder:
             parts = []
             names = [v.name for v in f.vars]
             for combo in itertools.product(self.domain, repeat=len(names)):
+                self.instances += 1
+                if (
+                    self.deadline is not None
+                    and self.instances % _INSTANCES_PER_CLOCK_CHECK == 0
+                    and time.monotonic() > self.deadline
+                ):
+                    raise OracleTimeout()
                 inner_env = dict(env)
                 inner_env.update(zip(names, combo))
                 parts.append(self.ground(f.body, inner_env, neg))
@@ -259,22 +284,60 @@ def entails(
     fresh_constants: int,
     deadline: Optional[float] = None,
 ) -> bool:
-    """Ground entailment at the configured bound.
+    """Ground entailment over an explicit pool.
 
     The constant pool is one element per free variable occurring in the
-    premises or the goal, plus `fresh_constants` anonymous elements.
+    premises or the goal, plus `fresh_constants` anonymous elements, and
+    at least one element.  Grounding and solving both raise
+    OracleTimeout once `deadline` (a `time.monotonic()` value) passes.
     """
     frees = _collect_free_names(list(premises) + [goal])
     domain_size = len(frees) + fresh_constants
     if domain_size == 0:
         domain_size = 1
-    grounder = _Grounder(domain_size)
+    grounder = _Grounder(domain_size, deadline)
     env = {name: idx for idx, name in enumerate(frees)}
     clauses: List[List[int]] = []
     for premise in premises:
         clauses.extend(grounder.clausify(grounder.ground(premise, env, False)))
     clauses.extend(grounder.clausify(grounder.ground(goal, env, True)))
     return not _satisfiable(clauses, grounder.next_var - 1, deadline)
+
+
+def _skolem_constants(
+    premises: Sequence[Formula], goal: Formula
+) -> Optional[int]:
+    """The fresh constants that decide `premises |= goal` exactly, or None.
+
+    Walks the premises and the negated goal in negation normal form.  When
+    no existential sits under a universal, each outer existential variable
+    Skolemises to a constant, and the count of those variables is
+    returned; otherwise None.
+    """
+    count = 0
+    # (formula, positive polarity, under a universal)
+    stack = [(f, True, False) for f in premises]
+    stack.append((goal, False, False))
+    while stack:
+        f, positive, under_universal = stack.pop()
+        if isinstance(f, Atom):
+            continue
+        if isinstance(f, Not):
+            stack.append((f.child, not positive, under_universal))
+        elif isinstance(f, Implies):
+            stack.append((f.left, not positive, under_universal))
+            stack.append((f.right, positive, under_universal))
+        elif isinstance(f, (And, Or)):
+            stack.append((f.left, positive, under_universal))
+            stack.append((f.right, positive, under_universal))
+        else:
+            universal = isinstance(f, Forall) == positive
+            if not universal:
+                if under_universal:
+                    return None
+                count += len(f.vars)
+            stack.append((f.body, positive, under_universal or universal))
+    return count
 
 
 # --- document checking -----------------------------------------------------
@@ -285,17 +348,27 @@ def _line_message(doc: TheoryDoc, line_no: int, text: str) -> ProverMessage:
 
 
 class OracleSession:
-    """Session handle for the ground oracle; stateless between checks."""
+    """Session handle for the ground oracle.
+
+    The session keeps the verdict of every entailment it has decided,
+    keyed by premises and goal, so a check it repeats, or a proof step
+    that recurs in a later round, is answered without grounding again.
+    `domain_bound` sets the pool only where the Bernays–Schönfinkel
+    fragment does not decide it (see the module docstring).
+    """
 
     def __init__(self, domain_bound: int):
         if domain_bound < 1:
             raise ValueError("domain_bound must be >= 1")
         self.domain_bound = domain_bound
         self.closed = False
+        # (premises, goal) -> [verdict], or [] while undecided
+        self._verdicts: Dict[Tuple[Tuple[Formula, ...], Formula], List[bool]]
+        self._verdicts = {}
 
     @property
     def usable(self) -> bool:
-        """An oracle session is stateless, so only closing ends it."""
+        """Only closing ends an oracle session."""
         return not self.closed
 
     def check_document(
@@ -319,13 +392,27 @@ class OracleSession:
 
     # -- internals
 
+    def _entails(
+        self, premises: Sequence[Formula], goal: Formula, deadline: float
+    ) -> bool:
+        # A formula tree's hash is recursive and uncached, so the key is
+        # hashed once: the first ask makes the slot and the verdict fills
+        # it.  A timeout raises before that and leaves the slot empty.
+        slot = self._verdicts.setdefault((tuple(premises), goal), [])
+        if not slot:
+            fresh = _skolem_constants(premises, goal)
+            if fresh is None:
+                fresh = self.domain_bound
+            slot.append(entails(premises, goal, fresh, deadline))
+        return slot[0]
+
     def _check_direct(
         self, doc: TheoryDoc, deadline: float, started: float
     ) -> CheckReport:
         premises = [a.formula for a in doc.axioms]
         if doc.theorem.premise_assumption is not None:
             premises.append(doc.theorem.premise_assumption)
-        ok = entails(premises, doc.theorem.goal, self.domain_bound, deadline)
+        ok = self._entails(premises, doc.theorem.goal, deadline)
         elapsed = time.monotonic() - started
         if ok:
             return build_report("valid", [], elapsed, doc)
@@ -361,9 +448,7 @@ class OracleSession:
                     goal = parse_inner_formula(step.goal_text)
                 except TheoryParseError as exc:
                     error = "Inner syntax error in proof step: %s" % exc
-            if error is None and not entails(
-                premises, goal, self.domain_bound, deadline
-            ):
+            if error is None and not self._entails(premises, goal, deadline):
                 error = (
                     "Failed to finish proof: step goal is not entailed at "
                     "domain bound %d" % self.domain_bound

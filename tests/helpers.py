@@ -135,12 +135,12 @@ def _expr(prop, index: Dict[Tuple, int]) -> str:
     return "(%s)" % joiner.join(_expr(child, index) for child in prop[1])
 
 
-def brute_entails(
+def _ground_problem(
     premises: Sequence[Formula], goal: Formula, extra_constants: int
-) -> bool:
-    """True iff every truth assignment satisfying the grounded premises
-    also satisfies the grounded goal.  Domain: one element per free
-    variable plus `extra_constants` anonymous elements (minimum one)."""
+) -> Tuple[List, List[Tuple]]:
+    """The grounded premises and negated goal, and their distinct atoms.
+    Domain: one element per free variable plus `extra_constants`
+    anonymous elements (minimum one)."""
     frees: List[str] = []
     for f in list(premises) + [goal]:
         for v in sorted(free_variables(f), key=lambda v: v.name):
@@ -154,6 +154,23 @@ def brute_entails(
     atoms: List[Tuple] = []
     for prop in props:
         _collect_atoms(prop, atoms)
+    return props, atoms
+
+
+def ground_atom_count(
+    premises: Sequence[Formula], goal: Formula, extra_constants: int
+) -> int:
+    """How many atoms `brute_entails` enumerates: it takes 2**n steps."""
+    return len(_ground_problem(premises, goal, extra_constants)[1])
+
+
+def brute_entails(
+    premises: Sequence[Formula], goal: Formula, extra_constants: int
+) -> bool:
+    """True iff every truth assignment satisfying the grounded premises
+    also satisfies the grounded goal, over the domain of
+    `_ground_problem`."""
+    props, atoms = _ground_problem(premises, goal, extra_constants)
     index = {key: i for i, key in enumerate(atoms)}
     source = " and ".join("(%s)" % _expr(prop, index) for prop in props)
     code = compile(source if source else "True", "<prop>", "eval")

@@ -22,6 +22,7 @@ from verifine.logic import (
     Variable,
     free_variables,
     has_quantifier,
+    iter_atoms,
     parse_formula,
     render_formula,
     sanitize_name,
@@ -355,12 +356,29 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(formula_strategy())
     def test_free_variables_subset_of_argument_variables(self, f):
-        from verifine.logic import iter_atoms
-
         all_args = set()
         for a in iter_atoms(f):
             all_args.update(a.args)
         assert free_variables(f) <= all_args
+
+    @settings(max_examples=200, deadline=None)
+    @given(formula_strategy())
+    def test_iter_atoms_yields_atoms_left_to_right(self, f):
+        def walk(g):
+            if isinstance(g, Atom):
+                return [g]
+            if isinstance(g, Not):
+                return walk(g.child)
+            if isinstance(g, (And, Or, Implies)):
+                return walk(g.left) + walk(g.right)
+            return walk(g.body)
+
+        # Identity, not equality: the same atom objects in the same order.
+        assert [id(a) for a in iter_atoms(f)] == [id(a) for a in walk(f)]
+
+    def test_iter_atoms_rejects_a_non_formula(self):
+        with pytest.raises(TypeError):
+            list(iter_atoms(And(atom("P", "x"), "Q(x)")))
 
     def test_thousand_formula_round_trip_under_five_seconds(self):
         formulas = make_formulas(1000, seed=20240814)

@@ -4,16 +4,34 @@ Every entailment fixture keeps the theory tiny (at most three axioms,
 small domains) so the truth-table enumerator in helpers stays fast.
 """
 
+import itertools
+import random
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from verifine.logic import parse_formula
+from verifine.logic import (
+    And,
+    Atom,
+    Exists,
+    Forall,
+    Implies,
+    Not,
+    Or,
+    PredicateSymbol,
+    Variable,
+    free_variables,
+    parse_formula,
+)
+from verifine.prover import oracle
 from verifine.prover.messages import (
     ErrorClass,
     locate_failed_step,
 )
-from verifine.prover.oracle import OracleSession, entails
+from verifine.prover.oracle import OracleSession, OracleTimeout, entails
 from verifine.theory import (
     Axiom,
     ProofStep,
@@ -24,7 +42,7 @@ from verifine.theory import (
     proof_step_lines,
 )
 
-from helpers import brute_entails
+from helpers import brute_entails, ground_atom_count
 from test_theory import violin_doc
 
 
@@ -376,3 +394,257 @@ class TestSessionBehaviour:
         (message,) = report.messages
         assert message.text == "Timeout: solve budget of 0.0s exhausted"
         assert report.first_error[1] is ErrorClass.TIMEOUT
+
+
+# ---------------------------------------------------------------------------
+# The pool a session grounds over, and the verdicts it keeps
+
+NAMES = ("a", "b")
+
+
+def _formula(rng, depth, scope, fresh, quantifiers=True):
+    """A random formula over P, Q and R whose atoms use names in `scope`;
+    quantifiers bind fresh variables v1, v2, ..."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        if rng.random() < 0.75:
+            pred = PredicateSymbol(rng.choice("PQ"), 1)
+            return Atom(pred, (Variable(rng.choice(scope)),))
+        pred = PredicateSymbol("R", 2)
+        return Atom(pred, (Variable(rng.choice(scope)), Variable(rng.choice(scope))))
+    if roll < 0.45:
+        return Not(_formula(rng, depth - 1, scope, fresh, quantifiers))
+    if roll < 0.8 or not quantifiers:
+        cls = rng.choice((And, Or, Implies))
+        return cls(
+            _formula(rng, depth - 1, scope, fresh, quantifiers),
+            _formula(rng, depth - 1, scope, fresh, quantifiers),
+        )
+    return _closed(rng, depth - 1, scope, fresh)
+
+
+def _closed(rng, depth, scope, fresh):
+    var = "v%d" % next(fresh)
+    cls = rng.choice((Forall, Exists))
+    return cls((Variable(var),), _formula(rng, depth, scope + [var], fresh))
+
+
+def random_problem(seed):
+    """(axioms, premise, goal) the way a theory holds them: closed axioms
+    and goal, and a quantifier-free premise over the names a and b."""
+    rng = random.Random(seed)
+    fresh = itertools.count(1)
+    axioms = [_closed(rng, 2, [], fresh) for _ in range(rng.randint(1, 2))]
+    premise = _formula(rng, 2, list(NAMES), fresh, quantifiers=False)
+    return axioms, premise, _closed(rng, 2, [], fresh)
+
+
+def problem_doc(axioms, premise, goal):
+    return TheoryDoc(
+        "case_1",
+        tuple(Axiom("explanation_%d" % k, f) for k, f in enumerate(axioms, 1)),
+        TheoremBlock(premise, goal),
+    )
+
+
+def _nnf(f, negate=False):
+    if isinstance(f, Atom):
+        return Not(f) if negate else f
+    if isinstance(f, Not):
+        return _nnf(f.child, not negate)
+    if isinstance(f, Implies):
+        return _nnf(Or(Not(f.left), f.right), negate)
+    if isinstance(f, (And, Or)):
+        cls = type(f) if not negate else (Or if isinstance(f, And) else And)
+        return cls(_nnf(f.left, negate), _nnf(f.right, negate))
+    cls = type(f) if not negate else (Exists if isinstance(f, Forall) else Forall)
+    return cls(f.vars, _nnf(f.body, negate))
+
+
+def _existentials(f, under_universal=False):
+    """Existential variables of a formula in negation normal form, or
+    None when one sits under a universal."""
+    if isinstance(f, (Atom, Not)):
+        return 0
+    if isinstance(f, (And, Or)):
+        left = _existentials(f.left, under_universal)
+        right = _existentials(f.right, under_universal)
+        return None if left is None or right is None else left + right
+    if isinstance(f, Forall):
+        return _existentials(f.body, True)
+    if under_universal:
+        return None
+    inner = _existentials(f.body, False)
+    return None if inner is None else len(f.vars) + inner
+
+
+def skolem_constants(premises, goal):
+    """Outer existential variables of the premises and the negated goal,
+    or None outside the Bernays–Schönfinkel fragment.  Written apart from
+    the oracle's own walk: this one builds the negation normal form."""
+    total = 0
+    for f in [_nnf(p) for p in premises] + [_nnf(goal, negate=True)]:
+        count = _existentials(f)
+        if count is None:
+            return None
+        total += count
+    return total
+
+
+class RecordingEntails:
+    """Stands in for `oracle.entails`: records each call's pool and can
+    time out the first `timeouts` calls."""
+
+    def __init__(self, timeouts=0):
+        self.pools = []
+        self.timeouts = timeouts
+
+    def __call__(self, premises, goal, fresh_constants, deadline=None):
+        self.pools.append(fresh_constants)
+        if len(self.pools) <= self.timeouts:
+            raise OracleTimeout()
+        return entails(premises, goal, fresh_constants, deadline)
+
+
+def check_recorded(doc, bound=3, timeouts=0, session=None):
+    recorder = RecordingEntails(timeouts)
+    session = session or OracleSession(bound)
+    with mock.patch.object(oracle, "entails", recorder):
+        report = session.check_document(doc)
+    return report, recorder.pools
+
+
+def premises_of(doc):
+    return [a.formula for a in doc.axioms] + [doc.theorem.premise_assumption]
+
+
+def assume_small_pool(doc, bound):
+    """Keep a generated problem only if its session pool has at most three
+    elements.  On four or more, a few generated problems in ten thousand
+    take the solver seconds; these tests are about the pool and the
+    verdicts kept, not the solver's speed."""
+    fresh = skolem_constants(premises_of(doc), doc.theorem.goal)
+    names = len(free_variables(doc.theorem.premise_assumption))
+    assume(names + (bound if fresh is None else fresh) <= 3)
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestSessionPool:
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS)
+    def test_fragment_verdict_is_exact(self, seed):
+        doc = problem_doc(*random_problem(seed))
+        assume_small_pool(doc, 3)
+        premises, goal = premises_of(doc), doc.theorem.goal
+        fresh = skolem_constants(premises, goal)
+        assume(fresh is not None)
+        # Two elements more than the derived pool, if the enumerator
+        # can afford them.
+        assume(ground_atom_count(premises, goal, fresh + 2) <= 12)
+        report, pools = check_recorded(doc)
+        assert pools == [fresh]
+        want = brute_entails(premises, goal, fresh + 2)
+        assert (report.status == "valid") is want
+
+    @settings(max_examples=50, deadline=None)
+    @given(SEEDS, st.integers(1, 2))
+    def test_existential_under_universal_keeps_domain_bound(self, seed, bound):
+        axioms, premise, goal = random_problem(seed)
+        rng = random.Random(seed)
+        body = _formula(rng, 1, ["u", "w"], itertools.count(1))
+        nested = Forall((Variable("u"),), Exists((Variable("w"),), body))
+        doc = problem_doc(axioms + [nested], premise, goal)
+        assert skolem_constants(premises_of(doc), goal) is None
+        assume_small_pool(doc, bound)
+        _, pools = check_recorded(doc, bound)
+        assert pools == [bound]
+
+    @pytest.mark.parametrize(
+        "goal_text,pool,status",
+        [("exists x. Q(x)", 0, "valid"), ("forall x. Q(x)", 1, "failed")],
+    )
+    def test_negated_goal_universal_is_one_skolem_constant(
+        self, goal_text, pool, status
+    ):
+        doc = make_doc(["forall x. P(x) -> Q(x)"], "P(a)", goal_text)
+        report, pools = check_recorded(doc, bound=3)
+        assert pools == [pool]
+        assert report.status == status
+
+
+class TestSessionVerdicts:
+    @settings(max_examples=50, deadline=None)
+    @given(SEEDS)
+    def test_repeated_check_decides_once(self, seed):
+        doc = problem_doc(*random_problem(seed))
+        assume_small_pool(doc, 2)
+        session = OracleSession(2)
+        first, pools = check_recorded(doc, session=session)
+        assert len(pools) == 1
+        # The same document, and an equal one built from its text.
+        for again in (doc, parse_theory(doc.rendered)):
+            report, pools = check_recorded(again, session=session)
+            assert pools == []
+            assert report.status == first.status
+            assert report.messages == first.messages
+
+    @settings(max_examples=50, deadline=None)
+    @given(SEEDS)
+    def test_timed_out_check_is_asked_again(self, seed):
+        doc = problem_doc(*random_problem(seed))
+        assume_small_pool(doc, 2)
+        session = OracleSession(2)
+        report, pools = check_recorded(doc, timeouts=1, session=session)
+        assert report.status == "timeout"
+        report, pools = check_recorded(doc, session=session)
+        assert len(pools) == 1
+        assert report.status in ("valid", "failed")
+
+    def test_proof_step_recurring_in_a_later_round_is_not_regrounded(self):
+        steps = (
+            ProofStep(StepKind.FROM_ASM_HAVE, "P a", ("asm",)),
+            ProofStep(StepKind.THEN_HAVE, "Q a", ("explanation_1",)),
+            ProofStep(StepKind.THEN_SHOW_THESIS, "", ()),
+        )
+        doc = make_doc(
+            ["forall x. P(x) -> Q(x)"], "P(a)", "exists x. Q(x)", proof=steps
+        )
+        session = OracleSession(3)
+        _, pools = check_recorded(doc, session=session)
+        assert len(pools) == 3
+        # The next round states the same explanation with one step changed.
+        changed = doc.with_proof(
+            (ProofStep(StepKind.FROM_ASM_HAVE, "P a \\<and> P a", ("asm",)),)
+            + steps[1:]
+        )
+        report, pools = check_recorded(parse_theory(changed.rendered), session=session)
+        assert report.status == "valid"
+        assert len(pools) == 2
+
+
+def width4_problem():
+    """Four axioms over four variables and ten named constants: about a
+    second of grounding at three fresh elements."""
+    axioms = [
+        "forall e x y z. P0(e) & P1(x) & R%d(e, x, y) -> Q%d(z)" % (i, i)
+        for i in range(4)
+    ]
+    premise = " & ".join("P0(c%d) & P1(c%d)" % (i, i) for i in range(10))
+    return make_doc(axioms, premise, "exists x. S(x)")
+
+
+class TestGroundingDeadline:
+    def test_grounding_raises_past_the_deadline(self):
+        doc = width4_problem()
+        started = time.monotonic()
+        with pytest.raises(OracleTimeout):
+            entails(premises_of(doc), doc.theorem.goal, 3, deadline=started + 0.1)
+        assert time.monotonic() - started < 0.3
+
+    def test_session_reports_timeout_while_grounding(self):
+        started = time.monotonic()
+        report = OracleSession(3).check_document(width4_problem(), timeout_s=0.1)
+        assert report.status == "timeout"
+        assert time.monotonic() - started < 0.3

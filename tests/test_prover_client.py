@@ -62,10 +62,14 @@ class FakeIsabelleServer:
         self._accepter.start()
 
     def close(self):
+        # Closing alone leaves accept() blocked in the accept thread, and
+        # the port keeps taking clients; shutting the socket down wakes it.
         try:
-            self._sock.close()
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._sock.close()
+        self._accepter.join(timeout=5.0)
 
     def _task(self):
         self._tasks += 1
@@ -242,6 +246,15 @@ class TestHandshakeAndLifecycle:
         probe.close()
         with pytest.raises(ConnectFailed):
             IsabelleSession("127.0.0.1", port, "x", connect_timeout=1.0)
+
+    def test_closed_fake_refuses_new_sessions(self):
+        srv = FakeIsabelleServer()
+        srv.close()
+        assert not srv._accepter.is_alive()
+        with pytest.raises(ConnectFailed):
+            IsabelleSession(
+                "127.0.0.1", srv.port, srv.password, connect_timeout=1.0
+            )
 
     def test_failed_build_raises(self, server):
         server.build_ok = False
