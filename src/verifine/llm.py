@@ -194,18 +194,24 @@ def transcript_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def render_prompt(stage: StageKind, bindings: Mapping[str, str]) -> str:
-    """Fill the stage template; unbound placeholders raise TemplateUnbound."""
-    template = TEMPLATES[stage]
-    needed = {
+# Each stage template's placeholder names, read once.
+_PLACEHOLDERS: Dict[StageKind, frozenset] = {
+    stage: frozenset(
         name
         for _, name, _, _ in string.Formatter().parse(template)
         if name is not None
-    }
+    )
+    for stage, template in TEMPLATES.items()
+}
+
+
+def render_prompt(stage: StageKind, bindings: Mapping[str, str]) -> str:
+    """Fill the stage template; unbound placeholders raise TemplateUnbound."""
+    needed = _PLACEHOLDERS[stage]
     missing = sorted(name for name in needed if name not in bindings)
     if missing:
         raise TemplateUnbound(stage, missing)
-    return template.format(**{name: bindings[name] for name in needed})
+    return TEMPLATES[stage].format(**{name: bindings[name] for name in needed})
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,14 @@ Inner names may contain primes, which read as underscores.
 
 Binary connectives associate to the right, matching the prover's inner
 syntax so rendered conjunction chains stay flat in both syntaxes.
+
+Formulas are immutable, so a parse is shared: each syntax's parser keeps
+the trees of recently parsed texts (up to PARSE_CACHE_SIZE of them) and
+hands the same tree to every caller, across problems and threads.  A
+text that fails to parse is never kept and raises on every call.
 """
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
@@ -398,6 +404,13 @@ class _Parser:
         return Variable(self.expect(_IDENT, "argument name")[1])
 
 
+# Distinct texts whose parse each syntax keeps.  A batch draws its
+# formulas from shared fact banks, so a few hundred texts recur across
+# its problems and rounds.
+PARSE_CACHE_SIZE = 2048
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_formula(text: str) -> Formula:
     """Parse canonical formula text.
 

@@ -6,7 +6,7 @@ from typing import Union
 from ..theory import TheoryDoc
 from .isabelle import IsabelleSession
 from .messages import CheckReport
-from .oracle import OracleSession
+from .oracle import OracleSession, Verdicts
 
 
 @dataclass(frozen=True)
@@ -19,11 +19,19 @@ class IsabelleServer:
 
 @dataclass(frozen=True)
 class GroundOracle:
+    """The ground oracle at one domain bound.
+
+    Each value holds a verdict table, not a field, that every session it
+    opens shares, so the problems of a run configured with it decide each
+    distinct entailment once.
+    """
+
     domain_bound: int = 3
 
     def __post_init__(self):
         if self.domain_bound < 1:
             raise ValueError("domain_bound must be >= 1")
+        object.__setattr__(self, "verdicts", Verdicts())
 
 
 ProverBackend = Union[IsabelleServer, GroundOracle]
@@ -39,7 +47,7 @@ def start_session(backend: ProverBackend) -> SessionHandle:
     SessionBuildFailed) surface here rather than at first check.
     """
     if isinstance(backend, GroundOracle):
-        return OracleSession(backend.domain_bound)
+        return OracleSession(backend.domain_bound, backend.verdicts)
     if isinstance(backend, IsabelleServer):
         return IsabelleSession(
             backend.host, backend.port, backend.password, backend.session_name

@@ -22,11 +22,16 @@ A document without proof steps is checked as one entailment (assumption
 and axioms against the theorem goal).  A document with a proof is checked
 step by step the way an interactive prover would: each step's goal must
 follow from the chained previous goal plus whatever facts the step cites.
-A session decides each distinct entailment once and answers repeats from
-its verdicts; a check that ran out of time is not remembered.
+Each distinct entailment is decided once.  Its verdict goes into a
+`Verdicts` table, and repeats are answered from there.  The sessions a
+`GroundOracle` backend opens all share that backend's table, so every
+problem of a run, on every worker thread, reuses the verdicts of the
+others; a bare `OracleSession` keeps a table of its own.  A check that
+ran out of time is not remembered.
 """
 
 import itertools
+import threading
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -138,7 +143,9 @@ def _satisfiable(
     while True:
         if deadline is not None and time.monotonic() > deadline:
             raise OracleTimeout()
-        var = 1
+        # Every variable below the newest decision's was assigned before
+        # that decision was made, and backtracking to it keeps them.
+        var = abs(decisions[-1][1]) + 1 if decisions else 1
         while var <= nvars and var in assign:
             var += 1
         if var > nvars:
@@ -347,24 +354,58 @@ def _line_message(doc: TheoryDoc, line_no: int, text: str) -> ProverMessage:
     return ProverMessage("error", text, Span(line_no, start, end))
 
 
+# Entailments a verdict table keeps; past this the oldest is dropped.
+VERDICTS_SIZE = 8192
+
+
+class Verdicts:
+    """Entailment verdicts keyed by premises and goal, safe to share
+    between threads.
+
+    Holds at most `size` entries and drops the oldest first.  The lock
+    guards only inserting and dropping, never grounding or solving.
+    """
+
+    def __init__(self, size: int = VERDICTS_SIZE):
+        self.size = size
+        self._slots: Dict[Tuple[Tuple[Formula, ...], Formula], List[bool]] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def slot(self, premises: Sequence[Formula], goal: Formula) -> List[bool]:
+        """The entailment's slot: [verdict], or [] while undecided.
+
+        A formula tree's hash is recursive and uncached, so the key is
+        hashed once: the first ask makes the slot and its verdict fills
+        it.  A timeout leaves the slot empty, so it is asked again.
+        """
+        with self._lock:
+            slot = self._slots.setdefault((tuple(premises), goal), [])
+            if len(self._slots) > self.size:
+                del self._slots[next(iter(self._slots))]
+        return slot
+
+
 class OracleSession:
     """Session handle for the ground oracle.
 
-    The session keeps the verdict of every entailment it has decided,
-    keyed by premises and goal, so a check it repeats, or a proof step
-    that recurs in a later round, is answered without grounding again.
-    `domain_bound` sets the pool only where the Bernays–Schönfinkel
-    fragment does not decide it (see the module docstring).
+    The session answers a check it repeats, or a proof step that recurs
+    in a later round or another problem, from its `verdicts` table
+    without grounding again.  `start_session` passes the table of its
+    `GroundOracle` backend, which every session that backend opens
+    shares; without one the session keeps its own.  `domain_bound` sets
+    the pool only where the Bernays–Schönfinkel fragment does not decide
+    it (see the module docstring), so one table serves one bound.
     """
 
-    def __init__(self, domain_bound: int):
+    def __init__(self, domain_bound: int, verdicts: Optional[Verdicts] = None):
         if domain_bound < 1:
             raise ValueError("domain_bound must be >= 1")
         self.domain_bound = domain_bound
         self.closed = False
-        # (premises, goal) -> [verdict], or [] while undecided
-        self._verdicts: Dict[Tuple[Tuple[Formula, ...], Formula], List[bool]]
-        self._verdicts = {}
+        self._verdicts = verdicts if verdicts is not None else Verdicts()
 
     @property
     def usable(self) -> bool:
@@ -395,14 +436,13 @@ class OracleSession:
     def _entails(
         self, premises: Sequence[Formula], goal: Formula, deadline: float
     ) -> bool:
-        # A formula tree's hash is recursive and uncached, so the key is
-        # hashed once: the first ask makes the slot and the verdict fills
-        # it.  A timeout raises before that and leaves the slot empty.
-        slot = self._verdicts.setdefault((tuple(premises), goal), [])
+        slot = self._verdicts.slot(premises, goal)
         if not slot:
             fresh = _skolem_constants(premises, goal)
             if fresh is None:
                 fresh = self.domain_bound
+            # Two threads may decide one entailment at once; both verdicts
+            # are the same, and the first appended is the one read.
             slot.append(entails(premises, goal, fresh, deadline))
         return slot[0]
 

@@ -19,10 +19,11 @@ usually echoes back after a repair request.
 import enum
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .logic import (
+    PARSE_CACHE_SIZE,
     Formula,
     LogicError,
     ParseError,
@@ -295,8 +296,13 @@ def proof_step_lines(doc: TheoryDoc) -> List[int]:
 # ---------------------------------------------------------------------------
 # Parsing theory text back into structured form
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_inner_formula(text: str) -> Formula:
-    """Parse prover inner syntax (escaped or raw Unicode) to a Formula."""
+    """Parse prover inner syntax (escaped or raw Unicode) to a Formula.
+
+    The tree is shared with every other caller of the same text (see
+    `verifine.logic`); a TheoryParseError is raised afresh on each call.
+    """
     try:
         return _Parser(text, _INNER).parse()
     except ParseError as exc:

@@ -44,7 +44,12 @@ from verifine.report import (
     render_text,
     report_to_dict,
 )
-from verifine.theory import TheoremBlock, TheoryDoc, parse_theory
+from verifine.theory import (
+    TheoremBlock,
+    TheoryDoc,
+    parse_inner_formula,
+    parse_theory,
+)
 
 from fixtures_e2e import batch_problems, gateway_config, scrub_elapsed
 
@@ -547,6 +552,10 @@ class TestNestingHeadroom:
             return nested(parser, parse, *args)
 
         monkeypatch.setattr(verifine.logic._Parser, "nested", recording)
+        # Texts parsed by earlier tests would be answered from the memo
+        # without reaching the parser.
+        parse_formula.cache_clear()
+        parse_inner_formula.cache_clear()
         for problems, cache in (
             ("batch50.jsonl", "batch50.jsonl"),
             ("esnli_pairs.jsonl", "esnli.jsonl"),

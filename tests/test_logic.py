@@ -7,7 +7,10 @@ from hypothesis import given, settings
 
 from helpers import formula_strategy, make_formulas
 from verifine.logic import (
+    _CANONICAL,
+    _INNER,
     MAX_NESTING,
+    PARSE_CACHE_SIZE,
     And,
     ArityConflict,
     ArityError,
@@ -20,6 +23,7 @@ from verifine.logic import (
     ParseError,
     PredicateSymbol,
     Variable,
+    _Parser,
     free_variables,
     has_quantifier,
     iter_atoms,
@@ -387,3 +391,41 @@ class TestProperties:
             assert parse_formula(render_formula(f)) == f
         elapsed = time.monotonic() - started
         assert elapsed < 5.0, "round trip took %.2fs" % elapsed
+
+
+class TestSharedParses:
+    @settings(max_examples=200, deadline=None)
+    @given(formula_strategy())
+    def test_memoised_parse_equals_a_fresh_parse(self, f):
+        for parse, text, syntax in (
+            (parse_formula, render_formula(f), _CANONICAL),
+            (parse_inner_formula, isabelle_formula(f), _INNER),
+        ):
+            first = parse(text)
+            assert first == _Parser(text, syntax).parse() == f
+            # The second caller gets the same tree, not a copy.
+            assert parse(text) is first
+
+    @pytest.mark.parametrize(
+        "parse,text,error",
+        [
+            (parse_formula, "P(x) ∧", ParseError),
+            (parse_formula, "P(x) ∧ P(x, y)", ArityError),
+            (parse_inner_formula, "P x \\<and>", TheoryParseError),
+            (parse_inner_formula, "P", TheoryParseError),
+        ],
+    )
+    def test_rejected_text_raises_on_every_call(self, parse, text, error):
+        kept = parse.cache_info().currsize
+        messages = []
+        for _ in range(3):
+            with pytest.raises(error) as info:
+                parse(text)
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1
+        assert parse.cache_info().currsize == kept
+
+    def test_both_memos_are_bounded(self):
+        assert 1000 <= PARSE_CACHE_SIZE < 10000
+        for parse in (parse_formula, parse_inner_formula):
+            assert parse.cache_parameters()["maxsize"] == PARSE_CACHE_SIZE

@@ -4,8 +4,11 @@ Every entailment fixture keeps the theory tiny (at most three axioms,
 small domains) so the truth-table enumerator in helpers stays fast.
 """
 
+import dataclasses
 import itertools
 import random
+import sys
+import threading
 import time
 from unittest import mock
 
@@ -26,12 +29,18 @@ from verifine.logic import (
     free_variables,
     parse_formula,
 )
-from verifine.prover import oracle
+from verifine.prover import GroundOracle, oracle, start_session
 from verifine.prover.messages import (
     ErrorClass,
     locate_failed_step,
 )
-from verifine.prover.oracle import OracleSession, OracleTimeout, entails
+from verifine.prover.oracle import (
+    VERDICTS_SIZE,
+    OracleSession,
+    OracleTimeout,
+    Verdicts,
+    entails,
+)
 from verifine.theory import (
     Axiom,
     ProofStep,
@@ -622,6 +631,120 @@ class TestSessionVerdicts:
         report, pools = check_recorded(parse_theory(changed.rendered), session=session)
         assert report.status == "valid"
         assert len(pools) == 2
+
+
+def check_each(sessions, doc, timeouts=0):
+    """Check `doc` once in each session, all under one recorder."""
+    recorder = RecordingEntails(timeouts)
+    with mock.patch.object(oracle, "entails", recorder):
+        reports = [session.check_document(doc) for session in sessions]
+    return reports, recorder.pools
+
+
+def numbered_doc(k):
+    """Modus ponens on the constant c<k>; valid when k is even."""
+    goal = "exists x. Q(x)" if k % 2 == 0 else "exists x. R(x)"
+    return make_doc(["forall x. P(x) -> Q(x)"], "P(c%d)" % k, goal)
+
+
+class TestVerdictsAcrossSessions:
+    def test_sessions_of_one_backend_decide_once(self):
+        backend = GroundOracle(3)
+        doc = make_doc(["forall x. P(x) -> Q(x)"], "P(a)", "exists x. Q(x)")
+        first, second = start_session(backend), start_session(backend)
+        reports, pools = check_each([first], doc)
+        assert pools == [0]
+        # Another problem's session, given an equal document of its own.
+        again, pools = check_each([second], parse_theory(doc.rendered))
+        assert pools == []
+        assert [r.status for r in reports + again] == ["valid", "valid"]
+
+    def test_equal_backends_do_not_share(self):
+        one, other = GroundOracle(3), GroundOracle(3)
+        assert one == other and hash(one) == hash(other)
+        assert [f.name for f in dataclasses.fields(GroundOracle)] == ["domain_bound"]
+        doc = make_doc(["forall x. P(x) -> Q(x)"], "P(a)", "exists x. Q(x)")
+        _, pools = check_each([start_session(one), start_session(other)], doc)
+        assert pools == [0, 0]
+
+    def test_bare_sessions_keep_their_own_verdicts(self):
+        doc = make_doc(["forall x. P(x) -> Q(x)"], "P(a)", "exists x. Q(x)")
+        _, pools = check_each([OracleSession(3), OracleSession(3)], doc)
+        assert pools == [0, 0]
+
+    def test_timed_out_entailment_is_asked_again_by_the_next_session(self):
+        backend = GroundOracle(3)
+        doc = make_doc(["forall x. P(x) -> Q(x)"], "P(a)", "exists x. Q(x)")
+        sessions = [start_session(backend) for _ in range(3)]
+        reports, pools = check_each(sessions, doc, timeouts=1)
+        assert [r.status for r in reports] == ["timeout", "valid", "valid"]
+        assert pools == [0, 0]
+
+    def test_a_full_table_drops_its_oldest_verdict(self):
+        verdicts = Verdicts(size=4)
+        session = OracleSession(3, verdicts)
+        for k in range(10):
+            reports, pools = check_each([session], numbered_doc(k))
+            assert pools == [0]
+            assert reports[0].status == ("valid" if k % 2 == 0 else "failed")
+            assert len(verdicts) == min(k + 1, 4)
+        # The newest four are kept; the first was dropped and is decided
+        # again, which drops the next oldest.
+        _, pools = check_each([session], numbered_doc(9))
+        assert pools == []
+        reports, pools = check_each([session], numbered_doc(0))
+        assert pools == [0] and reports[0].status == "valid"
+        assert len(verdicts) == 4
+        assert 1000 <= VERDICTS_SIZE < 100000
+
+    def test_threads_share_one_table(self):
+        # What start_session does with a backend's table, but a small one,
+        # so the threads also drop verdicts while others insert them.
+        verdicts = Verdicts(size=8)
+        docs = [numbered_doc(k) for k in range(24)]
+        statuses = [[] for _ in range(6)]
+
+        def work(out):
+            session = OracleSession(3, verdicts)
+            for doc in docs:
+                out.append(session.check_document(doc).status)
+
+        threads = [threading.Thread(target=work, args=(out,)) for out in statuses]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        want = ["valid" if k % 2 == 0 else "failed" for k in range(24)]
+        assert statuses == [want] * 6
+        assert len(verdicts) == 8
+
+
+def _brute_satisfiable(clauses, nvars):
+    for bits in itertools.product((False, True), repeat=nvars):
+        if all(any(bits[abs(l) - 1] == (l > 0) for l in c) for c in clauses):
+            return True
+    return False
+
+
+class TestSolver:
+    @settings(max_examples=300, deadline=None)
+    @given(SEEDS)
+    def test_agrees_with_truth_tables(self, seed):
+        rng = random.Random(seed)
+        nvars = rng.randint(1, 8)
+        clauses = [
+            [rng.choice((1, -1)) * rng.randint(1, nvars) for _ in range(width)]
+            for width in [rng.randint(1, 3) for _ in range(rng.randint(1, 4 * nvars))]
+        ]
+        assert oracle._satisfiable(clauses, nvars) is _brute_satisfiable(
+            clauses, nvars
+        )
 
 
 def width4_problem():
