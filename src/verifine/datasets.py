@@ -15,8 +15,7 @@ answer is appended to the question stem.
 
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .pipeline import Fact, NLIProblem
 
@@ -42,41 +41,16 @@ class DuplicateId(DatasetError):
         super().__init__("duplicate problem id %r at line %d" % (problem_id, line))
 
 
-@dataclass(frozen=True)
-class MCQAItem:
-    id: str
-    question: str
-    options: Tuple[str, ...]
-    answer_index: int
-    explanation: Tuple[str, ...]
-    annotations: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "options", tuple(self.options))
-        object.__setattr__(self, "explanation", tuple(self.explanation))
-        object.__setattr__(self, "annotations", dict(self.annotations))
-        if not 0 <= self.answer_index < len(self.options):
-            raise ValueError(
-                "answer_index %d outside options (%d given)"
-                % (self.answer_index, len(self.options))
-            )
-
-
 _WH_RE = re.compile(
     r"\b(what|which|who|whom|whose|where|when|why|how)\b", re.IGNORECASE
 )
 _BLANK_RE = re.compile(r"_{2,}")
 
 
-def mcqa_to_nli(item: MCQAItem) -> NLIProblem:
-    """Turn a multiple-choice item into an entailment problem.
-
-    The hypothesis is the question with the correct option substituted
-    in; there is no premise.  The explanation sentences carry over with
-    fresh positional ids.
-    """
-    answer = item.options[item.answer_index].strip()
-    stem = item.question.strip().rstrip("?").rstrip()
+def mcqa_hypothesis(question: str, answer: str) -> str:
+    """The question of a multiple-choice item with its correct option
+    substituted in, as an entailment hypothesis."""
+    stem = question.strip().rstrip("?").rstrip()
     if _BLANK_RE.search(stem):
         hypothesis = _BLANK_RE.sub(answer, stem, count=1)
     else:
@@ -85,15 +59,7 @@ def mcqa_to_nli(item: MCQAItem) -> NLIProblem:
             hypothesis = stem[: match.start()] + answer + stem[match.end():]
         else:
             hypothesis = "%s %s" % (stem, answer)
-    hypothesis = re.sub(r"\s+", " ", hypothesis).strip()
-    return NLIProblem(
-        id=item.id,
-        premise_text=None,
-        hypothesis_text=hypothesis,
-        explanation=_number_facts(item.explanation),
-        source="mcqa",
-        annotations=item.annotations,
-    )
+    return re.sub(r"\s+", " ", hypothesis).strip()
 
 
 def _number_facts(sentences: Sequence[str]) -> Tuple[Fact, ...]:
@@ -123,14 +89,13 @@ def _explanation_list(record: dict, line: int) -> List[str]:
     return sentences
 
 
-def _annotations(record: dict, line: int) -> dict:
-    notes = {}
-    if "dataset" in record:
-        value = _require(record, "dataset", str, line)
-        if not value:
-            raise SchemaError(line, "dataset", "must be non-empty when present")
-        notes["dataset"] = value
-    return notes
+def _dataset(record: dict, line: int) -> str:
+    if "dataset" not in record:
+        return "default"
+    value = _require(record, "dataset", str, line)
+    if not value:
+        raise SchemaError(line, "dataset", "must be non-empty when present")
+    return value
 
 
 def _entailment_row(record: dict, line: int) -> NLIProblem:
@@ -148,12 +113,14 @@ def _entailment_row(record: dict, line: int) -> NLIProblem:
         premise_text=premise.strip() if premise and premise.strip() else None,
         hypothesis_text=hypothesis.strip(),
         explanation=_number_facts(_explanation_list(record, line)),
-        source="entailment",
-        annotations=_annotations(record, line),
+        dataset=_dataset(record, line),
     )
 
 
-def _mcqa_row(record: dict, line: int) -> MCQAItem:
+def _mcqa_row(record: dict, line: int) -> NLIProblem:
+    """A multiple-choice row as an entailment problem: the hypothesis is
+    the question with the correct option substituted in, there is no
+    premise, and the explanation sentences get positional ids."""
     problem_id = _require(record, "id", str, line)
     if not problem_id:
         raise SchemaError(line, "id", "must be non-empty")
@@ -166,13 +133,12 @@ def _mcqa_row(record: dict, line: int) -> MCQAItem:
     answer_index = _require(record, "answer_index", int, line)
     if isinstance(answer_index, bool) or not 0 <= answer_index < len(options):
         raise SchemaError(line, "answer_index", "outside the options list")
-    return MCQAItem(
+    return NLIProblem(
         id=problem_id,
-        question=question.strip(),
-        options=tuple(o.strip() for o in options),
-        answer_index=answer_index,
-        explanation=tuple(_explanation_list(record, line)),
-        annotations=_annotations(record, line),
+        premise_text=None,
+        hypothesis_text=mcqa_hypothesis(question, options[answer_index].strip()),
+        explanation=_number_facts(_explanation_list(record, line)),
+        dataset=_dataset(record, line),
     )
 
 
@@ -205,7 +171,7 @@ def load_problems(path: str, fmt: str = "auto") -> List[NLIProblem]:
                 raise SchemaError(line_no, "-", "record must be an object")
             kind = _detect_format(record) if fmt == "auto" else fmt
             if kind == "mcqa":
-                problem = mcqa_to_nli(_mcqa_row(record, line_no))
+                problem = _mcqa_row(record, line_no)
             else:
                 problem = _entailment_row(record, line_no)
             if problem.id in seen:
@@ -225,6 +191,6 @@ def save_problems(problems: Iterable[NLIProblem], path: str) -> None:
                 "hypothesis": problem.hypothesis_text,
                 "explanation": [f.text for f in problem.explanation],
             }
-            if "dataset" in problem.annotations:
-                record["dataset"] = problem.annotations["dataset"]
+            if problem.dataset != "default":
+                record["dataset"] = problem.dataset
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")

@@ -46,6 +46,9 @@ T = TypeVar("T")
 
 MODES = ("live", "record", "replay")
 
+# The environment variable whose value, when set, is sent as a bearer token.
+API_KEY_ENV = "VERIFINE_API_KEY"
+
 
 class GatewayError(Exception):
     """Base class for gateway failures."""
@@ -97,7 +100,6 @@ class LLMConfig:
     retry_attempts: int = 3
     backoff_base_s: float = 1.0
     http_timeout_s: float = 120.0
-    api_key_env: str = "VERIFINE_API_KEY"
 
     def __post_init__(self):
         if not 0.0 <= self.temperature <= 2.0:
@@ -403,7 +405,7 @@ def complete(
         "max_tokens": cfg.max_tokens,
         "prompt": prompt,
         "http_timeout": cfg.http_timeout_s,
-        "api_key": os.environ.get(cfg.api_key_env, ""),
+        "api_key": os.environ.get(API_KEY_ENV, ""),
     }
     response = _call_with_retries(transport or http_transport, request, cfg)
     if mode == "record":

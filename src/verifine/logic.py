@@ -38,7 +38,8 @@ syntax so rendered conjunction chains stay flat in both syntaxes.
 Formulas are immutable, so a parse is shared: each syntax's parser keeps
 the trees of recently parsed texts (up to PARSE_CACHE_SIZE of them) and
 hands the same tree to every caller, across problems and threads.  A
-text that fails to parse is never kept and raises on every call.
+text that fails to parse is never kept and raises on every call.  The
+nodes are slotted dataclasses, so a kept tree carries no per-node dict.
 """
 
 import functools
@@ -90,7 +91,7 @@ class ArityConflict(LogicError):
         )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Variable:
     name: str
 
@@ -102,7 +103,7 @@ class Variable:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredicateSymbol:
     name: str
     arity: int
@@ -117,11 +118,13 @@ class PredicateSymbol:
 class Formula:
     """Abstract base; use the concrete node classes below."""
 
+    __slots__ = ()
+
     def __str__(self):
         return render_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(Formula):
     pred: PredicateSymbol
     args: Tuple[Variable, ...]
@@ -132,24 +135,24 @@ class Atom(Formula):
             raise ArityError(self.pred.name, (self.pred.arity, len(self.args)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
@@ -171,7 +174,7 @@ def _normalise_binder(node, vars_, body):
     object.__setattr__(node, "body", body)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(Formula):
     vars: Tuple[Variable, ...]
     body: Formula
@@ -180,7 +183,7 @@ class Forall(Formula):
         _normalise_binder(self, self.vars, self.body)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(Formula):
     vars: Tuple[Variable, ...]
     body: Formula

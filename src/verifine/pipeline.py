@@ -33,7 +33,7 @@ import re
 import threading
 import typing
 from concurrent.futures import Future
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .llm import (
@@ -89,15 +89,11 @@ log = logging.getLogger(__name__)
 
 FINAL_STATUSES = ("valid_initially", "refined_valid", "exhausted_invalid")
 
-PROBLEM_SOURCES = ("entailment", "mcqa")
-
-
 class FormulaRejected(Exception):
     """A produced formula could not be adopted into the theory."""
 
     def __init__(self, sentence_id: str, detail: str):
         self.sentence_id = sentence_id
-        self.detail = detail
         super().__init__(detail)
 
 
@@ -119,25 +115,17 @@ class NLIProblem:
     premise_text: Optional[str]
     hypothesis_text: str
     explanation: Tuple[Fact, ...]
-    source: str = "entailment"
-    annotations: Mapping[str, str] = field(default_factory=dict)
+    dataset: str = "default"
 
     def __post_init__(self):
         object.__setattr__(self, "explanation", tuple(self.explanation))
-        object.__setattr__(self, "annotations", dict(self.annotations))
         if not self.id:
             raise ValueError("problem id must be non-empty")
         if not self.hypothesis_text.strip():
             raise ValueError("hypothesis must be non-empty")
-        if self.source not in PROBLEM_SOURCES:
-            raise ValueError("source must be one of %s" % (PROBLEM_SOURCES,))
         ids = [f.id for f in self.explanation]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate fact ids: %s" % ids)
-
-    @property
-    def dataset(self) -> str:
-        return self.annotations.get("dataset", "default")
 
 
 @dataclass(frozen=True)

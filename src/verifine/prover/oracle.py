@@ -6,7 +6,9 @@ anonymous constants.  Universals expand to conjunctions over the pool,
 existentials to disjunctions.  Entailment of a goal from premises is then
 decided propositionally: the premises plus the negated goal are clausified
 and handed to a small DPLL solver, and the goal is entailed exactly when
-that set is unsatisfiable.
+that set is unsatisfiable.  The clause form is one-sided (Plaisted &
+Greenbaum 1986): an auxiliary variable names a nested conjunction and
+only implies it, so the solver branches on the ground atoms alone.
 
 How many fresh constants a session grounds over depends on the
 entailment.  When no existential sits under a universal in the negation
@@ -33,7 +35,7 @@ ran out of time is not remembered.
 import itertools
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..logic import (
     And,
@@ -75,7 +77,16 @@ class OracleTimeout(ProverError):
 def _satisfiable(
     clauses: List[List[int]], nvars: int, deadline: Optional[float] = None
 ) -> bool:
-    """DPLL with unit propagation and chronological backtracking."""
+    """DPLL with unit propagation and chronological backtracking,
+    deciding variables 1..nvars only.
+
+    Any higher variable must be a one-sided auxiliary: no clause holds
+    more than one negated auxiliary.  Once the decided variables are all
+    set and propagation finds no conflict, every clause not yet satisfied
+    holds at least two open auxiliaries, one of them positive, so setting
+    each open auxiliary true satisfies the set.  With nvars covering
+    every variable the search is complete on any CNF.
+    """
     for clause in clauses:
         if not clause:
             return False
@@ -152,15 +163,11 @@ def _satisfiable(
             return True
         decisions.append((len(trail), var, False))
         push(var)
-        start = len(trail) - 1
-        while True:
-            conflict = propagate(start)
-            if conflict is None:
-                break
+        while propagate(len(trail) - 1) is not None:
+            # Both values of a flipped decision failed; reopen the newest
+            # decision still untried the other way.
             while decisions and decisions[-1][2]:
-                mark, _, _ = decisions.pop()
-                while len(trail) > mark:
-                    assign.pop(abs(trail.pop()))
+                decisions.pop()
             if not decisions:
                 return False
             mark, lit, _ = decisions.pop()
@@ -168,7 +175,6 @@ def _satisfiable(
                 assign.pop(abs(trail.pop()))
             decisions.append((mark, -lit, True))
             push(-lit)
-            start = len(trail) - 1
 
 
 # --- grounding -------------------------------------------------------------
@@ -191,12 +197,10 @@ class _Grounder:
         key = (name, elems)
         var = self.atom_vars.get(key)
         if var is None:
-            var = self.next_var
-            self.next_var += 1
-            self.atom_vars[key] = var
+            var = self.atom_vars[key] = self.new_var()
         return var
 
-    def new_aux(self) -> int:
+    def new_var(self) -> int:
         var = self.next_var
         self.next_var += 1
         return var
@@ -208,23 +212,14 @@ class _Grounder:
             return ("lit", -var if neg else var)
         if isinstance(f, Not):
             return self.ground(f.child, env, not neg)
-        if isinstance(f, And):
-            kind = "or" if neg else "and"
+        if isinstance(f, (And, Or, Implies)):
+            # Negation swaps conjunction and disjunction; an implication is
+            # a disjunction whose left side is negated.
+            kind = "and" if isinstance(f, And) != neg else "or"
+            left_neg = neg != isinstance(f, Implies)
             return self._merge(
                 kind,
-                [self.ground(f.left, env, neg), self.ground(f.right, env, neg)],
-            )
-        if isinstance(f, Or):
-            kind = "and" if neg else "or"
-            return self._merge(
-                kind,
-                [self.ground(f.left, env, neg), self.ground(f.right, env, neg)],
-            )
-        if isinstance(f, Implies):
-            kind = "and" if neg else "or"
-            return self._merge(
-                kind,
-                [self.ground(f.left, env, not neg), self.ground(f.right, env, neg)],
+                [self.ground(f.left, env, left_neg), self.ground(f.right, env, neg)],
             )
         if isinstance(f, (Forall, Exists)):
             universal = isinstance(f, Forall)
@@ -255,24 +250,28 @@ class _Grounder:
                 flat.append(part)
         return (kind, flat)
 
-    def clausify(self, tree) -> List[List[int]]:
+    def clausify(self, tree, guard: Tuple[int, ...] = ()) -> List[List[int]]:
+        """The tree's clauses, each led by `guard`.
+
+        A disjunction's non-literal child is named by a fresh auxiliary,
+        and the child's clauses are guarded by that auxiliary negated, so
+        they define it.  No other auxiliary occurs negated: every clause
+        holds at most one negated auxiliary, its guard (the one-sided form
+        `_satisfiable` relies on).
+        """
         if tree[0] == "lit":
-            return [[tree[1]]]
+            return [[*guard, tree[1]]]
         if tree[0] == "and":
-            out: List[List[int]] = []
-            for child in tree[1]:
-                out.extend(self.clausify(child))
-            return out
-        clause: List[int] = []
+            return [c for child in tree[1] for c in self.clausify(child, guard)]
+        clause = list(guard)
         extra: List[List[int]] = []
         for child in tree[1]:
             if child[0] == "lit":
                 clause.append(child[1])
             else:
-                aux = self.new_aux()
+                aux = self.new_var()
                 clause.append(aux)
-                for sub in self.clausify(child):
-                    extra.append([-aux] + sub)
+                extra.extend(self.clausify(child, (-aux,)))
         return [clause] + extra
 
 
@@ -304,11 +303,13 @@ def entails(
         domain_size = 1
     grounder = _Grounder(domain_size, deadline)
     env = {name: idx for idx, name in enumerate(frees)}
-    clauses: List[List[int]] = []
-    for premise in premises:
-        clauses.extend(grounder.clausify(grounder.ground(premise, env, False)))
-    clauses.extend(grounder.clausify(grounder.ground(goal, env, True)))
-    return not _satisfiable(clauses, grounder.next_var - 1, deadline)
+    # Every formula is grounded before any is clausified, so the ground
+    # atoms are variables 1..atoms and the auxiliaries come after them.
+    trees = [grounder.ground(premise, env, False) for premise in premises]
+    trees.append(grounder.ground(goal, env, True))
+    atoms = grounder.next_var - 1
+    clauses = [clause for tree in trees for clause in grounder.clausify(tree)]
+    return not _satisfiable(clauses, atoms, deadline)
 
 
 def _skolem_constants(
@@ -418,15 +419,18 @@ class OracleSession:
         started = time.monotonic()
         deadline = started + timeout_s
         try:
-            if doc.proof:
-                return self._check_proof(doc, deadline, started)
-            return self._check_direct(doc, deadline, started)
+            for line_no, premises, goal, failure in self._entailments(doc):
+                if goal is None or not self._entails(premises, goal, deadline):
+                    message = _line_message(doc, line_no, failure)
+                    elapsed = time.monotonic() - started
+                    return build_report("failed", [message], elapsed, doc)
         except OracleTimeout:
             elapsed = time.monotonic() - started
             message = ProverMessage(
                 "error", "Timeout: solve budget of %.1fs exhausted" % timeout_s
             )
             return build_report("timeout", [message], elapsed, doc)
+        return build_report("valid", [], time.monotonic() - started, doc)
 
     def close(self):
         self.closed = True
@@ -446,27 +450,28 @@ class OracleSession:
             slot.append(entails(premises, goal, fresh, deadline))
         return slot[0]
 
-    def _check_direct(
-        self, doc: TheoryDoc, deadline: float, started: float
-    ) -> CheckReport:
-        premises = [a.formula for a in doc.axioms]
-        if doc.theorem.premise_assumption is not None:
-            premises.append(doc.theorem.premise_assumption)
-        ok = self._entails(premises, doc.theorem.goal, deadline)
-        elapsed = time.monotonic() - started
-        if ok:
-            return build_report("valid", [], elapsed, doc)
-        message = _line_message(
-            doc,
-            shows_line(doc),
-            "Failed to finish proof: goal is not entailed from the assumptions "
-            "at domain bound %d" % self.domain_bound,
+    def _entailments(
+        self, doc: TheoryDoc
+    ) -> Iterator[Tuple[int, List[Formula], Optional[Formula], str]]:
+        """The entailments a check asks, in order, as (line, premises,
+        goal, failure text); a step goal that does not parse comes with
+        goal None and ends the check.
+        """
+        assumption = doc.theorem.premise_assumption
+        assumed = [] if assumption is None else [assumption]
+        if not doc.proof:
+            yield (
+                shows_line(doc),
+                [a.formula for a in doc.axioms] + assumed,
+                doc.theorem.goal,
+                "Failed to finish proof: goal is not entailed from the "
+                "assumptions at domain bound %d" % self.domain_bound,
+            )
+            return
+        failure = (
+            "Failed to finish proof: step goal is not entailed at domain "
+            "bound %d" % self.domain_bound
         )
-        return build_report("failed", [message], elapsed, doc)
-
-    def _check_proof(
-        self, doc: TheoryDoc, deadline: float, started: float
-    ) -> CheckReport:
         axioms = {a.name: a.formula for a in doc.axioms}
         previous: Optional[Formula] = None
         # A TheoryDoc refuses a citation it does not declare, so every
@@ -476,28 +481,14 @@ class OracleSession:
             if step.kind is not StepKind.FROM_ASM_HAVE and previous is not None:
                 premises.append(previous)
             for fact in step.facts_used:
-                if fact != ASSUMPTION_NAME:
-                    premises.append(axioms[fact])
-                elif doc.theorem.premise_assumption is not None:
-                    premises.append(doc.theorem.premise_assumption)
-            error = None
+                premises.extend(assumed if fact == ASSUMPTION_NAME else [axioms[fact]])
             if step.kind is StepKind.THEN_SHOW_THESIS:
-                goal = doc.theorem.goal
-            else:
-                try:
-                    goal = parse_inner_formula(step.goal_text)
-                except TheoryParseError as exc:
-                    error = "Inner syntax error in proof step: %s" % exc
-            if error is None and not self._entails(premises, goal, deadline):
-                error = (
-                    "Failed to finish proof: step goal is not entailed at "
-                    "domain bound %d" % self.domain_bound
-                )
-            if error is not None:
-                message = _line_message(doc, line_no, error)
-                return build_report(
-                    "failed", [message], time.monotonic() - started, doc
-                )
-            if step.kind is not StepKind.THEN_SHOW_THESIS:
-                previous = goal
-        return build_report("valid", [], time.monotonic() - started, doc)
+                yield line_no, premises, doc.theorem.goal, failure
+                continue
+            try:
+                previous = parse_inner_formula(step.goal_text)
+            except TheoryParseError as exc:
+                error = "Inner syntax error in proof step: %s" % exc
+                yield line_no, premises, None, error
+                return
+            yield line_no, premises, previous, failure

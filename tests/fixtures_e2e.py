@@ -80,14 +80,14 @@ def worked_example_problems():
         premise_text=LADY_PREMISE,
         hypothesis_text=LADY_HYPOTHESIS,
         explanation=(Fact("f1", LADY_IT0),),
-        annotations={"dataset": "esnli"},
+        dataset="esnli",
     )
     bartender = NLIProblem(
         id="esnli_bartender",
         premise_text=BARTENDER_PREMISE,
         hypothesis_text=BARTENDER_HYPOTHESIS,
         explanation=(Fact("f1", BARTENDER_IT0),),
-        annotations={"dataset": "esnli"},
+        dataset="esnli",
     )
     return [lady, bartender]
 
@@ -398,7 +398,7 @@ def batch_problems(count=50):
                 premise_text=_batch_premise(family),
                 hypothesis_text=_BATCH_HYPOTHESIS,
                 explanation=(Fact("f1", first),),
-                annotations={"dataset": _BATCH_DATASETS[i % 3]},
+                dataset=_BATCH_DATASETS[i % 3],
             )
         )
     return problems

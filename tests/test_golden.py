@@ -8,6 +8,7 @@ when a regenerated corpus silently stops reaching one of them.
 Regenerate the data with `python3 tests/make_replay_fixtures.py`.
 """
 
+import json
 import os
 import re
 
@@ -99,6 +100,11 @@ def _unknown_ids(parse, block):
     return set(listed) - set(known_ids)
 
 
+def _corpus_rows(corpus):
+    with open(os.path.join(DATA_DIR, CORPORA[corpus][0]), encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
 def paths_coverage(problems, traces, served):
     rounds = [r for t in traces for r in t.iterations]
     failed_steps = {r.feedback.failed_step_index for r in rounds if r.feedback}
@@ -177,7 +183,10 @@ def paths_coverage(problems, traces, served):
             and t.total_iterations == RefinerConfig.max_refinement_iterations
             for t in traces
         ),
-        "mcqa row": any(p.source == "mcqa" for p in problems),
+        "mcqa row": any(
+            "question" in row and row["id"] in {p.id for p in problems}
+            for row in _corpus_rows("paths")
+        ),
     })
     return covered
 

@@ -15,10 +15,9 @@ from verifine.batch import _safe_stem, run_batch
 from verifine.cli import _llm_config, build_parser, main
 from verifine.datasets import (
     DuplicateId,
-    MCQAItem,
     SchemaError,
     load_problems,
-    mcqa_to_nli,
+    mcqa_hypothesis,
     save_problems,
 )
 from verifine.llm import TranscriptCache
@@ -84,7 +83,7 @@ class TestEntailmentRows:
                 premise_text="Premise one.",
                 hypothesis_text="Hypothesis one.",
                 explanation=(Fact("f1", "Fact one."), Fact("f2", "Fact two.")),
-                annotations={"dataset": "esnli"},
+                dataset="esnli",
             ),
             NLIProblem(
                 id="b",
@@ -105,7 +104,7 @@ class TestEntailmentRows:
         assert problem.premise_text is None
         assert problem.hypothesis_text == "Tidy."
         assert problem.explanation == (Fact("f1", "x"),)
-        assert problem.source == "entailment"
+        assert problem.dataset == "esnli"
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = str(tmp_path / "p.jsonl")
@@ -189,8 +188,7 @@ MCQA_ROW = {
 
 class TestMCQAConversion:
     def convert(self, question, options, answer_index=0):
-        item = MCQAItem("q", question, tuple(options), answer_index, ())
-        return mcqa_to_nli(item).hypothesis_text
+        return mcqa_hypothesis(question, options[answer_index])
 
     def test_blank_marker_receives_the_answer(self):
         assert (
@@ -237,33 +235,27 @@ class TestMCQAConversion:
             == "Sound travels through steel best"
         )
 
-    def test_converted_problem_shape(self):
-        item = MCQAItem(
-            "q7",
-            MCQA_ROW["question"],
-            tuple(MCQA_ROW["options"]),
-            1,
-            tuple(MCQA_ROW["explanation"]),
-            {"dataset": "qasc"},
-        )
-        problem = mcqa_to_nli(item)
-        assert problem.premise_text is None
-        assert problem.source == "mcqa"
-        assert problem.explanation == (
-            Fact("f1", "Copper is a metal."),
-            Fact("f2", "Metals conduct electricity."),
-        )
-        assert problem.annotations == {"dataset": "qasc"}
-
-    def test_answer_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            MCQAItem("q", "Q?", ("a",), 1, ())
+    def test_converted_problem_shape(self, tmp_path):
+        path = str(tmp_path / "m.jsonl")
+        write_jsonl(path, [MCQA_ROW])
+        assert load_problems(path) == [
+            NLIProblem(
+                id="q1",
+                premise_text=None,
+                hypothesis_text="copper conducts electricity",
+                explanation=(
+                    Fact("f1", "Copper is a metal."),
+                    Fact("f2", "Metals conduct electricity."),
+                ),
+                dataset="qasc",
+            )
+        ]
 
     def test_loading_detects_mixed_formats(self, tmp_path):
         path = str(tmp_path / "mixed.jsonl")
         write_jsonl(path, [ROW, MCQA_ROW])
         problems = load_problems(path)
-        assert [p.source for p in problems] == ["entailment", "mcqa"]
+        assert [p.premise_text for p in problems] == ["A premise.", None]
         assert problems[1].hypothesis_text == "copper conducts electricity"
 
     def test_boolean_answer_index_rejected(self, tmp_path):

@@ -747,6 +747,127 @@ class TestSolver:
         )
 
 
+def solver_input(premises, goal, fresh):
+    """The clauses `entails` hands the solver, with the count of variables
+    it asks to be decided and the count of all variables."""
+    seen = []
+    solve = oracle._satisfiable
+
+    def record(clauses, nvars, deadline=None):
+        seen.append((clauses, nvars))
+        return solve(clauses, nvars, deadline)
+
+    with mock.patch.object(oracle, "_satisfiable", record):
+        entails(premises, goal, fresh)
+    ((clauses, atoms),) = seen
+    return clauses, atoms, max(abs(lit) for clause in clauses for lit in clause)
+
+
+def _alternating(rng, depth, cls=Or):
+    """A quantifier-free formula over P and Q whose conjunctions and
+    disjunctions alternate, so its clauses nest definitions in definitions."""
+    if depth == 0 or rng.random() < 0.25:
+        pred = PredicateSymbol(rng.choice("PQ"), 1)
+        atom = Atom(pred, (Variable(rng.choice(NAMES)),))
+        return Not(atom) if rng.random() < 0.5 else atom
+    other = And if cls is Or else Or
+    return cls(_alternating(rng, depth - 1, other), _alternating(rng, depth - 1, other))
+
+
+class TestAtomSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(SEEDS)
+    def test_deciding_atoms_agrees_with_truth_tables(self, seed):
+        axioms, premise, goal = random_problem(seed)
+        rng = random.Random(seed + 1)
+        premises = axioms + [premise, _alternating(rng, 4)]
+        clauses, atoms, nvars = solver_input(premises, goal, 1)
+        assume(nvars <= 12)
+        # The contract `_satisfiable` states for the variables it leaves open.
+        for clause in clauses:
+            assert sum(lit < -atoms for lit in clause) <= 1
+        # Fixing some atoms leads propagation into the nested definitions.
+        clauses += [
+            [rng.choice((var, -var))]
+            for var in range(1, atoms + 1)
+            if rng.random() < 0.7
+        ]
+        assert oracle._satisfiable(clauses, atoms) is _brute_satisfiable(
+            clauses, nvars
+        )
+
+    def test_nested_definitions_stay_one_sided(self):
+        # Two disjuncts each name a conjunction that holds a disjunction
+        # naming another conjunction; the atoms make every disjunct false.
+        nested = parse_formula(
+            "P(a) | ((Q(a) | (R(a) & S(a))) & T(a)) | ((Q(b) | (R(b) & S(b))) & T(b))"
+        )
+        facts = parse_formula(
+            "~P(a) & ~Q(a) & ~Q(b) & ~R(a) & ~R(b) & S(a) & S(b) & T(a) & T(b)"
+        )
+        goal = parse_formula("exists x. Z(x)")
+        clauses, atoms, nvars = solver_input([nested, facts], goal, 0)
+        assert atoms < nvars
+        for clause in clauses:
+            assert sum(lit < -atoms for lit in clause) <= 1
+        assert entails([nested, facts], goal, 0)
+        assert brute_entails([nested, facts], goal, 0)
+
+    def test_tautological_goal_under_existential_axioms_is_quick(self):
+        # Branching on the auxiliaries as well as the atoms takes this
+        # check past 20 s.
+        doc = problem_doc(*random_problem(1303))
+        premises, goal = premises_of(doc), doc.theorem.goal
+        fresh = skolem_constants(premises, goal)
+        assert fresh == 4
+        assert entails(premises, goal, fresh, deadline=time.monotonic() + 2)
+
+    def test_generated_problem_is_decided_within_its_budget(self):
+        doc = problem_doc(*random_problem(1721))
+        report = OracleSession(3).check_document(doc, timeout_s=5)
+        assert report.status == "failed"
+
+
+@pytest.mark.parametrize(
+    "text,neg,tree",
+    [
+        ("P(a) & Q(a)", False, ("and", [("lit", 1), ("lit", 2)])),
+        ("P(a) & Q(a)", True, ("or", [("lit", -1), ("lit", -2)])),
+        ("P(a) | Q(a)", False, ("or", [("lit", 1), ("lit", 2)])),
+        ("P(a) | Q(a)", True, ("and", [("lit", -1), ("lit", -2)])),
+        ("P(a) -> Q(a)", False, ("or", [("lit", -1), ("lit", 2)])),
+        ("P(a) -> Q(a)", True, ("and", [("lit", 1), ("lit", -2)])),
+        (
+            "(P(a) -> Q(a)) & ~(Q(a) | P(a) & R(a))",
+            False,
+            (
+                "and",
+                [
+                    ("or", [("lit", -1), ("lit", 2)]),
+                    ("lit", -2),
+                    ("or", [("lit", -1), ("lit", -3)]),
+                ],
+            ),
+        ),
+        (
+            "(P(a) -> Q(a)) & ~(Q(a) | P(a) & R(a))",
+            True,
+            (
+                "or",
+                [
+                    ("and", [("lit", 1), ("lit", -2)]),
+                    ("lit", 2),
+                    ("and", [("lit", 1), ("lit", 3)]),
+                ],
+            ),
+        ),
+    ],
+)
+def test_binary_connectives_ground_by_polarity(text, neg, tree):
+    grounder = oracle._Grounder(1)
+    assert grounder.ground(parse_formula(text), {"a": 0}, neg) == tree
+
+
 def width4_problem():
     """Four axioms over four variables and ten named constants: about a
     second of grounding at three fresh elements."""

@@ -77,7 +77,7 @@ def gadget_problem(*fact_texts):
         premise_text=GADGET_PREMISE,
         hypothesis_text=GADGET_HYPOTHESIS,
         explanation=facts,
-        annotations={"dataset": "unit"},
+        dataset="unit",
     )
 
 
@@ -1008,7 +1008,7 @@ def adversarial_corpus(count=25, seed=4207):
                 premise_text=premise,
                 hypothesis_text=hypothesis,
                 explanation=(Fact("f1", fact),),
-                annotations={"dataset": "synthetic"},
+                dataset="synthetic",
             )
         )
     return problems, table
