@@ -4,6 +4,10 @@ Worker threads only compute; the main thread is the single writer of
 trace files, so concurrent runs never interleave output.  A problem
 whose run blows up (rather than failing gracefully inside the loop)
 still yields a trace: exhausted, zero iterations, diagnostic attached.
+
+On an Isabelle backend the batch holds one server session: the first
+problem to open a session starts it, every later problem attaches its
+own connection to it by id, and `run_batch` stops it when it returns.
 """
 
 import json
@@ -20,6 +24,7 @@ from .pipeline import (
     run_refiner,
     trace_to_dict,
 )
+from .prover import batch_session
 
 log = logging.getLogger(__name__)
 
@@ -87,7 +92,7 @@ def run_batch(
         if on_result is not None:
             on_result(trace)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with batch_session(cfg.backend), ThreadPoolExecutor(max_workers=workers) as pool:
         pending = {
             pool.submit(run_refiner, problem, cfg): index
             for index, problem in enumerate(problems)

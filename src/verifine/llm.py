@@ -13,8 +13,9 @@ many worker threads (writes are serialised through a lock; the last
 record for a key wins on load).
 
 The HTTP transport uses only the standard library.  Each thread keeps
-one connection alive per endpoint, and the proxy settings come from the
-`http_proxy`, `https_proxy` and `no_proxy` environment variables.
+one connection alive, to the endpoint it called last, and the proxy
+settings come from the `http_proxy`, `https_proxy` and `no_proxy`
+environment variables.
 
 The gateway knows no stage's output format: `extract_stage_output`
 reads the last fenced block of a reply and hands it to the parser the
@@ -222,18 +223,24 @@ def render_prompt(stage: StageKind, bindings: Mapping[str, str]) -> str:
 Transport = Callable[[dict], str]
 
 
-class _Connections(dict):
-    """One thread's open connections, by (scheme, host, port, proxy);
-    closed when the thread ends and drops them."""
+class _Connection:
+    """One thread's open connection and the (scheme, host, port, proxy)
+    it serves.  A call to another endpoint replaces it, so a thread that
+    outlives a run keeps no connection to that run's endpoint once it
+    calls another; it is closed when the thread ends and drops it."""
+
+    def __init__(self):
+        self.key: Optional[tuple] = None
+        self.conn: Optional[http.client.HTTPConnection] = None
 
     def __del__(self):
-        for conn in self.values():
-            conn.close()
+        if self.conn is not None:
+            self.conn.close()
 
 
 class _KeptAlive(threading.local):
     def __init__(self):
-        self.connections = _Connections()
+        self.connection = _Connection()
 
 
 _kept_alive = _KeptAlive()
@@ -290,9 +297,12 @@ def _post(
         target = "http://%s%s" % (url.netloc, target)
         headers = dict(headers, **_proxy_headers(proxy))
     key = (url.scheme, url.hostname, url.port, proxy)
-    conn = _kept_alive.connections.get(key)
-    if conn is None:
-        conn = _kept_alive.connections[key] = _connect(url, proxy)
+    kept = _kept_alive.connection
+    if kept.key != key:
+        if kept.conn is not None:
+            kept.conn.close()
+        kept.key, kept.conn = key, _connect(url, proxy)
+    conn = kept.conn
     reused = conn.sock is not None
     conn.timeout = timeout
     if reused:

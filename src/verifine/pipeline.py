@@ -14,16 +14,34 @@ MalformedStageOutput.  Stage failures never abort a problem: a malformed
 stage output consumes the round and the loop moves on with whatever it
 has.  A check that times out ends its round with that report.
 
+A round is a small dataflow.  ROUGH_INFERENCE reads only the
+explanation, so it starts with the round.  Once DETECT_EVENTS answers,
+every sentence not yet formalised gets its SENTENCE_TO_LOGIC call at
+once.  Once both the strategy and the formalised theory exist,
+CONSTRUCT_PROOF starts on that theory while the syntax sub-loop checks
+it; its reply is used only when the sub-loop hands back an equal
+theory, and otherwise CONSTRUCT_PROOF is asked again on the repaired
+one.  Replies are read in the serial order, and a round drops every
+reply the serial loop would not have asked for: the formulas after the
+first that fails, the strategy and proof of a round whose formalisation
+fails or whose check times out, and the speculative proof of a repaired
+theory.  A round ends only once every call it started has settled.
+`PipelineContext.start` decides how a call runs: on the module's stage
+pool when it waits on the network (live and record mode through the
+HTTP transport), and otherwise inline at its first read, so replayed and
+scripted runs make exactly the serial loop's calls in its order.
+
 A problem's rounds share one prover session, closed when the problem
 ends.  It is reopened only when a check has left it unusable: a timed-out
 Isabelle check kills its session.  An Isabelle session opens on a helper
 thread while the round formalises and is joined at the round's first
 check, so its start-up overlaps the round's first LLM calls; an oracle
-session is a plain object and opens inline.  A backend that cannot open
-a session ends the problem with a diagnostic on the trace and no
-recorded round, even when formalisation failed meanwhile.  So with a
-dead backend, round 0's formalisation calls are made before the failure
-shows.
+session is a plain object and opens inline.  Under `run_batch` the
+Isabelle sessions of all problems attach to one server session (see
+`verifine.prover`).  A backend that cannot open a session ends the
+problem with a diagnostic on the trace and no recorded round, even when
+formalisation failed meanwhile.  So with a dead backend, round 0's
+formalisation calls are made before the failure shows.
 """
 
 import enum
@@ -32,7 +50,7 @@ import logging
 import re
 import threading
 import typing
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -209,6 +227,72 @@ class RefinerConfig:
         checked_timeout(self.timeout_s)
 
 
+# Threads that run the stage calls waiting on the network, shared by every
+# problem of the process.  A task on it never waits for another task, so
+# any number of calls completes on any number of threads.
+STAGE_THREADS = 8
+_stage_pool = ThreadPoolExecutor(STAGE_THREADS, thread_name_prefix="verifine-stage")
+
+
+class _Deferred:
+    """A stage call made on the reading thread, at its first `result()`.
+
+    It stands in for the stage pool's `Future`, with the part of that
+    interface a round uses.  A call cancelled before it is made is never
+    made, and done-callbacks run once it is made.
+    """
+
+    def __init__(self, call: Callable):
+        self._call: Optional[Callable] = call
+        self._callbacks: List[Callable] = []
+        self._made = False
+        self._value = None
+        self._error: Optional[Exception] = None
+
+    def result(self):
+        if self._call is not None:
+            call, self._call = self._call, None
+            try:
+                self._value = call()
+            except Exception as exc:
+                self._error = exc
+            self._made = True
+            for callback in self._callbacks:
+                callback(self)
+        if self._error is not None:
+            raise self._error
+        if not self._made:
+            raise CancelledError()
+        return self._value
+
+    def done(self) -> bool:
+        return self._made
+
+    def exception(self) -> Optional[Exception]:
+        return self._error
+
+    def cancel(self) -> bool:
+        self._call = None
+        return not self._made
+
+    def add_done_callback(self, callback: Callable) -> None:
+        if self._made:
+            callback(self)
+        else:
+            self._callbacks.append(callback)
+
+
+# A started stage call: on the stage pool, or deferred.
+_Call = typing.Union[Future, _Deferred]
+
+
+def _drop(future: _Call) -> None:
+    """Discard a call's reply: cancel it if it has not begun, else wait
+    for it to settle, so no call outlives the round that started it."""
+    if not future.cancel():
+        future.exception()
+
+
 class PipelineContext:
     """Per-problem state: the problem, stage calls and formalisation caches."""
 
@@ -231,6 +315,32 @@ class PipelineContext:
         cfg = self.cfg
         raw = complete(stage, bindings, cfg.llm, cfg.mode, cfg.cache, cfg.transport)
         return extract_stage_output(stage, raw, parse)
+
+    def start(
+        self, stage: StageKind, bindings: Mapping[str, str], parse: Callable
+    ) -> _Call:
+        """Begin one stage call, whose result is `ask`'s value or the
+        MalformedStageOutput it raised.  A call that may wait on the
+        network (a live or record run through the HTTP transport) runs
+        on the stage pool; any other is deferred to its first
+        `result()`, so the run makes its calls in the order it reads
+        them."""
+        cfg = self.cfg
+        if cfg.mode != "replay" and cfg.transport is None:
+            return _stage_pool.submit(self._attempt, stage, bindings, parse)
+        return _Deferred(functools.partial(self._attempt, stage, bindings, parse))
+
+    def _attempt(
+        self, stage: StageKind, bindings: Mapping[str, str], parse: Callable
+    ):
+        try:
+            return self.ask(stage, bindings, parse)
+        except MalformedStageOutput as exc:
+            # Returned, and as a copy never raised: a future keeps its
+            # call's outcome, and a traceback's frames reach the future
+            # through their callers, which would make the round cyclic
+            # garbage.
+            return MalformedStageOutput(exc.stage, exc.reason)
 
     def next_fact_id(self) -> str:
         while True:
@@ -282,19 +392,36 @@ def _one_line_formula(block: str) -> str:
     return " ".join(block.split("\n"))
 
 
-def _sentence_formula(sentence: str, role: str, ctx: PipelineContext) -> str:
-    key = (role, sentence)
-    cached = ctx.formulas.get(key)
-    if cached is not None:
-        return cached
-    events = ctx.events.get(sentence, [])
-    bindings = {
-        "sentence": sentence,
-        "role": role,
-        "events": ", ".join(events) if events else "(none)",
-    }
-    text = ctx.ask(StageKind.SENTENCE_TO_LOGIC, bindings, _one_line_formula)
-    ctx.formulas[key] = text
+def _start_formulas(
+    keys: Sequence[Tuple[str, str]], ctx: PipelineContext
+) -> Dict[Tuple[str, str], _Call]:
+    """One SENTENCE_TO_LOGIC call per distinct (role, sentence) key not
+    yet formalised, all started at once."""
+    calls: Dict[Tuple[str, str], _Call] = {}
+    for key in keys:
+        if key in ctx.formulas or key in calls:
+            continue
+        role, sentence = key
+        events = ctx.events.get(sentence, [])
+        bindings = {
+            "sentence": sentence,
+            "role": role,
+            "events": ", ".join(events) if events else "(none)",
+        }
+        stage = StageKind.SENTENCE_TO_LOGIC
+        calls[key] = ctx.start(stage, bindings, _one_line_formula)
+    return calls
+
+
+def _sentence_formula(
+    key: Tuple[str, str], calls: Mapping[Tuple[str, str], _Call], ctx: PipelineContext
+) -> str:
+    text = ctx.formulas.get(key)
+    if text is None:
+        text = calls[key].result()
+        if isinstance(text, MalformedStageOutput):
+            raise text
+        ctx.formulas[key] = text
     return text
 
 
@@ -324,25 +451,26 @@ def formalise(
         ctx = PipelineContext(cfg, problem)
     facts = tuple(explanation if explanation is not None else problem.explanation)
 
-    sentences = []
+    # (role, sentence) keys with the id a rejected formula is named by,
+    # read in this order; the calls after the first failure are dropped.
+    named = []
     if problem.premise_text:
-        sentences.append(problem.premise_text)
-    sentences.extend(f.text for f in facts)
-    sentences.append(problem.hypothesis_text)
-    _detect_events(sentences, ctx)
-
-    premise_formula: Optional[Formula] = None
-    if problem.premise_text:
-        text = _sentence_formula(problem.premise_text, _ROLE_PREMISE, ctx)
-        premise_formula = _parse_sentence_formula("premise", text)
-
-    fact_formulas = []
-    for fact in facts:
-        text = _sentence_formula(fact.text, _ROLE_FACT, ctx)
-        fact_formulas.append(_parse_sentence_formula(fact.id, text))
-
-    goal_text = _sentence_formula(problem.hypothesis_text, _ROLE_HYPOTHESIS, ctx)
-    goal = _parse_sentence_formula("hypothesis", goal_text)
+        named.append(((_ROLE_PREMISE, problem.premise_text), "premise"))
+    named.extend(((_ROLE_FACT, f.text), f.id) for f in facts)
+    named.append(((_ROLE_HYPOTHESIS, problem.hypothesis_text), "hypothesis"))
+    _detect_events([sentence for (_, sentence), _ in named], ctx)
+    calls = _start_formulas([key for key, _ in named], ctx)
+    try:
+        formulas = [
+            _parse_sentence_formula(name, _sentence_formula(key, calls, ctx))
+            for key, name in named
+        ]
+    finally:
+        for call in calls.values():
+            _drop(call)
+    premise_formula = formulas.pop(0) if problem.premise_text else None
+    goal = formulas.pop()
+    fact_formulas = formulas
 
     # The building blocks check themselves in this order: open facts,
     # then the premise, then the goal, then arities across formulas.
@@ -402,7 +530,7 @@ def refine_syntax_loop(
     """Check the proofless theory and repair syntax errors, at most
     cfg.syntax_iterations times.  Residual errors are carried forward."""
     cfg = ctx.cfg
-    current = doc.without_proof()
+    current = doc.without_proof() if doc.proof else doc
     report = check_theory(handle, current, cfg.timeout_s)
     before = syntax_error_count(report, current)
     used = 0
@@ -462,35 +590,97 @@ def _attach_proof(doc: TheoryDoc, block: str) -> TheoryDoc:
     return doc.with_proof(parse_proof_block(block))
 
 
+class _ProofCalls:
+    """A round's ROUGH_INFERENCE call, started with the round, and the
+    CONSTRUCT_PROOF call on the formalised theory, started by whichever
+    comes second: the strategy or that theory.  Leaving the block drops
+    the replies `prove` did not read, once they settle."""
+
+    def __init__(self, ctx: PipelineContext, facts: Sequence[Fact]):
+        self._ctx = ctx
+        self._lock = threading.Lock()
+        self._theory: Optional[TheoryDoc] = None
+        self._proof: Optional[_Call] = None
+        self._settled = False
+        problem = ctx.problem
+        bindings = {
+            "premise": problem.premise_text or "(none)",
+            "hypothesis": problem.hypothesis_text,
+            "facts": _facts_listing(facts),
+        }
+        parse = functools.partial(_parse_strategy, [f.id for f in facts])
+        self._strategy = ctx.start(StageKind.ROUGH_INFERENCE, bindings, parse)
+        self._strategy.add_done_callback(self._start_proof)
+
+    def formalised(self, doc: TheoryDoc) -> None:
+        with self._lock:
+            self._theory = doc
+        self._start_proof()
+
+    def _start_proof(self, _: object = None) -> None:
+        with self._lock:
+            if self._settled or self._proof is not None or self._theory is None:
+                return
+            # Not cancelled: only leaving the block cancels, once settled.
+            call = self._strategy
+            if not call.done() or call.exception():
+                return
+            strategy = call.result()
+            if not isinstance(strategy, MalformedStageOutput):
+                self._proof = self._ask_proof(self._theory, strategy)
+
+    def _ask_proof(self, doc: TheoryDoc, strategy: InferenceStrategy) -> _Call:
+        bindings = {"theory": doc.rendered, "strategy": strategy.narrative or "(none)"}
+        parse = functools.partial(_attach_proof, doc)
+        return self._ctx.start(StageKind.CONSTRUCT_PROOF, bindings, parse)
+
+    def prove(self, doc: TheoryDoc) -> Tuple[Optional[InferenceStrategy], TheoryDoc]:
+        strategy = self._strategy.result()
+        if isinstance(strategy, MalformedStageOutput):
+            log.debug("rough inference unusable: %s", strategy)
+            return None, doc
+        self._start_proof()
+        with self._lock:
+            proof = self._proof if doc == self._theory else None
+        if proof is None:
+            proof = self._ask_proof(doc, strategy)
+        proved = proof.result()
+        if isinstance(proved, MalformedStageOutput):
+            log.debug("proof construction unusable: %s", proved)
+            return strategy, doc
+        return strategy, proved
+
+    def __enter__(self) -> "_ProofCalls":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._settled = True
+        _drop(self._strategy)
+        if self._proof is not None:
+            _drop(self._proof)
+        # The strategy's done-callback holds this object: let go of the
+        # futures, so the round's garbage needs no cycle collection.
+        self._strategy = self._proof = None
+
+
 def infer_and_prove(
-    ctx: PipelineContext, doc: TheoryDoc, facts: Sequence[Fact]
+    ctx: PipelineContext,
+    doc: TheoryDoc,
+    facts: Sequence[Fact],
+    calls: Optional[_ProofCalls] = None,
 ) -> Tuple[Optional[InferenceStrategy], TheoryDoc]:
     """Sketch the argument, then construct and attach a linear proof.
 
-    Either stage may fail; the round then proceeds with what it has
-    (no strategy, or a proofless theory) and the check reports accordingly.
+    `calls` are the round's proof calls, already started on `facts`;
+    by default they start here.  Either stage may fail; the round then
+    proceeds with what it has (no strategy, or a proofless theory) and
+    the check reports accordingly.
     """
-    problem = ctx.problem
-    bindings = {
-        "premise": problem.premise_text or "(none)",
-        "hypothesis": problem.hypothesis_text,
-        "facts": _facts_listing(facts),
-    }
-    parse = functools.partial(_parse_strategy, [f.id for f in facts])
-    try:
-        strategy = ctx.ask(StageKind.ROUGH_INFERENCE, bindings, parse)
-    except MalformedStageOutput as exc:
-        log.debug("rough inference unusable: %s", exc)
-        return None, doc
-
-    bindings = {"theory": doc.rendered, "strategy": strategy.narrative or "(none)"}
-    try:
-        doc = ctx.ask(
-            StageKind.CONSTRUCT_PROOF, bindings, functools.partial(_attach_proof, doc)
-        )
-    except MalformedStageOutput as exc:
-        log.debug("proof construction unusable: %s", exc)
-    return strategy, doc
+    if calls is not None:
+        return calls.prove(doc)
+    with _ProofCalls(ctx, facts) as calls:
+        return calls.prove(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -652,52 +842,55 @@ class _ProblemSession:
 def _run_iteration(
     ctx: PipelineContext, explanation: Tuple[Fact, ...], session: _ProblemSession
 ) -> IterationRecord:
-    cfg = ctx.cfg
-    failure: Optional[Exception] = None
-    try:
-        doc = formalise(ctx.problem, cfg, explanation, ctx)
-    except (MalformedStageOutput, FormulaRejected) as exc:
-        failure = exc
-    finally:
-        # A failed session open outranks whatever formalisation raised.
-        handle = session.handle()
-    if failure is not None:
-        report = _synthetic_failure_report(str(failure))
-        bundle = FeedbackBundle(str(failure))
+    # A round ends only once every call it started has settled.
+    with _ProofCalls(ctx, explanation) as calls:
+        cfg = ctx.cfg
+        failure: Optional[Exception] = None
+        try:
+            doc = formalise(ctx.problem, cfg, explanation, ctx)
+        except (MalformedStageOutput, FormulaRejected) as exc:
+            failure = exc
+        finally:
+            # A failed session open outranks whatever formalisation raised.
+            handle = session.handle()
+        if failure is not None:
+            report = _synthetic_failure_report(str(failure))
+            bundle = FeedbackBundle(str(failure))
+            return IterationRecord(
+                explanation_before=explanation,
+                theory=None,
+                syntax_iterations_used=0,
+                syntax_errors_before=0,
+                syntax_errors_after=0,
+                report=report,
+                feedback=bundle,
+                explanation_after=explanation,
+            )
+        calls.formalised(doc)
+        syntax = refine_syntax_loop(ctx, doc, handle)
+        # A timed-out check ends the round: its report is the round's report.
+        strategy, doc, report = None, syntax.doc, syntax.last_report
+        if report.status != "timeout":
+            strategy, doc = infer_and_prove(ctx, doc, explanation, calls)
+            report = check_theory(handle, doc, cfg.timeout_s)
+        if report.status == "valid":
+            feedback = None
+            processed = len(doc.proof)
+        else:
+            feedback = _assemble_feedback(report, doc, strategy)
+            processed = feedback.failed_step_index or 0
         return IterationRecord(
             explanation_before=explanation,
-            theory=None,
-            syntax_iterations_used=0,
-            syntax_errors_before=0,
-            syntax_errors_after=0,
+            theory=doc,
+            syntax_iterations_used=syntax.iterations_used,
+            syntax_errors_before=syntax.errors_before,
+            syntax_errors_after=syntax.errors_after,
             report=report,
-            feedback=bundle,
+            feedback=feedback,
             explanation_after=explanation,
+            proof_steps_suggested=len(doc.proof),
+            proof_steps_processed=processed,
         )
-    syntax = refine_syntax_loop(ctx, doc, handle)
-    # A timed-out check ends the round: its report is the round's report.
-    strategy, doc, report = None, syntax.doc, syntax.last_report
-    if report.status != "timeout":
-        strategy, doc = infer_and_prove(ctx, doc, explanation)
-        report = check_theory(handle, doc, cfg.timeout_s)
-    if report.status == "valid":
-        feedback = None
-        processed = len(doc.proof)
-    else:
-        feedback = _assemble_feedback(report, doc, strategy)
-        processed = feedback.failed_step_index or 0
-    return IterationRecord(
-        explanation_before=explanation,
-        theory=doc,
-        syntax_iterations_used=syntax.iterations_used,
-        syntax_errors_before=syntax.errors_before,
-        syntax_errors_after=syntax.errors_after,
-        report=report,
-        feedback=feedback,
-        explanation_after=explanation,
-        proof_steps_suggested=len(doc.proof),
-        proof_steps_processed=processed,
-    )
 
 
 def run_refiner(problem: NLIProblem, cfg: RefinerConfig) -> RefinementTrace:

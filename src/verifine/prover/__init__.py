@@ -1,20 +1,39 @@
-"""Prover backends: a live Isabelle server or a local ground oracle."""
+"""Prover backends: a live Isabelle server or a local ground oracle.
 
+`start_session` opens one problem's session.  Inside `batch_session`,
+the problems on an Isabelle backend share one server session: the first
+to open starts it, every later one attaches its own connection to it by
+id, closing a problem's session drops only its connection, and leaving
+`batch_session` stops the server session.  Outside it, each session an
+Isabelle backend opens is started and stopped by its own connection.
+"""
+
+import contextlib
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from ..theory import TheoryDoc
-from .isabelle import IsabelleSession
+from .isabelle import IsabelleSession, SharedSession
 from .messages import CheckReport
 from .oracle import OracleSession, Verdicts
 
 
 @dataclass(frozen=True)
 class IsabelleServer:
+    """An Isabelle server.
+
+    Each value holds a `SharedSession`, not a field, through which the
+    problems of a batch on it share one server session.
+    """
+
     host: str
     port: int
     password: str
     session_name: str = "HOL"
+
+    def __post_init__(self):
+        shared = SharedSession(self.host, self.port, self.password, self.session_name)
+        object.__setattr__(self, "shared", shared)
 
 
 @dataclass(frozen=True)
@@ -42,17 +61,31 @@ SessionHandle = Union[IsabelleSession, OracleSession]
 def start_session(backend: ProverBackend) -> SessionHandle:
     """Open a prover session for the given backend.
 
-    Isabelle sessions connect, authenticate, build and start the prover
-    session eagerly, so the errors (ConnectFailed, AuthFailed,
-    SessionBuildFailed) surface here rather than at first check.
+    Isabelle sessions connect, authenticate, and build and start the
+    prover session (or attach to the batch's) eagerly, so the errors
+    (ConnectFailed, AuthFailed, SessionBuildFailed) surface here rather
+    than at first check.
     """
     if isinstance(backend, GroundOracle):
         return OracleSession(backend.domain_bound, backend.verdicts)
     if isinstance(backend, IsabelleServer):
-        return IsabelleSession(
-            backend.host, backend.port, backend.password, backend.session_name
-        )
+        return backend.shared.open()
     raise TypeError("unknown backend: %r" % (backend,))
+
+
+@contextlib.contextmanager
+def batch_session(backend: ProverBackend) -> Iterator[None]:
+    """Share one Isabelle server session among the sessions opened on
+    `backend` inside this block, and stop it on leaving; an oracle
+    backend is unaffected."""
+    if not isinstance(backend, IsabelleServer):
+        yield
+        return
+    backend.shared.hold()
+    try:
+        yield
+    finally:
+        backend.shared.release()
 
 
 def checked_timeout(timeout_s: float) -> float:

@@ -12,6 +12,15 @@ ignored here.
 Each proof check writes the theory file into a fresh scratch directory,
 so the server sees a new node every time and stale results are never
 replayed across the repeated checks a refinement round performs.
+
+A server session outlives the connection that started it, so another
+connection can attach to it by its `session_id` and check theories
+without `session_build` or `session_start`.  A `SharedSession` hands
+out such connections: while a batch holds it, the first connection
+starts the session, every later one attaches, closing any of them drops
+only that connection, and the last release stops the session over a
+fresh connection.  Otherwise each connection starts a session of its
+own and stops it when closed.
 """
 
 import json
@@ -20,6 +29,7 @@ import os
 import shutil
 import socket
 import tempfile
+import threading
 import time
 from typing import List, Optional, Tuple
 
@@ -63,7 +73,13 @@ def _encode_args(args: Optional[dict]) -> str:
 
 
 class IsabelleSession:
-    """One server connection owning one prover session."""
+    """One server connection to one prover session.
+
+    Without `session_id` the connection builds and starts a session,
+    which it owns; with it, the connection attaches to that running
+    session, which it does not own.  `close` stops the session first
+    only while `owns_session` is true.
+    """
 
     def __init__(
         self,
@@ -73,9 +89,11 @@ class IsabelleSession:
         session_name: str = "HOL",
         connect_timeout: float = 10.0,
         build_timeout: float = 600.0,
+        session_id: Optional[str] = None,
     ):
         self.session_name = session_name
-        self.session_id: Optional[str] = None
+        self.session_id = session_id
+        self.owns_session = session_id is None
         self._buf = b""
         self._dead = False
         self._check_counter = 0
@@ -94,7 +112,8 @@ class IsabelleSession:
                 raise AuthFailed("no handshake reply: %s" % exc)
             if kind != "OK":
                 raise AuthFailed("server refused password: %s" % kind)
-            self._start(build_timeout)
+            if session_id is None:
+                self._start(build_timeout)
             self._workdir = tempfile.mkdtemp(prefix="verifine_thy_")
         except BaseException:
             self._sock.close()
@@ -314,7 +333,7 @@ class IsabelleSession:
     # -- lifecycle
 
     def close(self):
-        if self._dead:
+        if self._dead or not self.owns_session:
             self._cleanup()
             return
         try:
@@ -336,3 +355,52 @@ class IsabelleSession:
         except OSError:
             pass
         shutil.rmtree(self._workdir, ignore_errors=True)
+
+
+class SharedSession:
+    """The prover session that the connections of a batch attach to.
+
+    `hold` and `release` bracket a batch; holds nest.  While held, the
+    first `open` starts the session under the lock, and every later
+    `open` attaches its own connection to it.  A failed start leaves no
+    session, so the next `open` tries again.  The last `release` stops
+    the session over a fresh connection.  While not held, `open` starts
+    a session that its connection owns and stops on close.
+    """
+
+    def __init__(self, host: str, port: int, password: str, session_name: str):
+        self._server = (host, port, password, session_name)
+        self._lock = threading.Lock()
+        self._holds = 0
+        self._session_id: Optional[str] = None
+
+    def hold(self) -> None:
+        with self._lock:
+            self._holds += 1
+
+    def release(self) -> None:
+        with self._lock:
+            self._holds -= 1
+            if self._holds:
+                return
+            session_id, self._session_id = self._session_id, None
+        if session_id is None:
+            return
+        try:
+            stopper = IsabelleSession(*self._server, session_id=session_id)
+            stopper.owns_session = True
+            stopper.close()
+        except ProverError as exc:
+            log.warning("could not stop prover session %s: %s", session_id, exc)
+
+    def open(self) -> IsabelleSession:
+        with self._lock:
+            held, session_id = self._holds > 0, self._session_id
+            if held and session_id is None:
+                session = IsabelleSession(*self._server)
+                session.owns_session = False
+                self._session_id = session.session_id
+                return session
+        if not held:
+            return IsabelleSession(*self._server)
+        return IsabelleSession(*self._server, session_id=session_id)

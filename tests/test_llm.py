@@ -7,6 +7,7 @@ import hashlib
 import json
 import socket
 import string
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -186,6 +187,45 @@ class TestTranscriptCache:
         path = str(tmp_path / "deep" / "cache.jsonl")
         TranscriptCache(path).put(Transcript("k", "p", "r", "t"))
         assert TranscriptCache(path).get("k") is not None
+
+    def test_concurrent_puts_each_write_one_intact_line(self, tmp_path):
+        """Record mode writes from the stage pool's threads at once."""
+        path = str(tmp_path / "cache.jsonl")
+        cache = TranscriptCache(path)
+        threads, puts = 8, 40
+        start = threading.Barrier(threads)
+        want = {
+            "k%d.%d" % (t, i): "reply %d.%d " % (t, i) + "x" * 4000
+            for t in range(threads)
+            for i in range(puts)
+        }
+
+        def put_many(t):
+            start.wait(timeout=10)
+            for i in range(puts):
+                key = "k%d.%d" % (t, i)
+                cache.put(Transcript(key, "prompt " + key, want[key], "t"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=put_many, args=(t,)) for t in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        with open(path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh.read().splitlines()]
+        assert sorted(r["key"] for r in records) == sorted(want)
+        assert all(r["response"] == want[r["key"]] for r in records)
+        reloaded = TranscriptCache(path)
+        assert len(reloaded) == len(want)
+        assert all(reloaded.get(key) == reply for key, reply in want.items())
 
 
 class TestCompleteModes:
@@ -492,6 +532,17 @@ class TestKeptAliveTransport:
         assert http_transport(http_request(url)) == "fallback"
         assert len(server.seen) == 2
         assert server.connections == 2
+
+    def test_a_thread_keeps_one_connection_to_the_endpoint_it_called_last(
+        self, keepalive_endpoint
+    ):
+        """A stage-pool thread outlives the run whose endpoint it called,
+        so calling another endpoint closes the old connection."""
+        first, first_url = keepalive_endpoint
+        with stub_server(_KeepAliveHandler) as (second, second_url):
+            for url in (first_url, second_url, first_url, first_url):
+                assert http_transport(http_request(url)) == "fallback"
+        assert (first.connections, second.connections) == (2, 1)
 
     def test_silent_server_times_out_as_transient(self):
         listener = socket.socket()

@@ -7,6 +7,7 @@ OK/NOTE/FINISHED/FAILED task settlement.  Tests against a live server
 run only when VERIFINE_ISABELLE_HOST and friends are exported.
 """
 
+import collections
 import json
 import os
 import socket
@@ -52,6 +53,10 @@ class FakeIsabelleServer:
         self.use_theories_payload = None
         # Connections whose client hung up.
         self.hangups = 0
+        # Session ids started and not yet stopped, with how often each
+        # was started; use_theories on any other id is refused.
+        self.live_sessions = collections.Counter()
+        self._sessions_lock = threading.Lock()
         self._tasks = 0
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -147,8 +152,14 @@ class FakeIsabelleServer:
                     payload = {"task": task}
                     if self.session_id is not None:
                         payload["session_id"] = self.session_id
+                        with self._sessions_lock:
+                            self.live_sessions[self.session_id] += 1
                     self._send(conn, "FINISHED %s" % json.dumps(payload))
                 elif name == "use_theories":
+                    session_id = args.get("session_id")
+                    if not self.live_sessions[session_id]:
+                        self._send(conn, "ERROR \"no running session %s\"" % session_id)
+                        continue
                     task = self._task()
                     self._send(conn, "OK %s" % json.dumps({"task": task}))
                     if self.hang_on_use_theories:
@@ -174,6 +185,8 @@ class FakeIsabelleServer:
                     payload["task"] = task
                     self._send(conn, "FINISHED %s" % json.dumps(payload))
                 elif name == "session_stop":
+                    with self._sessions_lock:
+                        self.live_sessions[args.get("session_id")] -= 1
                     task = self._task()
                     self._send(conn, "OK %s" % json.dumps({"task": task}))
                     self._send(
