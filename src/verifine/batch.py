@@ -8,6 +8,8 @@ still yields a trace: exhausted, zero iterations, diagnostic attached.
 On an Isabelle backend the batch holds one server session: the first
 problem to open a session starts it, every later problem attaches its
 own connection to it by id, and `run_batch` stops it when it returns.
+A check that times out retires the session, and the next problem to
+open starts a fresh one, which `run_batch` stops too.
 """
 
 import json

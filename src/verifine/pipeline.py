@@ -48,6 +48,7 @@ import enum
 import functools
 import logging
 import re
+import sys
 import threading
 import typing
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
@@ -228,10 +229,11 @@ class RefinerConfig:
 
 
 # Threads that run the stage calls waiting on the network, shared by every
-# problem of the process.  A task on it never waits for another task, so
-# any number of calls completes on any number of threads.
-STAGE_THREADS = 8
-_stage_pool = ThreadPoolExecutor(STAGE_THREADS, thread_name_prefix="verifine-stage")
+# problem of the process.  The pool sets no cap of its own: it starts a
+# thread only when none is idle, so it grows to the most calls in flight
+# at once, which the batch's workers and each round's fan-out bound.  No
+# task waits for another, and an idle thread keeps its connection.
+_stage_pool = ThreadPoolExecutor(sys.maxsize, thread_name_prefix="verifine-stage")
 
 
 class _Deferred:

@@ -3,9 +3,11 @@
 `start_session` opens one problem's session.  Inside `batch_session`,
 the problems on an Isabelle backend share one server session: the first
 to open starts it, every later one attaches its own connection to it by
-id, closing a problem's session drops only its connection, and leaving
-`batch_session` stops the server session.  Outside it, each session an
-Isabelle backend opens is started and stopped by its own connection.
+id, and closing a problem's session drops only its connection.  A
+check that times out retires its server session, so the next to open
+starts a fresh one.  Leaving `batch_session` stops every server session
+the batch started.  Outside it, each session an Isabelle backend opens
+is started and stopped by its own connection.
 """
 
 import contextlib

@@ -18,9 +18,11 @@ connection can attach to it by its `session_id` and check theories
 without `session_build` or `session_start`.  A `SharedSession` hands
 out such connections: while a batch holds it, the first connection
 starts the session, every later one attaches, closing any of them drops
-only that connection, and the last release stops the session over a
-fresh connection.  Otherwise each connection starts a session of its
-own and stops it when closed.
+only that connection, and the release stops the session over a fresh
+connection.  A check that times out may leave its task running in the
+session, so the batch retires that session: the next connection starts
+a fresh one, and the release stops both.  Outside a batch each
+connection starts a session of its own and stops it when closed.
 """
 
 import json
@@ -31,7 +33,7 @@ import socket
 import tempfile
 import threading
 import time
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..theory import TheoryDoc
 from .messages import (
@@ -78,7 +80,8 @@ class IsabelleSession:
     Without `session_id` the connection builds and starts a session,
     which it owns; with it, the connection attaches to that running
     session, which it does not own.  `close` stops the session first
-    only while `owns_session` is true.
+    only while `owns_session` is true.  `on_timeout`, when set, is
+    called with the session id after a check times out.
     """
 
     def __init__(
@@ -94,6 +97,7 @@ class IsabelleSession:
         self.session_name = session_name
         self.session_id = session_id
         self.owns_session = session_id is None
+        self.on_timeout: Optional[Callable[[str], None]] = None
         self._buf = b""
         self._dead = False
         self._check_counter = 0
@@ -275,6 +279,8 @@ class IsabelleSession:
             # is done; the round ends at this report and the next round
             # opens a fresh session.
             self._dead = True
+            if self.on_timeout is not None:
+                self.on_timeout(self.session_id)
             elapsed = time.monotonic() - started
             message = ProverMessage(
                 "error", "Timeout: prover gave no verdict within %.1fs" % timeout_s
@@ -360,47 +366,57 @@ class IsabelleSession:
 class SharedSession:
     """The prover session that the connections of a batch attach to.
 
-    `hold` and `release` bracket a batch; holds nest.  While held, the
-    first `open` starts the session under the lock, and every later
-    `open` attaches its own connection to it.  A failed start leaves no
-    session, so the next `open` tries again.  The last `release` stops
-    the session over a fresh connection.  While not held, `open` starts
-    a session that its connection owns and stops on close.
+    `hold` and `release` bracket a batch.  While held, the first `open`
+    starts the session under the lock, and every later `open` attaches
+    its own connection to it.  A failed start leaves no session, so the
+    next `open` tries again.  A check that times out retires its
+    session, so the next `open` starts a fresh one.  `release` stops
+    every session the batch started, each over a fresh connection.
+    While not held, `open` starts a session that its connection owns and
+    stops on close.
     """
 
     def __init__(self, host: str, port: int, password: str, session_name: str):
         self._server = (host, port, password, session_name)
         self._lock = threading.Lock()
-        self._holds = 0
+        self._held = False
         self._session_id: Optional[str] = None
+        self._retired: List[str] = []
 
     def hold(self) -> None:
-        with self._lock:
-            self._holds += 1
+        self._held = True
 
     def release(self) -> None:
         with self._lock:
-            self._holds -= 1
-            if self._holds:
-                return
-            session_id, self._session_id = self._session_id, None
-        if session_id is None:
-            return
-        try:
-            stopper = IsabelleSession(*self._server, session_id=session_id)
-            stopper.owns_session = True
-            stopper.close()
-        except ProverError as exc:
-            log.warning("could not stop prover session %s: %s", session_id, exc)
+            self._held = False
+            stale, self._retired = self._retired, []
+            if self._session_id is not None:
+                stale.append(self._session_id)
+            self._session_id = None
+        for session_id in stale:
+            try:
+                stopper = IsabelleSession(*self._server, session_id=session_id)
+                stopper.owns_session = True
+                stopper.close()
+            except ProverError as exc:
+                log.warning("could not stop prover session %s: %s", session_id, exc)
+
+    def _retire(self, session_id: str) -> None:
+        with self._lock:
+            if session_id == self._session_id:
+                self._retired.append(session_id)
+                self._session_id = None
 
     def open(self) -> IsabelleSession:
         with self._lock:
-            held, session_id = self._holds > 0, self._session_id
+            held, session_id = self._held, self._session_id
             if held and session_id is None:
                 session = IsabelleSession(*self._server)
                 session.owns_session = False
                 self._session_id = session.session_id
-                return session
         if not held:
             return IsabelleSession(*self._server)
-        return IsabelleSession(*self._server, session_id=session_id)
+        if session_id is not None:
+            session = IsabelleSession(*self._server, session_id=session_id)
+        session.on_timeout = self._retire
+        return session

@@ -47,7 +47,6 @@ from ..logic import (
     Not,
     Or,
     free_variables,
-    iter_atoms,
 )
 from ..theory import (
     ASSUMPTION_NAME,
@@ -185,33 +184,25 @@ _INSTANCES_PER_CLOCK_CHECK = 256
 
 
 class _Grounder:
-    """Maps ground atoms to propositional variables and clausifies.
+    """Maps ground atoms to propositional variables and clausifies."""
 
-    Atoms are numbered from 1 in grounding order, and auxiliaries from
-    `aux_base + 1` in clausifying order; `aux_base` is at least the
-    number of atoms the formulas can have, so the two never meet.
-    """
-
-    def __init__(
-        self, domain_size: int, aux_base: int, deadline: Optional[float] = None
-    ):
+    def __init__(self, domain_size: int, deadline: Optional[float] = None):
         self.domain = list(range(domain_size))
         self.deadline = deadline
         self.instances = 0
         self.atom_vars: Dict[Tuple[str, Tuple[int, ...]], int] = {}
-        self.aux_base = aux_base
-        self.next_aux = aux_base + 1
+        self.next_var = 1
 
     def atom_var(self, name: str, elems: Tuple[int, ...]) -> int:
         key = (name, elems)
         var = self.atom_vars.get(key)
         if var is None:
-            var = self.atom_vars[key] = len(self.atom_vars) + 1
+            var = self.atom_vars[key] = self.new_var()
         return var
 
     def new_var(self) -> int:
-        var = self.next_aux
-        self.next_aux += 1
+        var = self.next_var
+        self.next_var += 1
         return var
 
     def ground(self, f: Formula, env: Dict[str, int], neg: bool):
@@ -310,27 +301,14 @@ def entails(
     domain_size = len(frees) + fresh_constants
     if domain_size == 0:
         domain_size = 1
-    formulas = [*premises, goal]
-    predicates = {atom.pred for f in formulas for atom in iter_atoms(f)}
-    possible_atoms = sum(domain_size ** p.arity for p in predicates)
-    grounder = _Grounder(domain_size, possible_atoms, deadline)
+    grounder = _Grounder(domain_size, deadline)
     env = {name: idx for idx, name in enumerate(frees)}
-    # Each formula is clausified as soon as it is grounded, so only one
-    # grounded tree is alive at a time.
-    clauses: List[List[int]] = []
-    for index, formula in enumerate(formulas):
-        tree = grounder.ground(formula, env, index == len(premises))
-        clauses.extend(grounder.clausify(tree))
-    # Shift the auxiliaries down to follow the atoms: variables 1..atoms
-    # are the atoms, as `_satisfiable` decides them.
-    atoms = len(grounder.atom_vars)
-    gap = possible_atoms - atoms
-    if gap:
-        clauses = [
-            [lit if -possible_atoms <= lit <= possible_atoms
-             else lit - gap if lit > 0 else lit + gap for lit in clause]
-            for clause in clauses
-        ]
+    # Every formula is grounded before any is clausified, so the ground
+    # atoms are variables 1..atoms and the auxiliaries come after them.
+    trees = [grounder.ground(premise, env, False) for premise in premises]
+    trees.append(grounder.ground(goal, env, True))
+    atoms = grounder.next_var - 1
+    clauses = [clause for tree in trees for clause in grounder.clausify(tree)]
     return not _satisfiable(clauses, atoms, deadline)
 
 

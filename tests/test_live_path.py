@@ -251,9 +251,10 @@ def test_batch_starts_and_stops_one_session():
     assert [golden_line(t) for t in batched] == [golden_line(t) for t in alone]
 
 
-def test_a_timed_out_check_drops_only_its_connection():
+def test_a_timed_out_check_retires_the_batch_session():
     server = FakeIsabelleServer()
     server.hang_on_use_theories = True
+    server.numbered_sessions = True
     try:
         cfg = RefinerConfig(
             llm=gateway_config(),
@@ -267,11 +268,17 @@ def test_a_timed_out_check_drops_only_its_connection():
     finally:
         server.close()
     assert [r.report.status for r in trace.iterations] == ["timeout", "timeout"]
-    # The second round attaches a fresh connection to the batch's session.
-    lifecycle = ["session_build", "session_start", "use_theories", "session_stop"]
+    # The timed-out task may still run in its session, so the next round
+    # checks in a fresh one, and the batch stops both.
+    lifecycle = ["session_start", "use_theories", "session_stop"]
     assert commands(server, *lifecycle) == [
-        "session_build", "session_start", "use_theories", "use_theories", "session_stop",
+        "session_start", "use_theories", "session_start", "use_theories",
+        "session_stop", "session_stop",
     ]
+    checked = [a["session_id"] for n, a in server.requests if n == "use_theories"]
+    stopped = [a["session_id"] for n, a in server.requests if n == "session_stop"]
+    assert checked == stopped == ["sess-1", "sess-2"]
+    assert not +server.live_sessions
 
 
 def test_a_failed_start_leaves_no_batch_session():

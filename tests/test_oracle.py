@@ -864,7 +864,7 @@ class TestAtomSearch:
     ],
 )
 def test_binary_connectives_ground_by_polarity(text, neg, tree):
-    grounder = oracle._Grounder(1, aux_base=3)
+    grounder = oracle._Grounder(1)
     assert grounder.ground(parse_formula(text), {"a": 0}, neg) == tree
 
 

@@ -48,6 +48,9 @@ class FakeIsabelleServer:
         self.counted_replies = False
         self.close_on_connect = False
         self.hang_on_use_theories = False
+        # When set, the n-th session_start answers session id "sess-n".
+        self.numbered_sessions = False
+        self._starts = 0
         self.die_on_use_theories = False
         self.stray_task_noise = False
         self.use_theories_payload = None
@@ -150,10 +153,15 @@ class FakeIsabelleServer:
                         )
                         continue
                     payload = {"task": task}
-                    if self.session_id is not None:
-                        payload["session_id"] = self.session_id
-                        with self._sessions_lock:
-                            self.live_sessions[self.session_id] += 1
+                    session_id = self.session_id
+                    with self._sessions_lock:
+                        self._starts += 1
+                        if self.numbered_sessions:
+                            session_id = "sess-%d" % self._starts
+                        if session_id is not None:
+                            self.live_sessions[session_id] += 1
+                    if session_id is not None:
+                        payload["session_id"] = session_id
                     self._send(conn, "FINISHED %s" % json.dumps(payload))
                 elif name == "use_theories":
                     session_id = args.get("session_id")
