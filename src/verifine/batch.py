@@ -10,6 +10,10 @@ problem to open a session starts it, every later problem attaches its
 own connection to it by id, and `run_batch` stops it when it returns.
 A check that times out retires the session, and the next problem to
 open starts a fresh one, which `run_batch` stops too.
+
+In record mode, and in live mode at temperature 0, the batch's problems
+share model replies (`pipeline.batch_replies`): each distinct prompt is
+asked once, and the table is emptied when `run_batch` returns.
 """
 
 import json
@@ -23,6 +27,7 @@ from .pipeline import (
     NLIProblem,
     RefinementTrace,
     RefinerConfig,
+    batch_replies,
     run_refiner,
     trace_to_dict,
 )
@@ -94,7 +99,9 @@ def run_batch(
         if on_result is not None:
             on_result(trace)
 
-    with batch_session(cfg.backend), ThreadPoolExecutor(max_workers=workers) as pool:
+    with batch_session(cfg.backend), batch_replies(cfg), ThreadPoolExecutor(
+        max_workers=workers
+    ) as pool:
         pending = {
             pool.submit(run_refiner, problem, cfg): index
             for index, problem in enumerate(problems)

@@ -56,7 +56,13 @@ def _add_llm_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("language model")
     group.add_argument("--llm-endpoint", default="", help="chat completions URL")
     group.add_argument("--model", required=True, help="model name sent upstream")
-    group.add_argument("--temperature", type=float, default=0.0)
+    group.add_argument(
+        "--temperature",
+        type=float,
+        default=0.0,
+        help="sampling temperature in [0, 2]; at 0 a live refine or batch "
+        "run asks each distinct prompt once, above 0 it samples every ask",
+    )
     group.add_argument("--max-tokens", type=int, default=2048)
     group.add_argument(
         "--stage-model",
@@ -70,7 +76,9 @@ def _add_llm_flags(parser: argparse.ArgumentParser) -> None:
         "--mode",
         choices=("live", "record", "replay"),
         default="live",
-        help="live calls, record to cache, or replay from cache",
+        help="live calls, record to cache, or replay from cache; a refine "
+        "or batch run in record mode asks each distinct prompt once, and a "
+        "resumed one re-asks the prompts its cache holds",
     )
     group.add_argument("--cache", help="transcript cache path (JSONL)")
 

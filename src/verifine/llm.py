@@ -12,6 +12,12 @@ The cache file is append-only JSON lines, safe for a single process with
 many worker threads (writes are serialised through a lock; the last
 record for a key wins on load).
 
+Within one batch, a record run and a live run at temperature 0 ask each
+distinct prompt once: a `ReplyTable` hands later asks the first ask's
+reply, so a record run writes each key once.  A live run above
+temperature 0 samples every ask.  Record mode never reads its cache
+file, so a resumed record run still re-asks the prompts the file holds.
+
 The HTTP transport uses only the standard library.  Each thread keeps
 one connection alive, to the endpoint it called last, and the proxy
 settings come from the `http_proxy`, `https_proxy` and `no_proxy`
@@ -32,6 +38,7 @@ import ssl
 import string
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
@@ -105,6 +112,14 @@ class LLMConfig:
     def __post_init__(self):
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError("temperature must be within [0, 2]")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        if self.retry_attempts < 0:
+            raise ValueError("retry_attempts must be >= 0")
+        if not self.backoff_base_s >= 0:
+            raise ValueError("backoff_base_s must be >= 0")
+        if not self.http_timeout_s > 0:
+            raise ValueError("http_timeout_s must be > 0")
         object.__setattr__(
             self, "per_stage_overrides", dict(self.per_stage_overrides)
         )
@@ -188,6 +203,81 @@ class TranscriptCache:
                     )
                     + "\n"
                 )
+
+
+# The most replies a `ReplyTable` keeps at once.
+REPLY_TABLE_SIZE = 1024
+
+
+class ReplyTable:
+    """Raw model replies by (stage, bindings), shared by the problems of
+    one batch, so each distinct prompt reaches the model once.
+
+    `hold` and `release` bracket a batch; while not held, `reply` makes
+    every call.  The first ask of a prompt makes its call on its own
+    thread, and a concurrent ask of it waits for that running call, never
+    for a queued one.  A call that raises keeps nothing, so its error
+    reaches every ask waiting on it and the next ask calls again.  The
+    table holds at most REPLY_TABLE_SIZE replies and drops the oldest
+    settled one first; when every entry is still in flight, a new prompt
+    is asked without the table.  `release` of the last hold empties it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holds = 0
+        self._slots: Dict[tuple, Future] = {}
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def hold(self) -> None:
+        with self._lock:
+            self._holds += 1
+
+    def release(self) -> None:
+        with self._lock:
+            self._holds -= 1
+            if not self._holds:
+                self._slots.clear()
+
+    def reply(
+        self, stage: StageKind, bindings: Mapping[str, str], call: Callable[[], str]
+    ) -> str:
+        """The reply to the prompt of (stage, bindings): `call()`'s, made
+        here or by an earlier ask of it in the batch."""
+        if not self._holds:
+            return call()
+        key = (stage, tuple(sorted(bindings.items())))
+        with self._lock:
+            slot = self._slots.get(key)
+            # Released meanwhile: the table is empty and stays unused.
+            owner = slot is None and self._holds > 0 and self._make_room()
+            if owner:
+                slot = self._slots[key] = Future()
+        if slot is None:
+            return call()
+        if not owner:
+            return slot.result()
+        try:
+            raw = call()
+        except BaseException as exc:
+            with self._lock:
+                if self._slots.get(key) is slot:
+                    del self._slots[key]
+            slot.set_exception(exc)
+            raise
+        slot.set_result(raw)
+        return raw
+
+    def _make_room(self) -> bool:
+        if len(self._slots) < REPLY_TABLE_SIZE:
+            return True
+        for key, slot in self._slots.items():
+            if slot.done():
+                del self._slots[key]
+                return True
+        return False
 
 
 def transcript_key(

@@ -31,6 +31,14 @@ pool when it waits on the network (live and record mode through the
 HTTP transport), and otherwise inline at its first read, so replayed and
 scripted runs make exactly the serial loop's calls in its order.
 
+Inside `batch_replies`, which `run_batch` holds, the problems of a
+record run or of a live run at temperature 0 share model replies:
+`PipelineContext.ask` looks each call up by its stage and bindings, the
+first ask of a prompt calls the model, and every later or concurrent ask
+of it takes that reply and runs its own parser.  A dropped reply answers
+later asks too.  A live run above temperature 0 samples every ask, and
+replays, like `run_refiner` outside a batch, make every call.
+
 A problem's rounds share one prover session, closed when the problem
 ends.  It is reopened only when a check has left it unusable: a timed-out
 Isabelle check kills its session.  An Isabelle session opens on a helper
@@ -44,6 +52,7 @@ formalisation failed meanwhile.  So with a dead backend, round 0's
 formalisation calls are made before the failure shows.
 """
 
+import contextlib
 import enum
 import functools
 import logging
@@ -58,6 +67,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from .llm import (
     LLMConfig,
     MalformedStageOutput,
+    ReplyTable,
     TranscriptCache,
     Transport,
     complete,
@@ -211,6 +221,13 @@ class RefinementTrace:
 
 @dataclass
 class RefinerConfig:
+    """How a run asks the model and checks theories.
+
+    Each value holds a `ReplyTable`, not a field, through which the
+    problems of a batch run on it share model replies (see
+    `batch_replies`).
+    """
+
     llm: LLMConfig
     backend: ProverBackend
     mode: str = "live"
@@ -226,13 +243,32 @@ class RefinerConfig:
         if self.syntax_iterations < 0:
             raise ValueError("syntax_iterations must be >= 0")
         checked_timeout(self.timeout_s)
+        self.replies = ReplyTable()
+
+
+@contextlib.contextmanager
+def batch_replies(cfg: RefinerConfig) -> typing.Iterator[None]:
+    """Share model replies among the problems run on `cfg` inside this
+    block, so each distinct prompt is asked once, and empty the table on
+    leaving.  A record run and a live run at temperature 0 share; a
+    replay reads its cache anyway, and a live run above temperature 0
+    samples every ask."""
+    if cfg.mode == "replay" or (cfg.mode == "live" and cfg.llm.temperature > 0):
+        yield
+        return
+    cfg.replies.hold()
+    try:
+        yield
+    finally:
+        cfg.replies.release()
 
 
 # Threads that run the stage calls waiting on the network, shared by every
 # problem of the process.  The pool sets no cap of its own: it starts a
 # thread only when none is idle, so it grows to the most calls in flight
-# at once, which the batch's workers and each round's fan-out bound.  No
-# task waits for another, and an idle thread keeps its connection.
+# at once, which the batch's workers and each round's fan-out bound.  A
+# task waits only on a call already running on another thread, and an
+# idle thread keeps its connection.
 _stage_pool = ThreadPoolExecutor(sys.maxsize, thread_name_prefix="verifine-stage")
 
 
@@ -313,9 +349,13 @@ class PipelineContext:
     def ask(self, stage: StageKind, bindings: Mapping[str, str], parse: Callable):
         """One stage call: render, complete, then `parse` the reply's last
         fenced block.  Raises MalformedStageOutput when the reply has no
-        usable output."""
+        usable output.  Inside `batch_replies`, a prompt the batch has
+        asked already takes that ask's reply."""
         cfg = self.cfg
-        raw = complete(stage, bindings, cfg.llm, cfg.mode, cfg.cache, cfg.transport)
+        call = functools.partial(
+            complete, stage, bindings, cfg.llm, cfg.mode, cfg.cache, cfg.transport
+        )
+        raw = cfg.replies.reply(stage, bindings, call)
         return extract_stage_output(stage, raw, parse)
 
     def start(

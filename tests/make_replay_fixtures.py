@@ -5,9 +5,11 @@ Run from the repository root:
 
     python3 tests/make_replay_fixtures.py [--corpus NAME ...]
 
-The script records refiner runs against the scripted transports from
-fixtures_e2e, sanity-checks the resulting traces, then replays them from
-the freshly written caches to prove the recordings are self-contained.
+The script records each corpus against its scripted transport from
+fixtures_e2e as one `run_batch` with one worker, so each distinct prompt
+reaches the model once and the cache holds one line per key.  It
+sanity-checks the resulting traces, then replays them from the freshly
+written caches to prove the recordings are self-contained.
 The scrubbed replayed traces become the corpus's golden file, which the
 golden test compares every later replay against.
 """
@@ -19,6 +21,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from verifine.batch import run_batch
 from verifine.datasets import load_problems, save_problems
 from verifine.llm import TranscriptCache
 from verifine.pipeline import RefinerConfig, run_refiner
@@ -60,7 +63,7 @@ def _record_corpus(corpus, problems, transport, data_dir, check):
         os.remove(cache_path)
     cfg = _config("record", cache_path, transport)
     with corpus_sessions(corpus):
-        recorded = [run_refiner(problem, cfg) for problem in problems]
+        recorded = run_batch(problems, cfg, workers=1)
 
     cfg = _config("replay", cache_path, None)
     with corpus_sessions(corpus):

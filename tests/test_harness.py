@@ -959,6 +959,7 @@ class TestCLI:
             ("batch", "--workers", "0", "workers must be >= 1"),
             ("refine", "--temperature", "5", "temperature must be within [0, 2]"),
             ("refine", "--temperature", "nan", "temperature must be within [0, 2]"),
+            ("refine", "--max-tokens", "0", "max_tokens must be >= 1"),
             (
                 "refine",
                 "--max-iterations",

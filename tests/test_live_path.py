@@ -1,10 +1,12 @@
-"""The live path: stage calls on the stage pool over loopback HTTP, and
-one Isabelle server session per batch.
+"""The live path: stage calls on the stage pool over loopback HTTP, one
+model call per distinct prompt per batch, and one Isabelle server session
+per batch.
 
 Each recorded corpus is recorded again in record mode over a loopback
 chat endpoint that serves the corpus's scripted model, so every stage
 call runs on the stage pool; the traces must still equal the goldens.
-The session tests run batches against the scripted Isabelle stand-in of
+The reply-table tests count the calls that reach a scripted model.  The
+session tests run batches against the scripted Isabelle stand-in of
 `test_prover_client` and count the commands it receives.
 """
 
@@ -14,17 +16,18 @@ import json
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import verifine.llm
 import verifine.pipeline
 from verifine.batch import run_batch
 from verifine.datasets import load_problems
-from verifine.llm import TranscriptCache
+from verifine.llm import HttpError, TranscriptCache
 from verifine.llmtypes import StageKind
-from verifine.pipeline import RefinerConfig, run_refiner
+from verifine.pipeline import PipelineContext, RefinerConfig, batch_replies, run_refiner
 from verifine.prompts import TEMPLATES
 from verifine.prover import GroundOracle, IsabelleServer, batch_session, start_session
 from verifine.prover.isabelle import IsabelleSession, SessionBuildFailed
@@ -40,6 +43,7 @@ from fixtures_e2e import (
     worked_example_problems,
     worked_example_transport,
 )
+from helpers import fenced
 from test_prover_client import FakeIsabelleServer
 from test_theory import violin_doc
 
@@ -162,14 +166,15 @@ def test_recording_over_http_matches_goldens(corpus, tmp_path):
 
 def test_more_stage_calls_than_pool_threads_complete(tmp_path, monkeypatch):
     """Three workers start more calls at once than a two-thread pool
-    runs; no call waits on another, so the batch completes."""
+    runs; a call waits only on a call already running, so the batch
+    completes, and it asks each distinct prompt once."""
     small = ThreadPoolExecutor(2, thread_name_prefix="test-stage")
     monkeypatch.setattr(verifine.pipeline, "_stage_pool", small)
     interval = sys.getswitchinterval()
     outcome = []
+    path = str(tmp_path / "cache.jsonl")
 
     def batch():
-        path = str(tmp_path / "cache.jsonl")
         outcome.append(record_over_http("paths", path, workers=3)[0])
 
     sys.setswitchinterval(1e-4)
@@ -182,6 +187,9 @@ def test_more_stage_calls_than_pool_threads_complete(tmp_path, monkeypatch):
         small.shutdown(wait=False)
     assert not worker.is_alive()
     assert [golden_line(t) for t in outcome[0]] == golden("paths")
+    with open(path, encoding="utf-8") as fh:
+        keys = [json.loads(line)["key"] for line in fh]
+    assert len(keys) == len(set(keys))
 
 
 def test_timed_out_round_over_http_constructs_no_proof():
@@ -208,6 +216,216 @@ def test_timed_out_round_over_http_constructs_no_proof():
     assert [r.report.status for r in trace.iterations] == ["timeout", "timeout"]
     assert all(r.theory.proof == () for r in trace.iterations)
     assert all(r.feedback.strategy is None for r in trace.iterations)
+
+
+# ---------------------------------------------------------------------------
+# One model call per distinct prompt per batch
+
+
+def scripted_config(transport, mode="record", cache_path=None, temperature=0.0):
+    llm = dataclasses.replace(gateway_config(), temperature=temperature)
+    cache = TranscriptCache(cache_path) if cache_path else None
+    return RefinerConfig(
+        llm=llm, backend=GroundOracle(), mode=mode, cache=cache, transport=transport
+    )
+
+
+def counting(transport):
+    """`transport`, counting its calls in `.calls`; safe across threads."""
+    lock = threading.Lock()
+
+    def count(request):
+        with lock:
+            count.calls += 1
+        return transport(request)
+
+    count.calls = 0
+    return count
+
+
+def line_count(path):
+    with open(path, encoding="utf-8") as fh:
+        return sum(1 for _ in fh)
+
+
+def test_a_batch_recording_replays_to_itself(tmp_path):
+    """Within one batch a repeated prompt takes the first ask's reply, so
+    a model that answers it otherwise the second time cannot make the
+    cache disagree with the run that wrote it, and the cache holds one
+    line per distinct prompt."""
+    scripted = paths_transport()
+    seen = set()
+
+    def fickle(request):
+        key = (request["stage"], request["prompt"])
+        if request["stage"] == StageKind.ROUGH_INFERENCE.value and key in seen:
+            return "I would rather not sketch this one again."
+        seen.add(key)
+        return scripted(request)
+
+    recordings = {"paths": (fickle, 131), "batch50": (batch_transport(), 119)}
+    for corpus, (transport, calls) in recordings.items():
+        path = str(tmp_path / (corpus + ".jsonl"))
+        model = counting(transport)
+        cfg = scripted_config(model, cache_path=path)
+        with corpus_sessions(corpus):
+            recorded = run_batch(corpus_problems(corpus), cfg, workers=1)
+            replay = scripted_config(None, "replay", path)
+            replayed = run_batch(corpus_problems(corpus), replay, workers=1)
+        assert [golden_line(t) for t in replayed] == [golden_line(t) for t in recorded]
+        assert model.calls == line_count(path) == calls
+        assert [golden_line(t) for t in recorded] == golden(corpus)
+        assert len(cfg.replies) == 0
+
+
+@pytest.mark.parametrize(
+    "mode, temperature, batched, calls",
+    [
+        ("live", 0.0, True, 119),
+        ("record", 0.7, True, 119),
+        ("live", 0.7, True, 425),
+        ("record", 0.0, False, 425),
+    ],
+)
+def test_which_runs_share_replies(mode, temperature, batched, calls, tmp_path):
+    """A batch of record runs or of live runs at temperature 0 asks each
+    distinct prompt once; a live run above 0 samples every ask, and
+    `run_refiner` outside a batch asks every prompt it reaches."""
+    model = counting(batch_transport())
+    path = str(tmp_path / "cache.jsonl") if mode == "record" else None
+    cfg = scripted_config(model, mode, path, temperature)
+    problems = corpus_problems("batch50")
+    if batched:
+        traces = run_batch(problems, cfg, workers=2)
+    else:
+        traces = [run_refiner(problem, cfg) for problem in problems]
+    assert model.calls == calls
+    assert len(cfg.replies) == 0
+    assert [golden_line(t) for t in traces] == golden("batch50")
+
+
+def test_a_replayed_batch_reads_the_cache_at_every_ask(monkeypatch):
+    """A replay passes the table by: each ask of the one-problem-at-a-time
+    recording reads the cache."""
+    reads = []
+    original = TranscriptCache.get
+    monkeypatch.setattr(
+        TranscriptCache, "get", lambda cache, key: reads.append(key) or original(cache, key)
+    )
+    cache_path = os.path.join(DATA_DIR, CORPORA["batch50"][1])
+    cfg = scripted_config(None, "replay", cache_path)
+    traces = run_batch(corpus_problems("batch50"), cfg, workers=2)
+    assert (len(reads), len(set(reads))) == (425, 119)
+    assert [golden_line(t) for t in traces] == golden("batch50")
+
+
+class GatedModel:
+    """A scripted model that counts its calls by the word each prompt asks
+    about; a call on a word in `held` waits for `gate`, and every call
+    raises `error` when one is set."""
+
+    def __init__(self, held=(), error=None):
+        self.held = held
+        self.error = error
+        self.gate = threading.Event()
+        self.entered = threading.Semaphore(0)
+        self.calls = {}
+        self.lock = threading.Lock()
+
+    def __call__(self, request):
+        word = request["prompt"].split("\n1. ", 1)[1].split("\n", 1)[0]
+        with self.lock:
+            self.calls[word] = self.calls.get(word, 0) + 1
+        if word in self.held:
+            self.entered.release()
+            assert self.gate.wait(10)
+        if self.error is not None:
+            raise self.error
+        return fenced("1: works")
+
+
+def ask_events(cfg, word):
+    """One DETECT_EVENTS ask about `word`; the reply's fenced block."""
+    ctx = PipelineContext(cfg, worked_example_problems()[0])
+    return ctx.ask(StageKind.DETECT_EVENTS, {"sentences": "1. " + word}, str)
+
+
+@pytest.fixture
+def waiters(monkeypatch):
+    """Released each time an ask starts to wait for another's call."""
+    waiting = threading.Semaphore(0)
+
+    class Slot(Future):
+        def result(self, timeout=None):
+            waiting.release()
+            return super().result(timeout)
+
+    monkeypatch.setattr(verifine.llm, "Future", Slot)
+    return waiting
+
+
+def test_concurrent_asks_of_one_prompt_make_one_call(waiters):
+    model = GatedModel(held=("alpha",))
+    cfg = scripted_config(model, "live")
+    with batch_replies(cfg), ThreadPoolExecutor(2) as pool:
+        first = pool.submit(ask_events, cfg, "alpha")
+        assert model.entered.acquire(timeout=10)
+        second = pool.submit(ask_events, cfg, "alpha")
+        assert waiters.acquire(timeout=10)
+        model.gate.set()
+        assert first.result(10) == second.result(10) == "1: works"
+    assert model.calls == {"alpha": 1}
+
+
+def test_a_failed_call_reaches_every_waiter_and_is_not_kept(waiters):
+    model = GatedModel(held=("alpha",), error=HttpError("endpoint returned 400", 400))
+    cfg = scripted_config(model, "live")
+    with batch_replies(cfg), ThreadPoolExecutor(2) as pool:
+        first = pool.submit(ask_events, cfg, "alpha")
+        assert model.entered.acquire(timeout=10)
+        second = pool.submit(ask_events, cfg, "alpha")
+        assert waiters.acquire(timeout=10)
+        model.gate.set()
+        for ask in (first, second):
+            with pytest.raises(HttpError):
+                ask.result(10)
+        assert model.calls == {"alpha": 1}
+        model.error = None
+        assert ask_events(cfg, "alpha") == "1: works"
+    assert model.calls == {"alpha": 2}
+
+
+def test_the_table_holds_at_most_its_size_and_keeps_calls_in_flight(monkeypatch):
+    monkeypatch.setattr(verifine.llm, "REPLY_TABLE_SIZE", 2)
+    model = GatedModel(held=("alpha", "bravo"))
+    cfg = scripted_config(model, "live")
+    with batch_replies(cfg), ThreadPoolExecutor(2) as pool:
+        asks = [pool.submit(ask_events, cfg, word) for word in ("alpha", "bravo")]
+        for _ in asks:
+            assert model.entered.acquire(timeout=10)
+        # Every entry is in flight, so a new prompt is asked past the table.
+        assert ask_events(cfg, "charlie") == "1: works"
+        assert len(cfg.replies) == 2
+        model.gate.set()
+        assert [ask.result(10) for ask in asks] == ["1: works"] * 2
+        for word in ("alpha", "bravo", "charlie", "charlie", "bravo", "alpha"):
+            ask_events(cfg, word)
+            assert len(cfg.replies) <= 2
+    # charlie's second ask dropped alpha, the oldest settled reply.
+    assert model.calls == {"alpha": 2, "bravo": 1, "charlie": 2}
+
+    # And across a whole batch on two workers.
+    sizes = []
+    scripted = batch_transport()
+
+    def watching(request):
+        sizes.append(len(batch.replies))
+        return scripted(request)
+
+    batch = scripted_config(watching, "live")
+    traces = run_batch(corpus_problems("batch50"), batch, workers=2)
+    assert 119 < len(sizes) and max(sizes) <= 2
+    assert [golden_line(t) for t in traces] == golden("batch50")
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,19 @@ class TestCompleteModes:
         with pytest.raises(ValueError):
             make_config(temperature=2.5)
 
+    @pytest.mark.parametrize(
+        "name, value, refusal",
+        [
+            ("max_tokens", 0, "max_tokens must be >= 1"),
+            ("retry_attempts", -1, "retry_attempts must be >= 0"),
+            ("backoff_base_s", -0.5, "backoff_base_s must be >= 0"),
+            ("http_timeout_s", 0.0, "http_timeout_s must be > 0"),
+        ],
+    )
+    def test_values_that_break_the_call_are_rejected(self, name, value, refusal):
+        with pytest.raises(ValueError, match=refusal):
+            make_config(**{name: value})
+
 
 # --- HTTP transport against a local stub endpoint ---------------------------
 
