@@ -209,6 +209,11 @@ class TranscriptCache:
 REPLY_TABLE_SIZE = 1024
 
 
+def prompt_key(stage: StageKind, bindings: Mapping[str, str]) -> tuple:
+    """A prompt's identity in one run: its stage and its sorted bindings."""
+    return (stage, tuple(sorted(bindings.items())))
+
+
 class ReplyTable:
     """Raw model replies by (stage, bindings), shared by the problems of
     one batch, so each distinct prompt reaches the model once.
@@ -248,7 +253,7 @@ class ReplyTable:
         here or by an earlier ask of it in the batch."""
         if not self._holds:
             return call()
-        key = (stage, tuple(sorted(bindings.items())))
+        key = prompt_key(stage, bindings)
         with self._lock:
             slot = self._slots.get(key)
             # Released meanwhile: the table is empty and stays unused.

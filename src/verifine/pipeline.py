@@ -14,22 +14,20 @@ MalformedStageOutput.  Stage failures never abort a problem: a malformed
 stage output consumes the round and the loop moves on with whatever it
 has.  A check that times out ends its round with that report.
 
-A round is a small dataflow.  ROUGH_INFERENCE reads only the
-explanation, so it starts with the round.  Once DETECT_EVENTS answers,
-every sentence not yet formalised gets its SENTENCE_TO_LOGIC call at
-once.  Once both the strategy and the formalised theory exist,
-CONSTRUCT_PROOF starts on that theory while the syntax sub-loop checks
-it; its reply is used only when the sub-loop hands back an equal
-theory, and otherwise CONSTRUCT_PROOF is asked again on the repaired
-one.  Replies are read in the serial order, and a round drops every
-reply the serial loop would not have asked for: the formulas after the
+A round runs those steps one at a time, in that order.  Live and record
+runs through the HTTP transport also ask some calls ahead, on the
+module's stage pool (`PipelineContext.ask_ahead`), and the step that
+asks the same prompt takes that call's reply: ROUGH_INFERENCE, which
+reads only the explanation, as the round starts; every SENTENCE_TO_LOGIC
+call once DETECT_EVENTS answers; and CONSTRUCT_PROOF on the formalised
+theory once the strategy is back (waiting for it if need be), so the
+proof is constructed while the syntax sub-loop checks that theory.  A
+call asked ahead that the round never asks for (the formulas after the
 first that fails, the strategy and proof of a round whose formalisation
-fails or whose check times out, and the speculative proof of a repaired
-theory.  A round ends only once every call it started has settled.
-`PipelineContext.start` decides how a call runs: on the module's stage
-pool when it waits on the network (live and record mode through the
-HTTP transport), and otherwise inline at its first read, so replayed and
-scripted runs make exactly the serial loop's calls in its order.
+fails or whose check times out, the proof of a theory the sub-loop
+repaired) is cancelled, or waited out once begun, before the round
+ends.  Replayed and scripted runs ask nothing ahead, so they make
+exactly the serial loop's calls in its order.
 
 Inside `batch_replies`, which `run_batch` holds, the problems of a
 record run or of a live run at temperature 0 share model replies:
@@ -41,8 +39,8 @@ replays, like `run_refiner` outside a batch, make every call.
 
 A problem's rounds share one prover session, closed when the problem
 ends.  It is reopened only when a check has left it unusable: a timed-out
-Isabelle check kills its session.  An Isabelle session opens on a helper
-thread while the round formalises and is joined at the round's first
+Isabelle check kills its session.  An Isabelle session opens on the
+stage pool while the round formalises and is joined at the round's first
 check, so its start-up overlaps the round's first LLM calls; an oracle
 session is a plain object and opens inline.  Under `run_batch` the
 Isabelle sessions of all problems attach to one server session (see
@@ -58,9 +56,8 @@ import functools
 import logging
 import re
 import sys
-import threading
 import typing
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -72,6 +69,7 @@ from .llm import (
     Transport,
     complete,
     extract_stage_output,
+    prompt_key,
 )
 from .llmtypes import StageKind
 from .logic import (
@@ -263,72 +261,13 @@ def batch_replies(cfg: RefinerConfig) -> typing.Iterator[None]:
         cfg.replies.release()
 
 
-# Threads that run the stage calls waiting on the network, shared by every
-# problem of the process.  The pool sets no cap of its own: it starts a
-# thread only when none is idle, so it grows to the most calls in flight
-# at once, which the batch's workers and each round's fan-out bound.  A
-# task waits only on a call already running on another thread, and an
-# idle thread keeps its connection.
+# Threads that run the stage calls asked ahead and the Isabelle session
+# opens, shared by every problem of the process.  The pool sets no cap of
+# its own: it starts a thread only when none is idle, so it grows to the
+# most calls in flight at once, which the batch's workers and each round's
+# asks ahead bound.  A task waits only on a call already running on
+# another thread, and an idle thread keeps its connection.
 _stage_pool = ThreadPoolExecutor(sys.maxsize, thread_name_prefix="verifine-stage")
-
-
-class _Deferred:
-    """A stage call made on the reading thread, at its first `result()`.
-
-    It stands in for the stage pool's `Future`, with the part of that
-    interface a round uses.  A call cancelled before it is made is never
-    made, and done-callbacks run once it is made.
-    """
-
-    def __init__(self, call: Callable):
-        self._call: Optional[Callable] = call
-        self._callbacks: List[Callable] = []
-        self._made = False
-        self._value = None
-        self._error: Optional[Exception] = None
-
-    def result(self):
-        if self._call is not None:
-            call, self._call = self._call, None
-            try:
-                self._value = call()
-            except Exception as exc:
-                self._error = exc
-            self._made = True
-            for callback in self._callbacks:
-                callback(self)
-        if self._error is not None:
-            raise self._error
-        if not self._made:
-            raise CancelledError()
-        return self._value
-
-    def done(self) -> bool:
-        return self._made
-
-    def exception(self) -> Optional[Exception]:
-        return self._error
-
-    def cancel(self) -> bool:
-        self._call = None
-        return not self._made
-
-    def add_done_callback(self, callback: Callable) -> None:
-        if self._made:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
-
-
-# A started stage call: on the stage pool, or deferred.
-_Call = typing.Union[Future, _Deferred]
-
-
-def _drop(future: _Call) -> None:
-    """Discard a call's reply: cancel it if it has not begun, else wait
-    for it to settle, so no call outlives the round that started it."""
-    if not future.cancel():
-        future.exception()
 
 
 class PipelineContext:
@@ -345,44 +284,48 @@ class PipelineContext:
             match = re.fullmatch(r"f(\d+)", fact_id)
             if match:
                 self._counter = max(self._counter, int(match.group(1)))
+        # The round's calls asked ahead that no ask has taken yet, by
+        # prompt key.  Only the problem's own thread touches them.
+        self._ahead: Dict[tuple, Future] = {}
 
     def ask(self, stage: StageKind, bindings: Mapping[str, str], parse: Callable):
         """One stage call: render, complete, then `parse` the reply's last
         fenced block.  Raises MalformedStageOutput when the reply has no
-        usable output.  Inside `batch_replies`, a prompt the batch has
-        asked already takes that ask's reply."""
+        usable output.  A prompt asked ahead takes that call's reply, and
+        inside `batch_replies` a prompt the batch has asked already takes
+        that ask's reply."""
+        ahead = self._ahead.pop(prompt_key(stage, bindings), None) if self._ahead else None
+        raw = ahead.result() if ahead is not None else self._reply(stage, bindings)
+        return extract_stage_output(stage, raw, parse)
+
+    def ask_ahead(self, stage: StageKind, bindings: Mapping[str, str]) -> Optional[Future]:
+        """Start the call of a prompt the round will ask, when calls wait
+        on the network (live and record mode through the HTTP transport):
+        it runs on the stage pool and its ask takes the reply.  Returns
+        that call, or None in a replayed or scripted run, which makes
+        each call at its ask."""
+        cfg = self.cfg
+        if cfg.mode == "replay" or cfg.transport is not None:
+            return None
+        key = prompt_key(stage, bindings)
+        if key not in self._ahead:
+            self._ahead[key] = _stage_pool.submit(self._reply, stage, bindings)
+        return self._ahead[key]
+
+    def _reply(self, stage: StageKind, bindings: Mapping[str, str]) -> str:
         cfg = self.cfg
         call = functools.partial(
             complete, stage, bindings, cfg.llm, cfg.mode, cfg.cache, cfg.transport
         )
-        raw = cfg.replies.reply(stage, bindings, call)
-        return extract_stage_output(stage, raw, parse)
+        return cfg.replies.reply(stage, bindings, call)
 
-    def start(
-        self, stage: StageKind, bindings: Mapping[str, str], parse: Callable
-    ) -> _Call:
-        """Begin one stage call, whose result is `ask`'s value or the
-        MalformedStageOutput it raised.  A call that may wait on the
-        network (a live or record run through the HTTP transport) runs
-        on the stage pool; any other is deferred to its first
-        `result()`, so the run makes its calls in the order it reads
-        them."""
-        cfg = self.cfg
-        if cfg.mode != "replay" and cfg.transport is None:
-            return _stage_pool.submit(self._attempt, stage, bindings, parse)
-        return _Deferred(functools.partial(self._attempt, stage, bindings, parse))
-
-    def _attempt(
-        self, stage: StageKind, bindings: Mapping[str, str], parse: Callable
-    ):
-        try:
-            return self.ask(stage, bindings, parse)
-        except MalformedStageOutput as exc:
-            # Returned, and as a copy never raised: a future keeps its
-            # call's outcome, and a traceback's frames reach the future
-            # through their callers, which would make the round cyclic
-            # garbage.
-            return MalformedStageOutput(exc.stage, exc.reason)
+    def settle(self) -> None:
+        """Cancel each call asked ahead that no ask took, or wait it out
+        once begun, so no call outlives the round that asked it."""
+        for ahead in self._ahead.values():
+            if not ahead.cancel():
+                ahead.exception()
+        self._ahead.clear()
 
     def next_fact_id(self) -> str:
         while True:
@@ -434,37 +377,14 @@ def _one_line_formula(block: str) -> str:
     return " ".join(block.split("\n"))
 
 
-def _start_formulas(
-    keys: Sequence[Tuple[str, str]], ctx: PipelineContext
-) -> Dict[Tuple[str, str], _Call]:
-    """One SENTENCE_TO_LOGIC call per distinct (role, sentence) key not
-    yet formalised, all started at once."""
-    calls: Dict[Tuple[str, str], _Call] = {}
-    for key in keys:
-        if key in ctx.formulas or key in calls:
-            continue
-        role, sentence = key
-        events = ctx.events.get(sentence, [])
-        bindings = {
-            "sentence": sentence,
-            "role": role,
-            "events": ", ".join(events) if events else "(none)",
-        }
-        stage = StageKind.SENTENCE_TO_LOGIC
-        calls[key] = ctx.start(stage, bindings, _one_line_formula)
-    return calls
-
-
-def _sentence_formula(
-    key: Tuple[str, str], calls: Mapping[Tuple[str, str], _Call], ctx: PipelineContext
-) -> str:
-    text = ctx.formulas.get(key)
-    if text is None:
-        text = calls[key].result()
-        if isinstance(text, MalformedStageOutput):
-            raise text
-        ctx.formulas[key] = text
-    return text
+def _formula_bindings(key: Tuple[str, str], ctx: PipelineContext) -> Dict[str, str]:
+    role, sentence = key
+    events = ctx.events.get(sentence, [])
+    return {
+        "sentence": sentence,
+        "role": role,
+        "events": ", ".join(events) if events else "(none)",
+    }
 
 
 def _parse_sentence_formula(sentence_id: str, text: str) -> Formula:
@@ -494,22 +414,22 @@ def formalise(
     facts = tuple(explanation if explanation is not None else problem.explanation)
 
     # (role, sentence) keys with the id a rejected formula is named by,
-    # read in this order; the calls after the first failure are dropped.
+    # asked in this order up to the first failure.
     named = []
     if problem.premise_text:
         named.append(((_ROLE_PREMISE, problem.premise_text), "premise"))
     named.extend(((_ROLE_FACT, f.text), f.id) for f in facts)
     named.append(((_ROLE_HYPOTHESIS, problem.hypothesis_text), "hypothesis"))
     _detect_events([sentence for (_, sentence), _ in named], ctx)
-    calls = _start_formulas([key for key, _ in named], ctx)
-    try:
-        formulas = [
-            _parse_sentence_formula(name, _sentence_formula(key, calls, ctx))
-            for key, name in named
-        ]
-    finally:
-        for call in calls.values():
-            _drop(call)
+    asks = {key: _formula_bindings(key, ctx) for key, _ in named if key not in ctx.formulas}
+    for bindings in asks.values():
+        ctx.ask_ahead(StageKind.SENTENCE_TO_LOGIC, bindings)
+    formulas = []
+    for key, name in named:
+        if key not in ctx.formulas:
+            stage = StageKind.SENTENCE_TO_LOGIC
+            ctx.formulas[key] = ctx.ask(stage, asks[key], _one_line_formula)
+        formulas.append(_parse_sentence_formula(name, ctx.formulas[key]))
     premise_formula = formulas.pop(0) if problem.premise_text else None
     goal = formulas.pop()
     fact_formulas = formulas
@@ -632,97 +552,58 @@ def _attach_proof(doc: TheoryDoc, block: str) -> TheoryDoc:
     return doc.with_proof(parse_proof_block(block))
 
 
-class _ProofCalls:
-    """A round's ROUGH_INFERENCE call, started with the round, and the
-    CONSTRUCT_PROOF call on the formalised theory, started by whichever
-    comes second: the strategy or that theory.  Leaving the block drops
-    the replies `prove` did not read, once they settle."""
+def _strategy_bindings(problem: NLIProblem, facts: Sequence[Fact]) -> Dict[str, str]:
+    return {
+        "premise": problem.premise_text or "(none)",
+        "hypothesis": problem.hypothesis_text,
+        "facts": _facts_listing(facts),
+    }
 
-    def __init__(self, ctx: PipelineContext, facts: Sequence[Fact]):
-        self._ctx = ctx
-        self._lock = threading.Lock()
-        self._theory: Optional[TheoryDoc] = None
-        self._proof: Optional[_Call] = None
-        self._settled = False
-        problem = ctx.problem
-        bindings = {
-            "premise": problem.premise_text or "(none)",
-            "hypothesis": problem.hypothesis_text,
-            "facts": _facts_listing(facts),
-        }
-        parse = functools.partial(_parse_strategy, [f.id for f in facts])
-        self._strategy = ctx.start(StageKind.ROUGH_INFERENCE, bindings, parse)
-        self._strategy.add_done_callback(self._start_proof)
 
-    def formalised(self, doc: TheoryDoc) -> None:
-        with self._lock:
-            self._theory = doc
-        self._start_proof()
-
-    def _start_proof(self, _: object = None) -> None:
-        with self._lock:
-            if self._settled or self._proof is not None or self._theory is None:
-                return
-            # Not cancelled: only leaving the block cancels, once settled.
-            call = self._strategy
-            if not call.done() or call.exception():
-                return
-            strategy = call.result()
-            if not isinstance(strategy, MalformedStageOutput):
-                self._proof = self._ask_proof(self._theory, strategy)
-
-    def _ask_proof(self, doc: TheoryDoc, strategy: InferenceStrategy) -> _Call:
-        bindings = {"theory": doc.rendered, "strategy": strategy.narrative or "(none)"}
-        parse = functools.partial(_attach_proof, doc)
-        return self._ctx.start(StageKind.CONSTRUCT_PROOF, bindings, parse)
-
-    def prove(self, doc: TheoryDoc) -> Tuple[Optional[InferenceStrategy], TheoryDoc]:
-        strategy = self._strategy.result()
-        if isinstance(strategy, MalformedStageOutput):
-            log.debug("rough inference unusable: %s", strategy)
-            return None, doc
-        self._start_proof()
-        with self._lock:
-            proof = self._proof if doc == self._theory else None
-        if proof is None:
-            proof = self._ask_proof(doc, strategy)
-        proved = proof.result()
-        if isinstance(proved, MalformedStageOutput):
-            log.debug("proof construction unusable: %s", proved)
-            return strategy, doc
-        return strategy, proved
-
-    def __enter__(self) -> "_ProofCalls":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        with self._lock:
-            self._settled = True
-        _drop(self._strategy)
-        if self._proof is not None:
-            _drop(self._proof)
-        # The strategy's done-callback holds this object: let go of the
-        # futures, so the round's garbage needs no cycle collection.
-        self._strategy = self._proof = None
+def _proof_bindings(doc: TheoryDoc, strategy: InferenceStrategy) -> Dict[str, str]:
+    return {"theory": doc.rendered, "strategy": strategy.narrative or "(none)"}
 
 
 def infer_and_prove(
-    ctx: PipelineContext,
-    doc: TheoryDoc,
-    facts: Sequence[Fact],
-    calls: Optional[_ProofCalls] = None,
+    ctx: PipelineContext, doc: TheoryDoc, facts: Sequence[Fact]
 ) -> Tuple[Optional[InferenceStrategy], TheoryDoc]:
     """Sketch the argument, then construct and attach a linear proof.
 
-    `calls` are the round's proof calls, already started on `facts`;
-    by default they start here.  Either stage may fail; the round then
-    proceeds with what it has (no strategy, or a proofless theory) and
-    the check reports accordingly.
+    Either stage may fail; the round then proceeds with what it has (no
+    strategy, or a proofless theory) and the check reports accordingly.
     """
-    if calls is not None:
-        return calls.prove(doc)
-    with _ProofCalls(ctx, facts) as calls:
-        return calls.prove(doc)
+    bindings = _strategy_bindings(ctx.problem, facts)
+    parse = functools.partial(_parse_strategy, [f.id for f in facts])
+    try:
+        strategy = ctx.ask(StageKind.ROUGH_INFERENCE, bindings, parse)
+    except MalformedStageOutput as exc:
+        log.debug("rough inference unusable: %s", exc)
+        return None, doc
+    bindings = _proof_bindings(doc, strategy)
+    try:
+        proved = ctx.ask(
+            StageKind.CONSTRUCT_PROOF, bindings, functools.partial(_attach_proof, doc)
+        )
+    except MalformedStageOutput as exc:
+        log.debug("proof construction unusable: %s", exc)
+        return strategy, doc
+    return strategy, proved
+
+
+def _ask_proof_ahead(
+    ctx: PipelineContext, doc: TheoryDoc, facts: Sequence[Fact], rough: Future
+) -> None:
+    """Ask CONSTRUCT_PROOF ahead on the formalised theory, once the
+    ROUGH_INFERENCE call asked ahead has answered.  A failed call or an
+    unusable reply asks nothing; `infer_and_prove` meets it in turn."""
+    if rough.exception() is not None:
+        return
+    parse = functools.partial(_parse_strategy, [f.id for f in facts])
+    try:
+        strategy = extract_stage_output(StageKind.ROUGH_INFERENCE, rough.result(), parse)
+    except MalformedStageOutput:
+        return
+    ctx.ask_ahead(StageKind.CONSTRUCT_PROOF, _proof_bindings(doc, strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -845,29 +726,26 @@ class _ProblemSession:
         self._opened: Optional["Future[SessionHandle]"] = None
 
     def begin_round(self) -> None:
-        """Start opening a session unless a usable one is open."""
+        """Start opening a session unless a usable one is open.  Through
+        the module global `start_session`, which tests and the bench
+        replace."""
         if self._opened is not None:
             handle = self._opened.result()
             if handle.usable:
                 return
             handle.close()
-        opened: "Future[SessionHandle]" = Future()
-        self._opened = opened
         # An Isabelle session takes a server round trip or more to start,
-        # which a helper thread hides behind formalisation; an oracle
-        # session is a plain object, so a thread would cost more than it
-        # hides.
+        # which the stage pool hides behind formalisation; an oracle
+        # session is a plain object, so a pool task would cost more than
+        # it hides.
         if isinstance(self._backend, IsabelleServer):
-            threading.Thread(target=self._open, args=(opened,), daemon=True).start()
-        else:
-            self._open(opened)
-
-    def _open(self, opened: "Future[SessionHandle]") -> None:
+            self._opened = _stage_pool.submit(start_session, self._backend)
+            return
+        self._opened = Future()
         try:
-            # Through the module global, which tests and the bench replace.
-            opened.set_result(start_session(self._backend))
+            self._opened.set_result(start_session(self._backend))
         except Exception as exc:
-            opened.set_exception(exc)
+            self._opened.set_exception(exc)
 
     def handle(self) -> SessionHandle:
         """The round's session, once open; waits for a pending open."""
@@ -884,9 +762,12 @@ class _ProblemSession:
 def _run_iteration(
     ctx: PipelineContext, explanation: Tuple[Fact, ...], session: _ProblemSession
 ) -> IterationRecord:
-    # A round ends only once every call it started has settled.
-    with _ProofCalls(ctx, explanation) as calls:
-        cfg = ctx.cfg
+    cfg = ctx.cfg
+    # ROUGH_INFERENCE reads only the explanation, so it is asked ahead at
+    # once; a round ends only once every call it asked ahead has settled.
+    strategy_bindings = _strategy_bindings(ctx.problem, explanation)
+    rough = ctx.ask_ahead(StageKind.ROUGH_INFERENCE, strategy_bindings)
+    try:
         failure: Optional[Exception] = None
         try:
             doc = formalise(ctx.problem, cfg, explanation, ctx)
@@ -908,12 +789,13 @@ def _run_iteration(
                 feedback=bundle,
                 explanation_after=explanation,
             )
-        calls.formalised(doc)
+        if rough is not None:
+            _ask_proof_ahead(ctx, doc, explanation, rough)
         syntax = refine_syntax_loop(ctx, doc, handle)
         # A timed-out check ends the round: its report is the round's report.
         strategy, doc, report = None, syntax.doc, syntax.last_report
         if report.status != "timeout":
-            strategy, doc = infer_and_prove(ctx, doc, explanation, calls)
+            strategy, doc = infer_and_prove(ctx, doc, explanation)
             report = check_theory(handle, doc, cfg.timeout_s)
         if report.status == "valid":
             feedback = None
@@ -933,6 +815,8 @@ def _run_iteration(
             proof_steps_suggested=len(doc.proof),
             proof_steps_processed=processed,
         )
+    finally:
+        ctx.settle()
 
 
 def run_refiner(problem: NLIProblem, cfg: RefinerConfig) -> RefinementTrace:

@@ -5,8 +5,8 @@ the problems on an Isabelle backend share one server session: the first
 to open starts it, every later one attaches its own connection to it by
 id, and closing a problem's session drops only its connection.  A
 check that times out retires its server session, so the next to open
-starts a fresh one.  Leaving `batch_session` stops every server session
-the batch started.  Outside it, each session an Isabelle backend opens
+starts a fresh one.  Leaving the last of the `batch_session` blocks open
+on a backend stops every server session they started.  Outside it, each session an Isabelle backend opens
 is started and stopped by its own connection.
 """
 
@@ -78,8 +78,8 @@ def start_session(backend: ProverBackend) -> SessionHandle:
 @contextlib.contextmanager
 def batch_session(backend: ProverBackend) -> Iterator[None]:
     """Share one Isabelle server session among the sessions opened on
-    `backend` inside this block, and stop it on leaving; an oracle
-    backend is unaffected."""
+    `backend` inside this block, and stop it on leaving the last such
+    block; an oracle backend is unaffected."""
     if not isinstance(backend, IsabelleServer):
         yield
         return

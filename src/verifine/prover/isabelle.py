@@ -366,29 +366,32 @@ class IsabelleSession:
 class SharedSession:
     """The prover session that the connections of a batch attach to.
 
-    `hold` and `release` bracket a batch.  While held, the first `open`
-    starts the session under the lock, and every later `open` attaches
-    its own connection to it.  A failed start leaves no session, so the
-    next `open` tries again.  A check that times out retires its
-    session, so the next `open` starts a fresh one.  `release` stops
-    every session the batch started, each over a fresh connection.
-    While not held, `open` starts a session that its connection owns and
-    stops on close.
+    `hold` and `release` bracket a batch, and batches may overlap.
+    While held, the first `open` starts the session under the lock, and
+    every later `open` attaches its own connection to it.  A failed
+    start leaves no session, so the next `open` tries again.  A check
+    that times out retires its session, so the next `open` starts a
+    fresh one.  The `release` of the last hold stops every session the
+    batches started, each over a fresh connection.  While not held,
+    `open` starts a session that its connection owns and stops on close.
     """
 
     def __init__(self, host: str, port: int, password: str, session_name: str):
         self._server = (host, port, password, session_name)
         self._lock = threading.Lock()
-        self._held = False
+        self._holds = 0
         self._session_id: Optional[str] = None
         self._retired: List[str] = []
 
     def hold(self) -> None:
-        self._held = True
+        with self._lock:
+            self._holds += 1
 
     def release(self) -> None:
         with self._lock:
-            self._held = False
+            self._holds -= 1
+            if self._holds:
+                return
             stale, self._retired = self._retired, []
             if self._session_id is not None:
                 stale.append(self._session_id)
@@ -409,7 +412,7 @@ class SharedSession:
 
     def open(self) -> IsabelleSession:
         with self._lock:
-            held, session_id = self._held, self._session_id
+            held, session_id = self._holds > 0, self._session_id
             if held and session_id is None:
                 session = IsabelleSession(*self._server)
                 session.owns_session = False

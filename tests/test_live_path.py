@@ -218,6 +218,56 @@ def test_timed_out_round_over_http_constructs_no_proof():
     assert all(r.feedback.strategy is None for r in trace.iterations)
 
 
+def test_a_live_round_asks_the_strategy_and_the_proof_ahead(tmp_path, monkeypatch):
+    """ROUGH_INFERENCE reaches the model before DETECT_EVENTS is answered,
+    and CONSTRUCT_PROOF before the round's first check returns.  The
+    endpoint holds DETECT_EVENTS, and the prover that check, until the
+    call it waits for arrives, for at most 5 s each."""
+    events = []
+    rough_seen, proof_seen = threading.Event(), threading.Event()
+    scripted = worked_example_transport()
+
+    def transport(request):
+        stage = StageKind(request["stage"])
+        events.append(("received", stage))
+        if stage is StageKind.ROUGH_INFERENCE:
+            rough_seen.set()
+        elif stage is StageKind.CONSTRUCT_PROOF:
+            proof_seen.set()
+        elif stage is StageKind.DETECT_EVENTS:
+            rough_seen.wait(5.0)
+        reply = scripted(request)
+        events.append(("answered", stage))
+        return reply
+
+    check = verifine.pipeline.check_theory
+
+    def checking(*args):
+        report = check(*args)
+        events.append(("checked", None))
+        return report
+
+    monkeypatch.setattr(verifine.pipeline, "check_theory", checking)
+    server = FakeIsabelleServer()
+    server.check_gate = proof_seen
+    try:
+        with chat_endpoint(transport) as (chat, url):
+            cache = TranscriptCache(str(tmp_path / "cache.jsonl"))
+            cfg = http_config(
+                url, backend=isabelle_backend(server), mode="record", cache=cache
+            )
+            [trace] = run_batch(worked_example_problems()[:1], cfg)
+    finally:
+        server.close()
+    assert trace.diagnostic is None
+    assert events.index(("received", StageKind.ROUGH_INFERENCE)) < events.index(
+        ("answered", StageKind.DETECT_EVENTS)
+    )
+    assert events.index(("received", StageKind.CONSTRUCT_PROOF)) < events.index(
+        ("checked", None)
+    )
+
+
 # ---------------------------------------------------------------------------
 # One model call per distinct prompt per batch
 
@@ -497,6 +547,24 @@ def test_a_timed_out_check_retires_the_batch_session():
     stopped = [a["session_id"] for n, a in server.requests if n == "session_stop"]
     assert checked == stopped == ["sess-1", "sess-2"]
     assert not +server.live_sessions
+
+
+def test_overlapping_batches_share_one_session_until_the_last_ends():
+    server = FakeIsabelleServer()
+    server.numbered_sessions = True
+    backend = isabelle_backend(server)
+    lifecycle = ("session_start", "session_stop")
+    try:
+        with batch_session(backend):
+            with batch_session(backend):
+                start_session(backend).close()
+            start_session(backend).close()
+            assert commands(server, *lifecycle) == ["session_start"]
+        assert commands(server, *lifecycle) == ["session_start", "session_stop"]
+        stopped = [a["session_id"] for n, a in server.requests if n == "session_stop"]
+        assert stopped == ["sess-1"]
+    finally:
+        server.close()
 
 
 def test_a_failed_start_leaves_no_batch_session():

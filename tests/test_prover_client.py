@@ -45,6 +45,9 @@ class FakeIsabelleServer:
         # When set, session_start waits up to 2 s for this event and
         # fails if it never comes.
         self.start_gate = None
+        # When set, use_theories waits up to 5 s for this event before it
+        # answers.
+        self.check_gate = None
         self.counted_replies = False
         self.close_on_connect = False
         self.hang_on_use_theories = False
@@ -172,6 +175,8 @@ class FakeIsabelleServer:
                     self._send(conn, "OK %s" % json.dumps({"task": task}))
                     if self.hang_on_use_theories:
                         continue
+                    if self.check_gate is not None:
+                        self.check_gate.wait(5.0)
                     if self.die_on_use_theories:
                         return
                     for theory_name in args.get("theories", []):
