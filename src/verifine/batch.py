@@ -5,15 +5,16 @@ trace files, so concurrent runs never interleave output.  A problem
 whose run blows up (rather than failing gracefully inside the loop)
 still yields a trace: exhausted, zero iterations, diagnostic attached.
 
-On an Isabelle backend the batch holds one server session: the first
-problem to open a session starts it, every later problem attaches its
-own connection to it by id, and `run_batch` stops it when it returns.
-A check that times out retires the session, and the next problem to
-open starts a fresh one, which `run_batch` stops too.
-
-In record mode, and in live mode at temperature 0, the batch's problems
-share model replies (`pipeline.batch_replies`): each distinct prompt is
-asked once, and the table is emptied when `run_batch` returns.
+Each batch runs its problems on its own copy of the config, which
+carries what they share.  On an Isabelle backend that is a
+`SharedSession`: the first problem to open a session starts the server
+session, every later problem attaches its own connection to it by id,
+and `run_batch` stops it when it returns.  A check that times out, is
+refused or loses its connection retires the session, and the next
+problem to open starts a fresh one, which `run_batch` stops too.  In
+record mode, and in live mode at temperature 0, it is a `ReplyTable`:
+each distinct prompt is asked once per batch.  Two batches, even on one
+config and at once, share neither.
 """
 
 import json
@@ -21,17 +22,20 @@ import logging
 import os
 import re
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from dataclasses import replace
 from typing import Callable, List, Optional, Sequence
 
 from .pipeline import (
     NLIProblem,
     RefinementTrace,
     RefinerConfig,
-    batch_replies,
     run_refiner,
     trace_to_dict,
 )
-from .prover import batch_session
+# After pipeline: importing the gateway first costs 0.5 MB of peak RSS.
+from .llm import ReplyTable
+from .prover import IsabelleServer
+from .prover.isabelle import SharedSession
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +62,17 @@ def _failure_trace(problem: NLIProblem, exc: BaseException) -> RefinementTrace:
         total_iterations=0,
         diagnostic="pipeline error: %s" % exc,
     )
+
+
+def _batch_config(cfg: RefinerConfig) -> RefinerConfig:
+    """A copy of `cfg` carrying what one batch's problems share."""
+    backend = cfg.backend
+    if isinstance(backend, IsabelleServer):
+        backend = SharedSession(backend)
+    batch_cfg = replace(cfg, backend=backend)
+    if cfg.mode == "record" or (cfg.mode == "live" and cfg.llm.temperature == 0):
+        batch_cfg.replies = ReplyTable()
+    return batch_cfg
 
 
 def run_batch(
@@ -99,23 +114,26 @@ def run_batch(
         if on_result is not None:
             on_result(trace)
 
-    with batch_session(cfg.backend), batch_replies(cfg), ThreadPoolExecutor(
-        max_workers=workers
-    ) as pool:
-        pending = {
-            pool.submit(run_refiner, problem, cfg): index
-            for index, problem in enumerate(problems)
-        }
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            # Futures that finish together are handled in input order, so
-            # one worker reports problems exactly in input order.
-            for future in sorted(done, key=pending.__getitem__):
-                index = pending.pop(future)
-                try:
-                    trace = future.result()
-                except Exception as exc:
-                    log.error("problem %s failed: %s", problems[index].id, exc)
-                    trace = _failure_trace(problems[index], exc)
-                finish(index, trace)
+    batch_cfg = _batch_config(cfg)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pending = {
+                pool.submit(run_refiner, problem, batch_cfg): index
+                for index, problem in enumerate(problems)
+            }
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                # Futures that finish together are handled in input order,
+                # so one worker reports problems exactly in input order.
+                for future in sorted(done, key=pending.__getitem__):
+                    index = pending.pop(future)
+                    try:
+                        trace = future.result()
+                    except Exception as exc:
+                        log.error("problem %s failed: %s", problems[index].id, exc)
+                        trace = _failure_trace(problems[index], exc)
+                    finish(index, trace)
+    finally:
+        if isinstance(batch_cfg.backend, SharedSession):
+            batch_cfg.backend.close()
     return results

@@ -13,10 +13,11 @@ many worker threads (writes are serialised through a lock; the last
 record for a key wins on load).
 
 Within one batch, a record run and a live run at temperature 0 ask each
-distinct prompt once: a `ReplyTable` hands later asks the first ask's
-reply, so a record run writes each key once.  A live run above
-temperature 0 samples every ask.  Record mode never reads its cache
-file, so a resumed record run still re-asks the prompts the file holds.
+distinct prompt once: the batch's own `ReplyTable` hands later asks
+the first ask's reply, so a record run writes each key once.  A live run
+above temperature 0 samples every ask.  Record mode never reads its
+cache file, so a resumed record run still re-asks the prompts the file
+holds.
 
 The HTTP transport uses only the standard library.  Each thread keeps
 one connection alive, to the endpoint it called last, and the proxy
@@ -218,46 +219,31 @@ class ReplyTable:
     """Raw model replies by (stage, bindings), shared by the problems of
     one batch, so each distinct prompt reaches the model once.
 
-    `hold` and `release` bracket a batch; while not held, `reply` makes
-    every call.  The first ask of a prompt makes its call on its own
-    thread, and a concurrent ask of it waits for that running call, never
-    for a queued one.  A call that raises keeps nothing, so its error
-    reaches every ask waiting on it and the next ask calls again.  The
-    table holds at most REPLY_TABLE_SIZE replies and drops the oldest
-    settled one first; when every entry is still in flight, a new prompt
-    is asked without the table.  `release` of the last hold empties it.
+    The first ask of a prompt makes its call on its own thread, and a
+    concurrent ask of it waits for that running call, never for a queued
+    one.  A call that raises keeps nothing, so its error reaches every
+    ask waiting on it and the next ask calls again.  The table holds at
+    most REPLY_TABLE_SIZE replies and drops the oldest settled one
+    first; when every entry is still in flight, a new prompt is asked
+    without the table.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._holds = 0
         self._slots: Dict[tuple, Future] = {}
 
     def __len__(self) -> int:
         return len(self._slots)
-
-    def hold(self) -> None:
-        with self._lock:
-            self._holds += 1
-
-    def release(self) -> None:
-        with self._lock:
-            self._holds -= 1
-            if not self._holds:
-                self._slots.clear()
 
     def reply(
         self, stage: StageKind, bindings: Mapping[str, str], call: Callable[[], str]
     ) -> str:
         """The reply to the prompt of (stage, bindings): `call()`'s, made
         here or by an earlier ask of it in the batch."""
-        if not self._holds:
-            return call()
         key = prompt_key(stage, bindings)
         with self._lock:
             slot = self._slots.get(key)
-            # Released meanwhile: the table is empty and stays unused.
-            owner = slot is None and self._holds > 0 and self._make_room()
+            owner = slot is None and self._make_room()
             if owner:
                 slot = self._slots[key] = Future()
         if slot is None:

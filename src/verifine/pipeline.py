@@ -29,13 +29,14 @@ repaired) is cancelled, or waited out once begun, before the round
 ends.  Replayed and scripted runs ask nothing ahead, so they make
 exactly the serial loop's calls in its order.
 
-Inside `batch_replies`, which `run_batch` holds, the problems of a
-record run or of a live run at temperature 0 share model replies:
-`PipelineContext.ask` looks each call up by its stage and bindings, the
-first ask of a prompt calls the model, and every later or concurrent ask
-of it takes that reply and runs its own parser.  A dropped reply answers
-later asks too.  A live run above temperature 0 samples every ask, and
-replays, like `run_refiner` outside a batch, make every call.
+When the config carries a reply table, as the copy that `run_batch`
+makes for a record run or a live run at temperature 0 does, the
+problems of the batch share model replies: `PipelineContext.ask` looks
+each call up by its stage and bindings, the first ask of a prompt calls
+the model, and every later or concurrent ask of it takes that reply and
+runs its own parser.  A dropped reply answers later asks too.  A live
+run above temperature 0 samples every ask, and replays, like
+`run_refiner` outside a batch, make every call.
 
 A problem's rounds share one prover session, closed when the problem
 ends.  It is reopened only when a check has left it unusable: a timed-out
@@ -43,14 +44,13 @@ Isabelle check kills its session.  An Isabelle session opens on the
 stage pool while the round formalises and is joined at the round's first
 check, so its start-up overlaps the round's first LLM calls; an oracle
 session is a plain object and opens inline.  Under `run_batch` the
-Isabelle sessions of all problems attach to one server session (see
-`verifine.prover`).  A backend that cannot open a session ends the
-problem with a diagnostic on the trace and no recorded round, even when
-formalisation failed meanwhile.  So with a dead backend, round 0's
-formalisation calls are made before the failure shows.
+Isabelle sessions of all problems attach to the batch's one server
+session (see `verifine.prover`).  A backend that cannot open a session
+ends the problem with a diagnostic on the trace and no recorded round,
+even when formalisation failed meanwhile.  So with a dead backend, round
+0's formalisation calls are made before the failure shows.
 """
 
-import contextlib
 import enum
 import functools
 import logging
@@ -81,7 +81,7 @@ from .logic import (
     sanitize_name,
 )
 from .prover import (
-    IsabelleServer,
+    GroundOracle,
     ProverBackend,
     SessionHandle,
     check_theory,
@@ -221,9 +221,9 @@ class RefinementTrace:
 class RefinerConfig:
     """How a run asks the model and checks theories.
 
-    Each value holds a `ReplyTable`, not a field, through which the
-    problems of a batch run on it share model replies (see
-    `batch_replies`).
+    Each value holds `replies`, not a field: None, or the `ReplyTable`
+    through which the problems of a batch share model replies, which
+    the copy `run_batch` runs its problems on carries.
     """
 
     llm: LLMConfig
@@ -241,24 +241,7 @@ class RefinerConfig:
         if self.syntax_iterations < 0:
             raise ValueError("syntax_iterations must be >= 0")
         checked_timeout(self.timeout_s)
-        self.replies = ReplyTable()
-
-
-@contextlib.contextmanager
-def batch_replies(cfg: RefinerConfig) -> typing.Iterator[None]:
-    """Share model replies among the problems run on `cfg` inside this
-    block, so each distinct prompt is asked once, and empty the table on
-    leaving.  A record run and a live run at temperature 0 share; a
-    replay reads its cache anyway, and a live run above temperature 0
-    samples every ask."""
-    if cfg.mode == "replay" or (cfg.mode == "live" and cfg.llm.temperature > 0):
-        yield
-        return
-    cfg.replies.hold()
-    try:
-        yield
-    finally:
-        cfg.replies.release()
+        self.replies: Optional[ReplyTable] = None
 
 
 # Threads that run the stage calls asked ahead and the Isabelle session
@@ -292,7 +275,7 @@ class PipelineContext:
         """One stage call: render, complete, then `parse` the reply's last
         fenced block.  Raises MalformedStageOutput when the reply has no
         usable output.  A prompt asked ahead takes that call's reply, and
-        inside `batch_replies` a prompt the batch has asked already takes
+        with a reply table a prompt the batch has asked already takes
         that ask's reply."""
         ahead = self._ahead.pop(prompt_key(stage, bindings), None) if self._ahead else None
         raw = ahead.result() if ahead is not None else self._reply(stage, bindings)
@@ -317,6 +300,8 @@ class PipelineContext:
         call = functools.partial(
             complete, stage, bindings, cfg.llm, cfg.mode, cfg.cache, cfg.transport
         )
+        if cfg.replies is None:
+            return call()
         return cfg.replies.reply(stage, bindings, call)
 
     def settle(self) -> None:
@@ -738,7 +723,7 @@ class _ProblemSession:
         # which the stage pool hides behind formalisation; an oracle
         # session is a plain object, so a pool task would cost more than
         # it hides.
-        if isinstance(self._backend, IsabelleServer):
+        if not isinstance(self._backend, GroundOracle):
             self._opened = _stage_pool.submit(start_session, self._backend)
             return
         self._opened = Future()

@@ -1,18 +1,18 @@
 """Prover backends: a live Isabelle server or a local ground oracle.
 
-`start_session` opens one problem's session.  Inside `batch_session`,
-the problems on an Isabelle backend share one server session: the first
-to open starts it, every later one attaches its own connection to it by
-id, and closing a problem's session drops only its connection.  A
-check that times out retires its server session, so the next to open
-starts a fresh one.  Leaving the last of the `batch_session` blocks open
-on a backend stops every server session they started.  Outside it, each session an Isabelle backend opens
-is started and stopped by its own connection.
+`start_session` opens one problem's session.  `run_batch` runs its
+problems on a `SharedSession` of an Isabelle backend, so they share one
+server session: the first to open starts it, every later one attaches
+its own connection to it by id, and closing a problem's session drops
+only its connection.  A check that times out, is refused or loses its
+connection retires its server session, so the next to open starts a
+fresh one.  Closing the `SharedSession` stops every server session it
+started.  Outside a batch, each session an Isabelle backend opens is
+started and stopped by its own connection.
 """
 
-import contextlib
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from ..theory import TheoryDoc
 from .isabelle import IsabelleSession, SharedSession
@@ -22,20 +22,12 @@ from .oracle import OracleSession, Verdicts
 
 @dataclass(frozen=True)
 class IsabelleServer:
-    """An Isabelle server.
-
-    Each value holds a `SharedSession`, not a field, through which the
-    problems of a batch on it share one server session.
-    """
+    """An Isabelle server."""
 
     host: str
     port: int
     password: str
     session_name: str = "HOL"
-
-    def __post_init__(self):
-        shared = SharedSession(self.host, self.port, self.password, self.session_name)
-        object.__setattr__(self, "shared", shared)
 
 
 @dataclass(frozen=True)
@@ -55,7 +47,8 @@ class GroundOracle:
         object.__setattr__(self, "verdicts", Verdicts())
 
 
-ProverBackend = Union[IsabelleServer, GroundOracle]
+# A batch on an IsabelleServer runs its problems on a SharedSession of it.
+ProverBackend = Union[IsabelleServer, SharedSession, GroundOracle]
 
 SessionHandle = Union[IsabelleSession, OracleSession]
 
@@ -70,24 +63,13 @@ def start_session(backend: ProverBackend) -> SessionHandle:
     """
     if isinstance(backend, GroundOracle):
         return OracleSession(backend.domain_bound, backend.verdicts)
+    if isinstance(backend, SharedSession):
+        return backend.open()
     if isinstance(backend, IsabelleServer):
-        return backend.shared.open()
+        return IsabelleSession(
+            backend.host, backend.port, backend.password, backend.session_name
+        )
     raise TypeError("unknown backend: %r" % (backend,))
-
-
-@contextlib.contextmanager
-def batch_session(backend: ProverBackend) -> Iterator[None]:
-    """Share one Isabelle server session among the sessions opened on
-    `backend` inside this block, and stop it on leaving the last such
-    block; an oracle backend is unaffected."""
-    if not isinstance(backend, IsabelleServer):
-        yield
-        return
-    backend.shared.hold()
-    try:
-        yield
-    finally:
-        backend.shared.release()
 
 
 def checked_timeout(timeout_s: float) -> float:

@@ -15,14 +15,15 @@ replayed across the repeated checks a refinement round performs.
 
 A server session outlives the connection that started it, so another
 connection can attach to it by its `session_id` and check theories
-without `session_build` or `session_start`.  A `SharedSession` hands
-out such connections: while a batch holds it, the first connection
-starts the session, every later one attaches, closing any of them drops
-only that connection, and the release stops the session over a fresh
-connection.  A check that times out may leave its task running in the
-session, so the batch retires that session: the next connection starts
-a fresh one, and the release stops both.  Outside a batch each
-connection starts a session of its own and stops it when closed.
+without `session_build` or `session_start`.  A batch's `SharedSession`
+hands out such connections: the first starts the session, every later
+one attaches, closing any of them drops only that connection, and
+closing the `SharedSession` stops the session over a fresh connection.
+A check that times out may leave its task running in the session, and
+one that is refused or loses its connection finds the session gone, so
+the batch retires that session: the next connection starts a fresh one,
+and the close stops both.  Outside a batch each connection starts a
+session of its own and stops it when closed.
 """
 
 import json
@@ -77,11 +78,12 @@ def _encode_args(args: Optional[dict]) -> str:
 class IsabelleSession:
     """One server connection to one prover session.
 
-    Without `session_id` the connection builds and starts a session,
-    which it owns; with it, the connection attaches to that running
-    session, which it does not own.  `close` stops the session first
-    only while `owns_session` is true.  `on_timeout`, when set, is
-    called with the session id after a check times out.
+    Without `session_id` the connection builds and starts a session;
+    with it, the connection attaches to that running session.  It owns
+    the session it started, unless `owns_session` says otherwise, and
+    `close` stops the session first only when it owns it.  `on_dead`,
+    when set, is called with the session id once a check times out, is
+    refused or loses the connection.
     """
 
     def __init__(
@@ -93,11 +95,12 @@ class IsabelleSession:
         connect_timeout: float = 10.0,
         build_timeout: float = 600.0,
         session_id: Optional[str] = None,
+        owns_session: Optional[bool] = None,
     ):
         self.session_name = session_name
         self.session_id = session_id
-        self.owns_session = session_id is None
-        self.on_timeout: Optional[Callable[[str], None]] = None
+        self.owns_session = session_id is None if owns_session is None else owns_session
+        self.on_dead: Optional[Callable[[str], None]] = None
         self._buf = b""
         self._dead = False
         self._check_counter = 0
@@ -274,13 +277,15 @@ class IsabelleSession:
         }
         try:
             payload = self._run_async("use_theories", args, deadline)
-        except _Deadline:
-            # The task may still be running server-side, so this session
-            # is done; the round ends at this report and the next round
-            # opens a fresh session.
+        except (ProverError, _Deadline) as exc:
+            # The session refused the check, the connection dropped, or
+            # the task may still be running server-side: either way this
+            # session is done, and the next round opens a fresh one.
             self._dead = True
-            if self.on_timeout is not None:
-                self.on_timeout(self.session_id)
+            if self.on_dead is not None:
+                self.on_dead(self.session_id)
+            if not isinstance(exc, _Deadline):
+                raise
             elapsed = time.monotonic() - started
             message = ProverMessage(
                 "error", "Timeout: prover gave no verdict within %.1fs" % timeout_s
@@ -364,62 +369,46 @@ class IsabelleSession:
 
 
 class SharedSession:
-    """The prover session that the connections of a batch attach to.
+    """The prover session that the connections of one batch attach to.
 
-    `hold` and `release` bracket a batch, and batches may overlap.
-    While held, the first `open` starts the session under the lock, and
-    every later `open` attaches its own connection to it.  A failed
-    start leaves no session, so the next `open` tries again.  A check
-    that times out retires its session, so the next `open` starts a
-    fresh one.  The `release` of the last hold stops every session the
-    batches started, each over a fresh connection.  While not held,
-    `open` starts a session that its connection owns and stops on close.
+    The first `open` starts the session under the lock, and every later
+    `open` attaches its own connection to it.  A failed start leaves no
+    session, so the next `open` tries again.  A check that times out, is
+    refused or loses its connection retires its session, so the next
+    `open` starts a fresh one.  Once every `open` has returned, `close`
+    stops every session this value started, each over a fresh connection.
+    `server` is the `IsabelleServer` the sessions run on.
     """
 
-    def __init__(self, host: str, port: int, password: str, session_name: str):
-        self._server = (host, port, password, session_name)
+    def __init__(self, server):
+        self._server = (server.host, server.port, server.password, server.session_name)
         self._lock = threading.Lock()
-        self._holds = 0
         self._session_id: Optional[str] = None
-        self._retired: List[str] = []
+        self._started: List[str] = []
 
-    def hold(self) -> None:
+    def open(self) -> IsabelleSession:
         with self._lock:
-            self._holds += 1
-
-    def release(self) -> None:
-        with self._lock:
-            self._holds -= 1
-            if self._holds:
-                return
-            stale, self._retired = self._retired, []
-            if self._session_id is not None:
-                stale.append(self._session_id)
-            self._session_id = None
-        for session_id in stale:
-            try:
-                stopper = IsabelleSession(*self._server, session_id=session_id)
-                stopper.owns_session = True
-                stopper.close()
-            except ProverError as exc:
-                log.warning("could not stop prover session %s: %s", session_id, exc)
+            session_id = self._session_id
+            if session_id is None:
+                session = IsabelleSession(*self._server, owns_session=False)
+                self._session_id = session.session_id
+                self._started.append(session.session_id)
+        if session_id is not None:
+            session = IsabelleSession(*self._server, session_id=session_id)
+        session.on_dead = self._retire
+        return session
 
     def _retire(self, session_id: str) -> None:
         with self._lock:
             if session_id == self._session_id:
-                self._retired.append(session_id)
                 self._session_id = None
 
-    def open(self) -> IsabelleSession:
-        with self._lock:
-            held, session_id = self._holds > 0, self._session_id
-            if held and session_id is None:
-                session = IsabelleSession(*self._server)
-                session.owns_session = False
-                self._session_id = session.session_id
-        if not held:
-            return IsabelleSession(*self._server)
-        if session_id is not None:
-            session = IsabelleSession(*self._server, session_id=session_id)
-        session.on_timeout = self._retire
-        return session
+    def close(self) -> None:
+        for session_id in self._started:
+            try:
+                stopper = IsabelleSession(
+                    *self._server, session_id=session_id, owns_session=True
+                )
+                stopper.close()
+            except ProverError as exc:
+                log.warning("could not stop prover session %s: %s", session_id, exc)

@@ -10,6 +10,7 @@ session tests run batches against the scripted Isabelle stand-in of
 `test_prover_client` and count the commands it receives.
 """
 
+import collections
 import contextlib
 import dataclasses
 import json
@@ -21,16 +22,22 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import verifine.batch
 import verifine.llm
 import verifine.pipeline
 from verifine.batch import run_batch
 from verifine.datasets import load_problems
-from verifine.llm import HttpError, TranscriptCache
+from verifine.llm import HttpError, ReplyTable, TranscriptCache
 from verifine.llmtypes import StageKind
-from verifine.pipeline import PipelineContext, RefinerConfig, batch_replies, run_refiner
+from verifine.pipeline import PipelineContext, RefinerConfig, run_refiner
 from verifine.prompts import TEMPLATES
-from verifine.prover import GroundOracle, IsabelleServer, batch_session, start_session
-from verifine.prover.isabelle import IsabelleSession, SessionBuildFailed
+from verifine.prover import GroundOracle, IsabelleServer, start_session
+from verifine.prover.isabelle import (
+    IsabelleSession,
+    SessionBuildFailed,
+    SessionDead,
+    SharedSession,
+)
 from verifine.prover.messages import ProverError
 
 from fixtures_e2e import (
@@ -325,7 +332,8 @@ def test_a_batch_recording_replays_to_itself(tmp_path):
         assert [golden_line(t) for t in replayed] == [golden_line(t) for t in recorded]
         assert model.calls == line_count(path) == calls
         assert [golden_line(t) for t in recorded] == golden(corpus)
-        assert len(cfg.replies) == 0
+        # The batch's table lived on its own copy of the config.
+        assert cfg.replies is None
 
 
 @pytest.mark.parametrize(
@@ -340,18 +348,20 @@ def test_a_batch_recording_replays_to_itself(tmp_path):
 def test_which_runs_share_replies(mode, temperature, batched, calls, tmp_path):
     """A batch of record runs or of live runs at temperature 0 asks each
     distinct prompt once; a live run above 0 samples every ask, and
-    `run_refiner` outside a batch asks every prompt it reaches."""
+    `run_refiner` outside a batch asks every prompt it reaches.  A later
+    batch on the same config keeps nothing of the first, so it asks
+    again."""
     model = counting(batch_transport())
     path = str(tmp_path / "cache.jsonl") if mode == "record" else None
     cfg = scripted_config(model, mode, path, temperature)
     problems = corpus_problems("batch50")
-    if batched:
-        traces = run_batch(problems, cfg, workers=2)
-    else:
-        traces = [run_refiner(problem, cfg) for problem in problems]
-    assert model.calls == calls
-    assert len(cfg.replies) == 0
-    assert [golden_line(t) for t in traces] == golden("batch50")
+    for run in (1, 2):
+        if batched:
+            traces = run_batch(problems, cfg, workers=2)
+        else:
+            traces = [run_refiner(problem, cfg) for problem in problems]
+        assert model.calls == run * calls
+        assert [golden_line(t) for t in traces] == golden("batch50")
 
 
 def test_a_replayed_batch_reads_the_cache_at_every_ask(monkeypatch):
@@ -394,6 +404,13 @@ class GatedModel:
         return fenced("1: works")
 
 
+def table_config(model):
+    """A live config whose asks share one reply table, as a batch's do."""
+    cfg = scripted_config(model, "live")
+    cfg.replies = ReplyTable()
+    return cfg
+
+
 def ask_events(cfg, word):
     """One DETECT_EVENTS ask about `word`; the reply's fenced block."""
     ctx = PipelineContext(cfg, worked_example_problems()[0])
@@ -416,8 +433,8 @@ def waiters(monkeypatch):
 
 def test_concurrent_asks_of_one_prompt_make_one_call(waiters):
     model = GatedModel(held=("alpha",))
-    cfg = scripted_config(model, "live")
-    with batch_replies(cfg), ThreadPoolExecutor(2) as pool:
+    cfg = table_config(model)
+    with ThreadPoolExecutor(2) as pool:
         first = pool.submit(ask_events, cfg, "alpha")
         assert model.entered.acquire(timeout=10)
         second = pool.submit(ask_events, cfg, "alpha")
@@ -429,8 +446,8 @@ def test_concurrent_asks_of_one_prompt_make_one_call(waiters):
 
 def test_a_failed_call_reaches_every_waiter_and_is_not_kept(waiters):
     model = GatedModel(held=("alpha",), error=HttpError("endpoint returned 400", 400))
-    cfg = scripted_config(model, "live")
-    with batch_replies(cfg), ThreadPoolExecutor(2) as pool:
+    cfg = table_config(model)
+    with ThreadPoolExecutor(2) as pool:
         first = pool.submit(ask_events, cfg, "alpha")
         assert model.entered.acquire(timeout=10)
         second = pool.submit(ask_events, cfg, "alpha")
@@ -448,8 +465,8 @@ def test_a_failed_call_reaches_every_waiter_and_is_not_kept(waiters):
 def test_the_table_holds_at_most_its_size_and_keeps_calls_in_flight(monkeypatch):
     monkeypatch.setattr(verifine.llm, "REPLY_TABLE_SIZE", 2)
     model = GatedModel(held=("alpha", "bravo"))
-    cfg = scripted_config(model, "live")
-    with batch_replies(cfg), ThreadPoolExecutor(2) as pool:
+    cfg = table_config(model)
+    with ThreadPoolExecutor(2) as pool:
         asks = [pool.submit(ask_events, cfg, word) for word in ("alpha", "bravo")]
         for _ in asks:
             assert model.entered.acquire(timeout=10)
@@ -465,15 +482,22 @@ def test_the_table_holds_at_most_its_size_and_keeps_calls_in_flight(monkeypatch)
     assert model.calls == {"alpha": 2, "bravo": 1, "charlie": 2}
 
     # And across a whole batch on two workers.
-    sizes = []
+    sizes, tables = [], []
     scripted = batch_transport()
 
+    class Watched(ReplyTable):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
     def watching(request):
-        sizes.append(len(batch.replies))
+        sizes.append(len(tables[0]))
         return scripted(request)
 
+    monkeypatch.setattr(verifine.batch, "ReplyTable", Watched)
     batch = scripted_config(watching, "live")
     traces = run_batch(corpus_problems("batch50"), batch, workers=2)
+    assert len(tables) == 1
     assert 119 < len(sizes) and max(sizes) <= 2
     assert [golden_line(t) for t in traces] == golden("batch50")
 
@@ -549,37 +573,169 @@ def test_a_timed_out_check_retires_the_batch_session():
     assert not +server.live_sessions
 
 
-def test_overlapping_batches_share_one_session_until_the_last_ends():
+def test_a_refused_check_retires_the_batch_session(monkeypatch):
+    """A batch session that stops answering is retired at the first check
+    it refuses: that problem fails as before, and the later problems
+    start a fresh session and finish as planned."""
+    problems = four_problems()
     server = FakeIsabelleServer()
     server.numbered_sessions = True
-    backend = isabelle_backend(server)
-    lifecycle = ("session_start", "session_stop")
+    cleared = threading.Event()
+    run = verifine.batch.run_refiner
+
+    def after_the_clear(problem, cfg):
+        # The first problem's session is gone before the second runs.
+        if problem is not problems[0]:
+            assert cleared.wait(10)
+        return run(problem, cfg)
+
+    def on_result(trace):
+        if not cleared.is_set():
+            server.live_sessions.clear()
+            cleared.set()
+
+    monkeypatch.setattr(verifine.batch, "run_refiner", after_the_clear)
     try:
-        with batch_session(backend):
-            with batch_session(backend):
-                start_session(backend).close()
-            start_session(backend).close()
-            assert commands(server, *lifecycle) == ["session_start"]
-        assert commands(server, *lifecycle) == ["session_start", "session_stop"]
+        cfg = RefinerConfig(
+            llm=gateway_config(),
+            backend=isabelle_backend(server),
+            mode="live",
+            transport=worked_example_transport(),
+        )
+        traces = run_batch(problems, cfg, on_result=on_result)
+        lifecycle = commands(server, "session_start", "session_stop")
+        checked = [a["session_id"] for n, a in server.requests if n == "use_theories"]
         stopped = [a["session_id"] for n, a in server.requests if n == "session_stop"]
-        assert stopped == ["sess-1"]
+        del server.requests[:]
+        alone = [run_refiner(problem, cfg) for problem in problems]
     finally:
         server.close()
+    failed = traces[1]
+    assert (failed.final_status, failed.total_iterations) == ("exhausted_invalid", 0)
+    assert failed.diagnostic == (
+        "pipeline error: use_theories rejected: {'value': 'no running session sess-1'}"
+    )
+    planned = [golden_line(t) for t in alone]
+    assert golden_line(traces[0]) == planned[0]
+    assert [golden_line(t) for t in traces[2:]] == planned[2:]
+    assert lifecycle == ["session_start", "session_start", "session_stop", "session_stop"]
+    # The refused check is the last in sess-1; every later one is in sess-2.
+    fresh = checked.index("sess-2")
+    assert set(checked[:fresh]) == {"sess-1"} and set(checked[fresh:]) == {"sess-2"}
+    assert stopped == ["sess-1", "sess-2"]
+
+
+@pytest.mark.parametrize("fault", ["refused", "dropped"])
+def test_a_failed_check_retires_the_shared_session(fault):
+    server = FakeIsabelleServer()
+    server.numbered_sessions = True
+    shared = SharedSession(isabelle_backend(server))
+    try:
+        first = start_session(shared)
+        if fault == "refused":
+            server.live_sessions.clear()
+        server.die_on_use_theories = fault == "dropped"
+        error = SessionDead if fault == "dropped" else ProverError
+        with pytest.raises(error, match="closed" if fault == "dropped" else "rejected"):
+            first.check_document(violin_doc(), timeout_s=5.0)
+        first.close()
+        server.die_on_use_theories = False
+        second = start_session(shared)
+        assert second.session_id == "sess-2"
+        assert second.check_document(violin_doc(), timeout_s=5.0).status == "valid"
+        second.close()
+        shared.close()
+    finally:
+        server.close()
+    stopped = [a["session_id"] for n, a in server.requests if n == "session_stop"]
+    assert stopped == ["sess-1", "sess-2"]
+
+
+def test_overlapping_batches_keep_apart(monkeypatch):
+    """Two batches on one config, run at once from two threads, each
+    start, check in and stop a session of their own, and share model
+    calls only within themselves.  Each batch's first result waits for
+    the other's, so both sessions are live together."""
+    server = FakeIsabelleServer()
+    server.numbered_sessions = True
+    model = counting(worked_example_transport())
+    cfg = RefinerConfig(
+        llm=gateway_config(), backend=isabelle_backend(server), mode="live", transport=model
+    )
+    live_together = []
+    met = threading.Barrier(
+        2, action=lambda: live_together.append(dict(+server.live_sessions))
+    )
+    # By batch: the session ids its checks used, and the sessions stopped
+    # by the time its last problem reported.
+    checked = collections.defaultdict(set)
+    stopped_before_end = {}
+    current = threading.local()
+    run, check = verifine.batch.run_refiner, verifine.pipeline.check_theory
+
+    def running(problem, batch_cfg):
+        current.batch = problem.id[0]
+        return run(problem, batch_cfg)
+
+    def checking(handle, doc, timeout_s):
+        checked[getattr(current, "batch", None)].add(handle.session_id)
+        return check(handle, doc, timeout_s)
+
+    monkeypatch.setattr(verifine.batch, "run_refiner", running)
+    monkeypatch.setattr(verifine.pipeline, "check_theory", checking)
+
+    def batch(label):
+        problems = [dataclasses.replace(p, id=label + p.id) for p in four_problems()]
+        reported = []
+
+        def on_result(trace):
+            reported.append(trace)
+            if len(reported) == 1:
+                met.wait(10)
+            if len(reported) == len(problems):
+                stopped_before_end[label] = commands(server, "session_stop")
+
+        return run_batch(problems, cfg, on_result=on_result)
+
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            both = [pool.submit(batch, label) for label in "ab"]
+            traces = [future.result(30) for future in both]
+        lifecycle = commands(server, "session_start", "session_stop")
+        stopped = [a["session_id"] for n, a in server.requests if n == "session_stop"]
+        calls = model.calls
+        run_batch(four_problems(), cfg)
+        one_batch = model.calls - calls
+        for problem in four_problems():
+            run_refiner(problem, cfg)
+        unshared = model.calls - calls - one_batch
+    finally:
+        server.close()
+    assert all(t.diagnostic is None for batch_traces in traces for t in batch_traces)
+    assert live_together == [{"sess-1": 1, "sess-2": 1}]
+    assert lifecycle.count("session_start") == 2
+    assert sorted(stopped) == ["sess-1", "sess-2"]
+    [a_session], [b_session] = checked["a"], checked["b"]
+    assert a_session != b_session
+    # Neither batch's session was stopped before its own last problem.
+    assert a_session not in stopped_before_end["a"]
+    assert b_session not in stopped_before_end["b"]
+    assert calls == 2 * one_batch < 2 * unshared
 
 
 def test_a_failed_start_leaves_no_batch_session():
     server = FakeIsabelleServer()
-    backend = isabelle_backend(server)
+    shared = SharedSession(isabelle_backend(server))
     try:
-        with batch_session(backend):
-            server.fail_session_start = True
-            with pytest.raises(SessionBuildFailed):
-                start_session(backend)
-            server.fail_session_start = False
-            first, second = start_session(backend), start_session(backend)
-            first.close()
-            second.close()
-            assert commands(server, "session_stop") == []
+        server.fail_session_start = True
+        with pytest.raises(SessionBuildFailed):
+            start_session(shared)
+        server.fail_session_start = False
+        first, second = start_session(shared), start_session(shared)
+        first.close()
+        second.close()
+        assert commands(server, "session_stop") == []
+        shared.close()
         assert commands(server, "session_start", "session_stop") == [
             "session_start", "session_start", "session_stop",
         ]
