@@ -9,6 +9,11 @@ acknowledged with `OK {"task": id}` and settle later with `FINISHED` or
 `FAILED` carrying the same task id; `NOTE` lines report progress and are
 ignored here.
 
+Every exchange has a deadline: the handshake and `session_stop` get
+CONNECT_TIMEOUT_S, the session build and start BUILD_TIMEOUT_S, and a
+check its own budget.  Each read and write blocks only for the time left
+before it, so a check that gets no verdict ends at its budget.
+
 Each proof check writes the theory file into a fresh scratch directory,
 so the server sees a new node every time and stale results are never
 replayed across the repeated checks a refinement round performs.
@@ -23,7 +28,8 @@ A check that times out may leave its task running in the session, and
 one that is refused or loses its connection finds the session gone, so
 the batch retires that session: the next connection starts a fresh one,
 and the close stops both.  Outside a batch each connection starts a
-session of its own and stops it when closed.
+session of its own and stops it when closed: over that connection while
+it is alive, and over a fresh one once a check has left it dead.
 """
 
 import json
@@ -48,6 +54,11 @@ from .messages import (
 
 log = logging.getLogger(__name__)
 
+# Deadlines of a connection's open, handshake and session_stop, and of
+# a session's build and start.
+CONNECT_TIMEOUT_S = 10.0
+BUILD_TIMEOUT_S = 600.0
+
 
 class ConnectFailed(ProverError):
     """TCP connection to the server could not be established."""
@@ -69,12 +80,6 @@ class _Deadline(Exception):
     pass
 
 
-def _encode_args(args: Optional[dict]) -> str:
-    if args is None:
-        return ""
-    return " " + json.dumps(args, separators=(",", ":"), sort_keys=True)
-
-
 class IsabelleSession:
     """One server connection to one prover session.
 
@@ -92,8 +97,6 @@ class IsabelleSession:
         port: int,
         password: str,
         session_name: str = "HOL",
-        connect_timeout: float = 10.0,
-        build_timeout: float = 600.0,
         session_id: Optional[str] = None,
         owns_session: Optional[bool] = None,
     ):
@@ -101,26 +104,27 @@ class IsabelleSession:
         self.session_id = session_id
         self.owns_session = session_id is None if owns_session is None else owns_session
         self.on_dead: Optional[Callable[[str], None]] = None
+        self._server = (host, port, password, session_name)
         self._buf = b""
         self._dead = False
         self._check_counter = 0
         try:
-            self._sock = socket.create_connection((host, port), connect_timeout)
+            self._sock = socket.create_connection((host, port), CONNECT_TIMEOUT_S)
         except OSError as exc:
             raise ConnectFailed("cannot connect to %s:%d: %s" % (host, port, exc))
         # A failed open leaves nothing behind: the connection closes and
         # the scratch directory is made only once the session is up.
         try:
-            self._sock.settimeout(0.25)
+            deadline = time.monotonic() + CONNECT_TIMEOUT_S
             try:
-                self._write_line(password)
-                kind, _payload = self._read_reply(time.monotonic() + connect_timeout)
+                self._write_line(password, deadline)
+                kind, _payload = self._read_reply(deadline)
             except (_Deadline, SessionDead) as exc:
                 raise AuthFailed("no handshake reply: %s" % exc)
             if kind != "OK":
                 raise AuthFailed("server refused password: %s" % kind)
             if session_id is None:
-                self._start(build_timeout)
+                self._start()
             self._workdir = tempfile.mkdtemp(prefix="verifine_thy_")
         except BaseException:
             self._sock.close()
@@ -128,72 +132,65 @@ class IsabelleSession:
 
     # -- low-level framing
 
-    def _write_line(self, line: str):
+    def _wait_until(self, deadline: float) -> None:
+        """Let the next socket call block only until `deadline`."""
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise _Deadline()
+        self._sock.settimeout(left)
+
+    def _write_line(self, line: str, deadline: float):
+        self._wait_until(deadline)
         try:
             self._sock.sendall(line.encode("utf-8") + b"\n")
         except OSError as exc:
             self._dead = True
             raise SessionDead("send failed: %s" % exc)
 
-    def _recv_chunk(self, deadline: Optional[float]) -> bytes:
+    def _recv(self, deadline: float) -> bytes:
+        self._wait_until(deadline)
+        try:
+            chunk = self._sock.recv(65536)
+        except socket.timeout:
+            raise _Deadline()
+        except OSError as exc:
+            self._dead = True
+            raise SessionDead("recv failed: %s" % exc)
+        if not chunk:
+            self._dead = True
+            raise SessionDead("server closed the connection")
+        return chunk
+
+    def _read_message(self, deadline: float) -> str:
+        """The next message: one line, or the bytes that follow a line
+        holding only their decimal count."""
+        count: Optional[int] = None
         while True:
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Deadline()
-            try:
-                chunk = self._sock.recv(65536)
-            except socket.timeout:
-                continue
-            except OSError as exc:
-                self._dead = True
-                raise SessionDead("recv failed: %s" % exc)
-            if not chunk:
-                self._dead = True
-                raise SessionDead("server closed the connection")
-            return chunk
+            if count is None and b"\n" in self._buf:
+                line, _, self._buf = self._buf.partition(b"\n")
+                if not line.isdigit():
+                    return line.decode("utf-8")
+                count = int(line)
+            if count is not None and len(self._buf) >= count:
+                message, self._buf = self._buf[:count], self._buf[count:]
+                return message.decode("utf-8")
+            self._buf += self._recv(deadline)
 
-    def _read_line(self, deadline: Optional[float]) -> str:
-        while True:
-            pos = self._buf.find(b"\n")
-            if pos >= 0:
-                line = self._buf[:pos]
-                self._buf = self._buf[pos + 1:]
-                return line.decode("utf-8")
-            self._buf += self._recv_chunk(deadline)
-
-    def _read_exact(self, count: int, deadline: Optional[float]) -> str:
-        while len(self._buf) < count:
-            self._buf += self._recv_chunk(deadline)
-        data = self._buf[:count]
-        self._buf = self._buf[count:]
-        return data.decode("utf-8")
-
-    def _read_message(self, deadline: Optional[float]) -> str:
-        line = self._read_line(deadline)
-        if line and line.isdigit():
-            return self._read_exact(int(line), deadline)
-        return line
-
-    def _read_reply(self, deadline: Optional[float]) -> Tuple[str, dict]:
-        message = self._read_message(deadline)
-        head, _, rest = message.partition(" ")
-        payload: dict = {}
+    def _read_reply(self, deadline: float) -> Tuple[str, dict]:
+        head, _, rest = self._read_message(deadline).partition(" ")
         rest = rest.strip()
-        if rest:
-            try:
-                decoded = json.loads(rest)
-                if isinstance(decoded, dict):
-                    payload = decoded
-                else:
-                    payload = {"value": decoded}
-            except ValueError:
-                payload = {"raw": rest}
-        return head, payload
+        try:
+            payload = json.loads(rest) if rest else {}
+        except ValueError:
+            return head, {"raw": rest}
+        return head, payload if isinstance(payload, dict) else {"value": payload}
 
     # -- command plumbing
 
-    def _run_async(self, name: str, args: dict, deadline: Optional[float]) -> dict:
+    def _run_async(self, name: str, args: dict, deadline: float) -> dict:
         """Send an asynchronous command and wait for its FINISHED payload."""
-        self._write_line(name + _encode_args(args))
+        arg = json.dumps(args, separators=(",", ":"), sort_keys=True)
+        self._write_line(name + " " + arg, deadline)
         kind, payload = self._read_reply(deadline)
         if kind == "ERROR":
             raise ProverError("%s rejected: %s" % (name, payload))
@@ -213,8 +210,8 @@ class IsabelleSession:
             if kind == "ERROR":
                 raise ProverError("%s error: %s" % (name, payload))
 
-    def _start(self, build_timeout: float):
-        deadline = time.monotonic() + build_timeout
+    def _start(self):
+        deadline = time.monotonic() + BUILD_TIMEOUT_S
         try:
             build = self._run_async(
                 "session_build", {"session": self.session_name}, deadline
@@ -227,11 +224,11 @@ class IsabelleSession:
         except _Deadline:
             raise SessionBuildFailed(
                 "session %r did not come up within %.0fs"
-                % (self.session_name, build_timeout)
+                % (self.session_name, BUILD_TIMEOUT_S)
             )
+        except SessionBuildFailed:
+            raise
         except ProverError as exc:
-            if isinstance(exc, SessionBuildFailed):
-                raise
             raise SessionBuildFailed(str(exc))
         self.session_id = started.get("session_id")
         if not self.session_id:
@@ -240,7 +237,7 @@ class IsabelleSession:
     @property
     def usable(self) -> bool:
         """False once the session is closed or a check left it dead."""
-        return not self._dead and self.session_id is not None
+        return not self._dead
 
     # -- checking
 
@@ -344,28 +341,27 @@ class IsabelleSession:
     # -- lifecycle
 
     def close(self):
-        if self._dead or not self.owns_session:
-            self._cleanup()
-            return
+        """Drop the connection, stopping the session first if this one
+        owns it (see the module docstring)."""
+        owned, self.owns_session = self.owns_session, False
         try:
-            if self.session_id is not None:
+            if owned and self._dead:
+                _stop_session(self._server, self.session_id)
+            elif owned:
                 self._run_async(
                     "session_stop",
                     {"session_id": self.session_id},
-                    time.monotonic() + 10.0,
+                    time.monotonic() + CONNECT_TIMEOUT_S,
                 )
         except (ProverError, _Deadline):
             pass
         finally:
-            self._cleanup()
-
-    def _cleanup(self):
-        self._dead = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        shutil.rmtree(self._workdir, ignore_errors=True)
+            self._dead = True
+            try:
+                self._sock.close()
+            except OSError:
+                pass
+            shutil.rmtree(self._workdir, ignore_errors=True)
 
 
 class SharedSession:
@@ -405,10 +401,13 @@ class SharedSession:
 
     def close(self) -> None:
         for session_id in self._started:
-            try:
-                stopper = IsabelleSession(
-                    *self._server, session_id=session_id, owns_session=True
-                )
-                stopper.close()
-            except ProverError as exc:
-                log.warning("could not stop prover session %s: %s", session_id, exc)
+            _stop_session(self._server, session_id)
+
+
+def _stop_session(server: Tuple[str, int, str, str], session_id: str) -> None:
+    """Stop a server session over a fresh connection to `server` (host,
+    port, password and session name)."""
+    try:
+        IsabelleSession(*server, session_id=session_id, owns_session=True).close()
+    except ProverError as exc:
+        log.warning("could not stop prover session %s: %s", session_id, exc)

@@ -363,12 +363,11 @@ class Verdicts:
     """Entailment verdicts keyed by premises and goal, safe to share
     between threads.
 
-    Holds at most `size` entries and drops the oldest first.  The lock
-    guards only inserting and dropping, never grounding or solving.
+    Holds at most VERDICTS_SIZE entries and drops the oldest first.  The
+    lock guards only inserting and dropping, never grounding or solving.
     """
 
-    def __init__(self, size: int = VERDICTS_SIZE):
-        self.size = size
+    def __init__(self):
         self._slots: Dict[Tuple[Tuple[Formula, ...], Formula], List[bool]] = {}
         self._lock = threading.Lock()
 
@@ -384,7 +383,7 @@ class Verdicts:
         """
         with self._lock:
             slot = self._slots.setdefault((tuple(premises), goal), [])
-            if len(self._slots) > self.size:
+            if len(self._slots) > VERDICTS_SIZE:
                 del self._slots[next(iter(self._slots))]
         return slot
 

@@ -757,6 +757,23 @@ def test_outside_a_batch_each_session_is_its_own():
     ]
 
 
+def test_outside_a_batch_a_timed_out_session_is_still_stopped():
+    """A check that times out leaves its connection dead, so `close`
+    stops the session over a fresh connection."""
+    server = FakeIsabelleServer()
+    server.hang_on_use_theories = True
+    try:
+        handle = start_session(isabelle_backend(server))
+        assert handle.check_document(violin_doc(), timeout_s=0.3).status == "timeout"
+        handle.close()
+    finally:
+        server.close()
+    assert commands(server, "session_start", "use_theories", "session_stop") == [
+        "session_start", "use_theories", "session_stop",
+    ]
+    assert not +server.live_sessions
+
+
 def test_attaching_by_id_checks_until_the_session_stops():
     server = FakeIsabelleServer()
     address = ("127.0.0.1", server.port, server.password)

@@ -680,8 +680,9 @@ class TestVerdictsAcrossSessions:
         assert [r.status for r in reports] == ["timeout", "valid", "valid"]
         assert pools == [0, 0]
 
-    def test_a_full_table_drops_its_oldest_verdict(self):
-        verdicts = Verdicts(size=4)
+    def test_a_full_table_drops_its_oldest_verdict(self, monkeypatch):
+        monkeypatch.setattr(oracle, "VERDICTS_SIZE", 4)
+        verdicts = Verdicts()
         session = OracleSession(3, verdicts)
         for k in range(10):
             reports, pools = check_each([session], numbered_doc(k))
@@ -697,10 +698,11 @@ class TestVerdictsAcrossSessions:
         assert len(verdicts) == 4
         assert 1000 <= VERDICTS_SIZE < 100000
 
-    def test_threads_share_one_table(self):
+    def test_threads_share_one_table(self, monkeypatch):
         # What start_session does with a backend's table, but a small one,
         # so the threads also drop verdicts while others insert them.
-        verdicts = Verdicts(size=8)
+        monkeypatch.setattr(oracle, "VERDICTS_SIZE", 8)
+        verdicts = Verdicts()
         docs = [numbered_doc(k) for k in range(24)]
         statuses = [[] for _ in range(6)]
 

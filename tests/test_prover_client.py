@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from verifine.prover import GroundOracle, IsabelleServer, start_session
+from verifine.prover import GroundOracle, IsabelleServer, isabelle, start_session
 from verifine.prover.isabelle import (
     AuthFailed,
     ConnectFailed,
@@ -225,9 +225,13 @@ def server():
     srv.close()
 
 
+@pytest.fixture(autouse=True)
+def short_timeouts(monkeypatch):
+    monkeypatch.setattr(isabelle, "CONNECT_TIMEOUT_S", 5.0)
+    monkeypatch.setattr(isabelle, "BUILD_TIMEOUT_S", 10.0)
+
+
 def connect(srv, **kwargs):
-    kwargs.setdefault("connect_timeout", 5.0)
-    kwargs.setdefault("build_timeout", 10.0)
     return IsabelleSession("127.0.0.1", srv.port, srv.password, **kwargs)
 
 
@@ -258,29 +262,28 @@ class TestHandshakeAndLifecycle:
         with pytest.raises(AuthFailed):
             IsabelleSession("127.0.0.1", server.port, "not-it")
 
-    def test_silent_server_fails_handshake(self, server):
+    def test_silent_server_fails_handshake(self, server, monkeypatch):
         server.close_on_connect = True
+        monkeypatch.setattr(isabelle, "CONNECT_TIMEOUT_S", 1.0)
         with pytest.raises(AuthFailed):
-            IsabelleSession(
-                "127.0.0.1", server.port, server.password, connect_timeout=1.0
-            )
+            IsabelleSession("127.0.0.1", server.port, server.password)
 
-    def test_closed_port_raises_connect_failed(self):
+    def test_closed_port_raises_connect_failed(self, monkeypatch):
+        monkeypatch.setattr(isabelle, "CONNECT_TIMEOUT_S", 1.0)
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
         with pytest.raises(ConnectFailed):
-            IsabelleSession("127.0.0.1", port, "x", connect_timeout=1.0)
+            IsabelleSession("127.0.0.1", port, "x")
 
-    def test_closed_fake_refuses_new_sessions(self):
+    def test_closed_fake_refuses_new_sessions(self, monkeypatch):
+        monkeypatch.setattr(isabelle, "CONNECT_TIMEOUT_S", 1.0)
         srv = FakeIsabelleServer()
         srv.close()
         assert not srv._accepter.is_alive()
         with pytest.raises(ConnectFailed):
-            IsabelleSession(
-                "127.0.0.1", srv.port, srv.password, connect_timeout=1.0
-            )
+            IsabelleSession("127.0.0.1", srv.port, srv.password)
 
     def test_failed_build_raises(self, server):
         server.build_ok = False
@@ -311,6 +314,7 @@ class TestHandshakeAndLifecycle:
         self, server, tmp_path, monkeypatch, fault, error
     ):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(isabelle, "CONNECT_TIMEOUT_S", 1.0)
         port, password = server.port, server.password
         if fault == "closed_port":
             probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -326,7 +330,7 @@ class TestHandshakeAndLifecycle:
         # The kept exception info holds the half-built session, so only
         # an explicit close ends the connection before the test does.
         with pytest.raises(error) as info:
-            IsabelleSession("127.0.0.1", port, password, connect_timeout=1.0)
+            IsabelleSession("127.0.0.1", port, password)
         assert os.listdir(str(tmp_path)) == []
         if error is SessionBuildFailed:
             deadline = time.monotonic() + 2.0
@@ -452,17 +456,21 @@ class TestChecking:
         finally:
             session.close()
 
-    def test_no_verdict_within_budget_times_out(self, server):
+    @pytest.mark.parametrize("budget", [0.1, 0.3, 0.6])
+    def test_no_verdict_within_budget_times_out(self, server, budget):
         server.hang_on_use_theories = True
         session = connect(server)
         try:
-            report = session.check_document(violin_doc(), timeout_s=0.6)
+            started = time.monotonic()
+            report = session.check_document(violin_doc(), timeout_s=budget)
+            # The report lands at the budget, not at a later poll.
+            assert time.monotonic() - started < budget + 0.1
             assert report.status == "timeout"
             assert report.messages[0].text == (
-                "Timeout: prover gave no verdict within 0.6s"
+                "Timeout: prover gave no verdict within %.1fs" % budget
             )
             with pytest.raises(SessionDead):
-                session.check_document(violin_doc(), timeout_s=0.6)
+                session.check_document(violin_doc(), timeout_s=budget)
         finally:
             session.close()
 
