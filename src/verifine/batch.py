@@ -1,9 +1,8 @@
 """Run the refiner over many problems with a thread pool.
 
-Worker threads only compute; the main thread is the single writer of
-trace files, so concurrent runs never interleave output.  A problem
-whose run blows up (rather than failing gracefully inside the loop)
-still yields a trace: exhausted, zero iterations, diagnostic attached.
+Worker threads only compute, each problem's trace coming from
+`run_refiner`; the main thread is the single writer of trace files, so
+concurrent runs never interleave output.
 
 Each batch runs its problems on its own copy of the config, which
 carries what they share.  On an Isabelle backend that is a
@@ -18,7 +17,6 @@ config and at once, share neither.
 """
 
 import json
-import logging
 import os
 import re
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -37,8 +35,6 @@ from .llm import ReplyTable
 from .prover import IsabelleServer
 from .prover.isabelle import SharedSession
 
-log = logging.getLogger(__name__)
-
 ProgressHook = Callable[[RefinementTrace], None]
 
 
@@ -51,17 +47,6 @@ def _safe_stem(problem_id: str, taken: set) -> str:
         suffix += 1
     taken.add(candidate)
     return candidate
-
-
-def _failure_trace(problem: NLIProblem, exc: BaseException) -> RefinementTrace:
-    return RefinementTrace(
-        problem_id=problem.id,
-        dataset=problem.dataset,
-        iterations=(),
-        final_status="exhausted_invalid",
-        total_iterations=0,
-        diagnostic="pipeline error: %s" % exc,
-    )
 
 
 def _batch_config(cfg: RefinerConfig) -> RefinerConfig:
@@ -126,13 +111,7 @@ def run_batch(
                 # Futures that finish together are handled in input order,
                 # so one worker reports problems exactly in input order.
                 for future in sorted(done, key=pending.__getitem__):
-                    index = pending.pop(future)
-                    try:
-                        trace = future.result()
-                    except Exception as exc:
-                        log.error("problem %s failed: %s", problems[index].id, exc)
-                        trace = _failure_trace(problems[index], exc)
-                    finish(index, trace)
+                    finish(pending.pop(future), future.result())
     finally:
         if isinstance(batch_cfg.backend, SharedSession):
             batch_cfg.backend.close()

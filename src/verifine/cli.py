@@ -22,7 +22,7 @@ from typing import List, Optional, Set
 
 from .batch import run_batch
 from .datasets import DatasetError, load_problems
-from .llm import LLMConfig, MalformedStageOutput, TranscriptCache
+from .llm import MODES, LLMConfig, MalformedStageOutput, TranscriptCache
 from .llmtypes import StageKind
 from .logic import sanitize_name
 from .pipeline import FormulaRejected, RefinerConfig, formalise, trace_from_dict
@@ -74,7 +74,7 @@ def _add_llm_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--mode",
-        choices=("live", "record", "replay"),
+        choices=MODES,
         default="live",
         help="live calls, record to cache, or replay from cache; a refine "
         "or batch run in record mode asks each distinct prompt once, and a "
@@ -106,6 +106,16 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         default=CHECK_TIMEOUT_S,
         help="per-check prover budget (s)",
     )
+
+
+def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("problems")
+    group.add_argument("--problems", required=True, help="JSONL problem file")
+    group.add_argument(
+        "--format", choices=("auto", "entailment", "mcqa"), default="auto",
+        help="row format; auto detects it row by row",
+    )
+    group.add_argument("--id", action="append", help="only these problem ids")
 
 
 def _add_loop_flags(parser: argparse.ArgumentParser) -> None:
@@ -180,7 +190,7 @@ def _load(args: argparse.Namespace):
         problems = load_problems(args.problems, args.format)
     except (DatasetError, OSError) as exc:
         raise SystemExit("cannot load %s: %s" % (args.problems, exc))
-    if getattr(args, "id", None):
+    if args.id:
         wanted = set(args.id)
         problems = [p for p in problems if p.id in wanted]
         missing = wanted - {p.id for p in problems}
@@ -325,9 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("formalise", help="write theory files for problems")
-    p.add_argument("--problems", required=True, help="JSONL problem file")
-    p.add_argument("--format", choices=("auto", "entailment", "mcqa"), default="auto")
-    p.add_argument("--id", action="append", help="only these problem ids")
+    _add_problem_flags(p)
     p.add_argument("--out", required=True, help="directory for .thy files")
     _add_llm_flags(p)
     p.set_defaults(func=_cmd_formalise)
@@ -338,9 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("refine", help="run the loop on problems, sequentially")
-    p.add_argument("--problems", required=True)
-    p.add_argument("--format", choices=("auto", "entailment", "mcqa"), default="auto")
-    p.add_argument("--id", action="append", help="only these problem ids")
+    _add_problem_flags(p)
     p.add_argument("--out", help="directory for trace files")
     _add_llm_flags(p)
     _add_backend_flags(p)
@@ -348,9 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("batch", help="run the loop with a worker pool")
-    p.add_argument("--problems", required=True)
-    p.add_argument("--format", choices=("auto", "entailment", "mcqa"), default="auto")
-    p.add_argument("--id", action="append", help="only these problem ids")
+    _add_problem_flags(p)
     p.add_argument("--out", required=True, help="directory for trace files")
     p.add_argument("--workers", type=int, default=1)
     _add_llm_flags(p)

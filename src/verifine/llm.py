@@ -463,6 +463,15 @@ def _call_with_retries(transport: Transport, request: dict, cfg: LLMConfig) -> s
     )
 
 
+def check_mode(mode: str, cache: Optional[TranscriptCache]) -> None:
+    """Refuse a mode that cannot run: an unknown one, or record or replay
+    without a transcript cache."""
+    if mode not in MODES:
+        raise ValueError("mode must be one of %s" % (MODES,))
+    if mode != "live" and cache is None:
+        raise ValueError("%s mode requires a transcript cache" % mode)
+
+
 def complete(
     stage: StageKind,
     bindings: Mapping[str, str],
@@ -471,17 +480,15 @@ def complete(
     cache: Optional[TranscriptCache] = None,
     transport: Optional[Transport] = None,
 ) -> str:
-    """Run one prompt stage and return the raw model response."""
-    if mode not in MODES:
-        raise ValueError("mode must be one of %s" % (MODES,))
-    if mode == "record" and cache is None:
-        raise ValueError("record mode requires a transcript cache")
+    """Run one prompt stage and return the raw model response.  A replay
+    without a cache misses; other modes must pass `check_mode`."""
+    if mode == "replay" and cache is None:
+        raise CacheMiss("replay mode requires a transcript cache")
+    check_mode(mode, cache)
     prompt = render_prompt(stage, bindings)
     model = cfg.model_for(stage)
     key = transcript_key(stage, prompt, model, cfg.temperature)
     if mode == "replay":
-        if cache is None:
-            raise CacheMiss("replay mode requires a transcript cache")
         response = cache.get(key)
         if response is None:
             raise CacheMiss(

@@ -38,17 +38,22 @@ runs its own parser.  A dropped reply answers later asks too.  A live
 run above temperature 0 samples every ask, and replays, like
 `run_refiner` outside a batch, make every call.
 
-A problem's rounds share one prover session, closed when the problem
-ends.  It is reopened only when a check has left it unusable: a timed-out
-Isabelle check kills its session.  An Isabelle session opens on the
-stage pool while the round formalises and is joined at the round's first
-check, so its start-up overlaps the round's first LLM calls; an oracle
-session is a plain object and opens inline.  Under `run_batch` the
-Isabelle sessions of all problems attach to the batch's one server
-session (see `verifine.prover`).  A backend that cannot open a session
-ends the problem with a diagnostic on the trace and no recorded round,
-even when formalisation failed meanwhile.  So with a dead backend, round
-0's formalisation calls are made before the failure shows.
+A problem's `PipelineContext` holds what it owns: its caches, its calls
+asked ahead and the one prover session its rounds share, closed when the
+problem ends.  The session is reopened only when a check has left it
+unusable: a timed-out Isabelle check kills its session.  An Isabelle
+session opens on the stage pool while the round formalises and is joined
+at the round's first check, so its start-up overlaps the round's first
+LLM calls; an oracle session is a plain object and opens inline.  Under
+`run_batch` the Isabelle sessions of all problems attach to the batch's
+one server session (see `verifine.prover`).  A backend that cannot open
+a session ends the problem with a diagnostic on the trace and no
+recorded round, even when formalisation failed meanwhile.  So with a
+dead backend, round 0's formalisation calls are made before the failure
+shows.  A problem whose run blows up (rather than failing gracefully
+inside the loop) still yields a trace from `run_refiner`, the one place
+a problem ends: exhausted, zero iterations, the exception as its
+diagnostic.
 """
 
 import enum
@@ -58,6 +63,7 @@ import re
 import sys
 import typing
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -67,6 +73,7 @@ from .llm import (
     ReplyTable,
     TranscriptCache,
     Transport,
+    check_mode,
     complete,
     extract_stage_output,
     prompt_key,
@@ -236,6 +243,7 @@ class RefinerConfig:
     timeout_s: float = CHECK_TIMEOUT_S
 
     def __post_init__(self):
+        check_mode(self.mode, self.cache)
         if self.max_refinement_iterations < 0:
             raise ValueError("max_refinement_iterations must be >= 0")
         if self.syntax_iterations < 0:
@@ -254,7 +262,8 @@ _stage_pool = ThreadPoolExecutor(sys.maxsize, thread_name_prefix="verifine-stage
 
 
 class PipelineContext:
-    """Per-problem state: the problem, stage calls and formalisation caches."""
+    """What one problem owns: its stage calls and the calls asked ahead,
+    its formalisation caches and the prover session its rounds share."""
 
     def __init__(self, cfg: RefinerConfig, problem: NLIProblem):
         self.cfg = cfg
@@ -270,6 +279,7 @@ class PipelineContext:
         # The round's calls asked ahead that no ask has taken yet, by
         # prompt key.  Only the problem's own thread touches them.
         self._ahead: Dict[tuple, Future] = {}
+        self._opened: Optional["Future[SessionHandle]"] = None
 
     def ask(self, stage: StageKind, bindings: Mapping[str, str], parse: Callable):
         """One stage call: render, complete, then `parse` the reply's last
@@ -319,6 +329,44 @@ class PipelineContext:
             if candidate not in self.used_ids:
                 self.used_ids.add(candidate)
                 return candidate
+
+    def begin_round(self) -> None:
+        """Start opening a session unless a usable one is open.  Through
+        the module global `start_session`, which tests and the bench
+        replace."""
+        if self._opened is not None:
+            handle = self._opened.result()
+            if handle.usable:
+                return
+            handle.close()
+        # An Isabelle session takes a server round trip or more to start,
+        # which the stage pool hides behind formalisation; an oracle
+        # session is a plain object, so a pool task would cost more than
+        # it hides.
+        if not isinstance(self.cfg.backend, GroundOracle):
+            self._opened = _stage_pool.submit(start_session, self.cfg.backend)
+            return
+        self._opened = Future()
+        try:
+            self._opened.set_result(start_session(self.cfg.backend))
+        except Exception as exc:
+            self._opened.set_exception(exc)
+
+    def handle(self) -> SessionHandle:
+        """The round's session, once open; waits for a pending open."""
+        try:
+            return self._opened.result()
+        except (ProverError, OSError) as exc:
+            raise _BackendUnavailable(exc)
+
+    def close(self) -> None:
+        """Close the problem's session, once any pending open is done."""
+        if self._opened is not None and self._opened.exception() is None:
+            self._opened.result().close()
+
+
+class _BackendUnavailable(Exception):
+    """The prover backend could not open a session."""
 
 
 # ---------------------------------------------------------------------------
@@ -680,10 +728,6 @@ def refine_explanation(
 # ---------------------------------------------------------------------------
 # The driver
 
-def _synthetic_failure_report(text: str) -> CheckReport:
-    return build_report("failed", [ProverMessage("error", text)], 0.0, None)
-
-
 def _assemble_feedback(
     report: CheckReport, doc: TheoryDoc, strategy: Optional[InferenceStrategy]
 ) -> FeedbackBundle:
@@ -699,54 +743,7 @@ def _assemble_feedback(
     return FeedbackBundle(error_text, step, index, strategy, cited)
 
 
-class _BackendUnavailable(Exception):
-    """The prover backend could not open a session."""
-
-
-class _ProblemSession:
-    """The prover session one problem's rounds share."""
-
-    def __init__(self, backend: ProverBackend):
-        self._backend = backend
-        self._opened: Optional["Future[SessionHandle]"] = None
-
-    def begin_round(self) -> None:
-        """Start opening a session unless a usable one is open.  Through
-        the module global `start_session`, which tests and the bench
-        replace."""
-        if self._opened is not None:
-            handle = self._opened.result()
-            if handle.usable:
-                return
-            handle.close()
-        # An Isabelle session takes a server round trip or more to start,
-        # which the stage pool hides behind formalisation; an oracle
-        # session is a plain object, so a pool task would cost more than
-        # it hides.
-        if not isinstance(self._backend, GroundOracle):
-            self._opened = _stage_pool.submit(start_session, self._backend)
-            return
-        self._opened = Future()
-        try:
-            self._opened.set_result(start_session(self._backend))
-        except Exception as exc:
-            self._opened.set_exception(exc)
-
-    def handle(self) -> SessionHandle:
-        """The round's session, once open; waits for a pending open."""
-        try:
-            return self._opened.result()
-        except (ProverError, OSError) as exc:
-            raise _BackendUnavailable(exc)
-
-    def close(self) -> None:
-        if self._opened is not None and self._opened.exception() is None:
-            self._opened.result().close()
-
-
-def _run_iteration(
-    ctx: PipelineContext, explanation: Tuple[Fact, ...], session: _ProblemSession
-) -> IterationRecord:
+def _run_iteration(ctx: PipelineContext, explanation: Tuple[Fact, ...]) -> IterationRecord:
     cfg = ctx.cfg
     # ROUGH_INFERENCE reads only the explanation, so it is asked ahead at
     # once; a round ends only once every call it asked ahead has settled.
@@ -760,18 +757,17 @@ def _run_iteration(
             failure = exc
         finally:
             # A failed session open outranks whatever formalisation raised.
-            handle = session.handle()
+            handle = ctx.handle()
         if failure is not None:
-            report = _synthetic_failure_report(str(failure))
-            bundle = FeedbackBundle(str(failure))
+            message = ProverMessage("error", str(failure))
             return IterationRecord(
                 explanation_before=explanation,
                 theory=None,
                 syntax_iterations_used=0,
                 syntax_errors_before=0,
                 syntax_errors_after=0,
-                report=report,
-                feedback=bundle,
+                report=build_report("failed", [message], 0.0, None),
+                feedback=FeedbackBundle(str(failure)),
                 explanation_after=explanation,
             )
         if rough is not None:
@@ -805,43 +801,47 @@ def _run_iteration(
 
 
 def run_refiner(problem: NLIProblem, cfg: RefinerConfig) -> RefinementTrace:
-    """Run the full loop on one problem and return its trace."""
+    """Run the full loop on one problem and return its trace.  Any
+    exception from a round, a refinement or the session close ends the
+    problem with a trace too: exhausted, no rounds, diagnostic attached."""
     ctx = PipelineContext(cfg, problem)
     explanation = tuple(problem.explanation)
     iterations: List[IterationRecord] = []
     rounds = 0
     diagnostic: Optional[str] = None
     final = "exhausted_invalid"
-    session = _ProblemSession(cfg.backend)
     try:
-        while True:
-            session.begin_round()
-            try:
-                record = _run_iteration(ctx, explanation, session)
-            except _BackendUnavailable as exc:
-                diagnostic = "backend unavailable: %s" % exc
-                break
-            if record.report.status == "valid":
+        with closing(ctx):
+            while True:
+                ctx.begin_round()
+                try:
+                    record = _run_iteration(ctx, explanation)
+                except _BackendUnavailable as exc:
+                    diagnostic = "backend unavailable: %s" % exc
+                    break
+                if record.report.status == "valid":
+                    iterations.append(record)
+                    final = "valid_initially" if rounds == 0 else "refined_valid"
+                    break
+                if rounds >= cfg.max_refinement_iterations:
+                    iterations.append(record)
+                    break
+                # A failed round always carries feedback, and a strategy
+                # only exists when the round formalised a theory.
+                strategy = record.feedback.strategy
+                if strategy is not None:
+                    filtered = filter_facts(explanation, strategy, record.theory.proof)
+                else:
+                    filtered = list(explanation)
+                refined = refine_explanation(ctx, record.feedback, filtered)
+                record = replace(record, explanation_after=refined)
                 iterations.append(record)
-                final = "valid_initially" if rounds == 0 else "refined_valid"
-                break
-            if rounds >= cfg.max_refinement_iterations:
-                iterations.append(record)
-                break
-            # A failed round always carries feedback, and a strategy only
-            # exists when the round formalised a theory.
-            strategy = record.feedback.strategy
-            if strategy is not None:
-                filtered = filter_facts(explanation, strategy, record.theory.proof)
-            else:
-                filtered = list(explanation)
-            refined = refine_explanation(ctx, record.feedback, filtered)
-            record = replace(record, explanation_after=refined)
-            iterations.append(record)
-            explanation = refined
-            rounds += 1
-    finally:
-        session.close()
+                explanation = refined
+                rounds += 1
+    except Exception as exc:
+        log.error("problem %s failed: %s", problem.id, exc, exc_info=True)
+        iterations, rounds, final = [], 0, "exhausted_invalid"
+        diagnostic = "pipeline error: %s" % exc
     return RefinementTrace(
         problem_id=problem.id,
         dataset=problem.dataset,

@@ -249,6 +249,9 @@ class IsabelleSession:
     def check_source(
         self, text: str, name: str, timeout_s: float = CHECK_TIMEOUT_S
     ) -> CheckReport:
+        """Check raw theory text.  The pipeline checks documents only;
+        this serves text no `TheoryDoc` can hold, such as the
+        arity-clashed theory the live-server tests send."""
         return self._check(text, name, timeout_s, None)
 
     def _check(

@@ -3,6 +3,7 @@ sub-loop, proof construction, fact filtering, explanation refinement,
 and the full loop replayed from the shipped transcript caches."""
 
 import json
+import logging
 import os
 import random
 import socket
@@ -594,6 +595,56 @@ class TestRunRefinerScripted:
         assert record.proof_steps_suggested == 0
         assert record.explanation_after == problem.explanation
 
+    @pytest.mark.parametrize(
+        "stage", [StageKind.DETECT_EVENTS, StageKind.REFINE_EXPLANATION]
+    )
+    def test_a_crash_ends_the_problem_with_a_failure_trace(self, stage, caplog):
+        """A fault in round 0's first call, or in a refinement after a
+        finished round, ends the problem: exhausted, no rounds, the fault
+        as its diagnostic."""
+        scripted = worked_example_transport()
+
+        def transport(request):
+            if request["stage"] == stage.value:
+                raise RuntimeError("simulated transport crash")
+            return scripted(request)
+
+        problem = worked_example_problems()[0]
+        with caplog.at_level(logging.ERROR, logger="verifine.pipeline"):
+            trace = run_refiner(problem, make_cfg(transport))
+        assert trace.final_status == "exhausted_invalid"
+        assert trace.iterations == ()
+        assert trace.total_iterations == 0
+        assert trace.diagnostic == "pipeline error: simulated transport crash"
+        assert caplog.record_tuples == [(
+            "verifine.pipeline",
+            logging.ERROR,
+            "problem %s failed: simulated transport crash" % problem.id,
+        )]
+
+    def test_a_failed_session_close_ends_the_problem_with_a_failure_trace(
+        self, monkeypatch
+    ):
+        original = pipeline.start_session
+
+        def unclosable(backend):
+            handle = original(backend)
+
+            def close():
+                raise RuntimeError("close failed")
+
+            handle.close = close
+            return handle
+
+        monkeypatch.setattr(pipeline, "start_session", unclosable)
+        t = gadget_transport()
+        t.add(StageKind.ROUGH_INFERENCE, fenced("direct\nRelevant: f1\nRedundant:"))
+        t.add(StageKind.CONSTRUCT_PROOF, "no usable proof")
+        trace = run_refiner(gadget_problem(GOOD_FACT), make_cfg(t))
+        assert trace.final_status == "exhausted_invalid"
+        assert trace.iterations == ()
+        assert trace.diagnostic == "pipeline error: close failed"
+
     def test_filtering_drops_unused_facts_before_refinement(self):
         t = gadget_transport()
         t.add(
@@ -705,6 +756,20 @@ class TestRunRefinerScripted:
         assert called.isdisjoint(
             {StageKind.ROUGH_INFERENCE.value, StageKind.CONSTRUCT_PROOF.value}
         )
+
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        ("batch", "mode must be one of"),
+        ("record", "record mode requires a transcript cache"),
+        ("replay", "replay mode requires a transcript cache"),
+    ],
+)
+def test_the_config_refuses_a_mode_it_cannot_run(mode, message):
+    """Refused when built, not as a `pipeline error` on every problem."""
+    with pytest.raises(ValueError, match=message):
+        make_cfg(ScriptedTransport(), mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,37 @@ def test_the_gateway_imports_only_stage_names_and_prompts():
         assert package_imports(fh.read()) <= {"llmtypes", "prompts"}
 
 
+def trace_builds(source: str) -> list:
+    """Lines of a source file that call `RefinementTrace(`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        == "RefinementTrace"
+    ]
+
+
+def test_the_trace_check_sees_a_build():
+    source = (
+        "t = RefinementTrace(a)\nu = pipeline.RefinementTrace(b)\n"
+        "v = RefinementTrace\n"
+    )
+    assert trace_builds(source) == [1, 2]
+
+
+def test_only_the_pipeline_ends_a_problem():
+    """`run_refiner` turns every outcome of a problem, faults included,
+    into its trace, so no other module builds one."""
+    builders = {}
+    for module, path in MODULES.items():
+        with open(path, encoding="utf-8") as fh:
+            lines = trace_builds(fh.read())
+        if lines:
+            builders[module] = lines
+    assert list(builders) == ["pipeline.py"]
+
+
 def test_lower_layers_load_without_the_gateway_or_the_loop():
     """Importing the formula, theory and prover layers in a fresh
     interpreter loads neither `requests`, the LLM gateway nor the loop:
