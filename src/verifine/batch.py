@@ -10,10 +10,12 @@ carries what they share.  On an Isabelle backend that is a
 session, every later problem attaches its own connection to it by id,
 and `run_batch` stops it when it returns.  A check that times out, is
 refused or loses its connection retires the session, and the next
-problem to open starts a fresh one, which `run_batch` stops too.  In
-record mode, and in live mode at temperature 0, it is a `ReplyTable`:
-each distinct prompt is asked once per batch.  Two batches, even on one
-config and at once, share neither.
+problem to open starts a fresh one, which `run_batch` stops too.  On the
+ground oracle it is one `OracleSession`: each distinct entailment is
+decided once per batch.  In record mode, and in live mode at
+temperature 0, it is also a `ReplyTable`: each distinct prompt is asked
+once per batch.  Two batches, even on one config and at once, share
+none of these.
 """
 
 import json
@@ -32,7 +34,7 @@ from .pipeline import (
 )
 # After pipeline: importing the gateway first costs 0.5 MB of peak RSS.
 from .llm import ReplyTable
-from .prover import IsabelleServer
+from .prover import GroundOracle, IsabelleServer, OracleSession
 from .prover.isabelle import SharedSession
 
 ProgressHook = Callable[[RefinementTrace], None]
@@ -54,6 +56,8 @@ def _batch_config(cfg: RefinerConfig) -> RefinerConfig:
     backend = cfg.backend
     if isinstance(backend, IsabelleServer):
         backend = SharedSession(backend)
+    elif isinstance(backend, GroundOracle):
+        backend = OracleSession(backend.domain_bound)
     batch_cfg = replace(cfg, backend=backend)
     if cfg.mode == "record" or (cfg.mode == "live" and cfg.llm.temperature == 0):
         batch_cfg.replies = ReplyTable()

@@ -145,6 +145,13 @@ def _llm_config(args: argparse.Namespace) -> LLMConfig:
 
 def _backend(args: argparse.Namespace):
     if args.backend == "oracle":
+        # A port names a server, so a run meant for Isabelle would
+        # otherwise get the bounded oracle's verdicts.
+        if args.isabelle_port is not None:
+            args.usage_error(
+                "--isabelle-port is unused with --backend oracle; add "
+                "--backend isabelle to check on that server"
+            )
         with _usage_errors(args):
             return GroundOracle(domain_bound=args.domain_bound)
     if not args.isabelle_port:
@@ -247,6 +254,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise SystemExit("cannot start prover session: %s" % exc)
     try:
         report = check_theory(handle, doc, timeout_s)
+    except ProverError as exc:
+        raise SystemExit("prover check failed: %s" % exc)
     finally:
         handle.close()
     print("status: %s (%.2fs)" % (report.status, report.elapsed))

@@ -480,10 +480,8 @@ def complete(
     cache: Optional[TranscriptCache] = None,
     transport: Optional[Transport] = None,
 ) -> str:
-    """Run one prompt stage and return the raw model response.  A replay
-    without a cache misses; other modes must pass `check_mode`."""
-    if mode == "replay" and cache is None:
-        raise CacheMiss("replay mode requires a transcript cache")
+    """Run one prompt stage and return the raw model response; `mode`
+    and `cache` must pass `check_mode`."""
     check_mode(mode, cache)
     prompt = render_prompt(stage, bindings)
     model = cfg.model_for(stage)

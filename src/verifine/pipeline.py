@@ -46,14 +46,15 @@ session opens on the stage pool while the round formalises and is joined
 at the round's first check, so its start-up overlaps the round's first
 LLM calls; an oracle session is a plain object and opens inline.  Under
 `run_batch` the Isabelle sessions of all problems attach to the batch's
-one server session (see `verifine.prover`).  A backend that cannot open
-a session ends the problem with a diagnostic on the trace and no
-recorded round, even when formalisation failed meanwhile.  So with a
-dead backend, round 0's formalisation calls are made before the failure
-shows.  A problem whose run blows up (rather than failing gracefully
-inside the loop) still yields a trace from `run_refiner`, the one place
-a problem ends: exhausted, zero iterations, the exception as its
-diagnostic.
+one server session, and on the ground oracle every problem checks on
+the batch's one oracle session and shares its verdicts (see
+`verifine.prover`).  A backend that cannot open a session ends the
+problem with a diagnostic on the trace and no recorded round, even when
+formalisation failed meanwhile.  So with a dead backend, round 0's
+formalisation calls are made before the failure shows.  A problem
+whose run blows up (rather than failing gracefully inside the loop)
+still yields a trace from `run_refiner`, the one place a problem ends:
+exhausted, zero iterations, the exception as its diagnostic.
 """
 
 import enum
@@ -89,6 +90,7 @@ from .logic import (
 )
 from .prover import (
     GroundOracle,
+    OracleSession,
     ProverBackend,
     SessionHandle,
     check_theory,
@@ -343,14 +345,11 @@ class PipelineContext:
         # which the stage pool hides behind formalisation; an oracle
         # session is a plain object, so a pool task would cost more than
         # it hides.
-        if not isinstance(self.cfg.backend, GroundOracle):
+        if not isinstance(self.cfg.backend, (GroundOracle, OracleSession)):
             self._opened = _stage_pool.submit(start_session, self.cfg.backend)
             return
         self._opened = Future()
-        try:
-            self._opened.set_result(start_session(self.cfg.backend))
-        except Exception as exc:
-            self._opened.set_exception(exc)
+        self._opened.set_result(start_session(self.cfg.backend))
 
     def handle(self) -> SessionHandle:
         """The round's session, once open; waits for a pending open."""

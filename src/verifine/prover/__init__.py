@@ -1,14 +1,22 @@
 """Prover backends: a live Isabelle server or a local ground oracle.
 
-`start_session` opens one problem's session.  `run_batch` runs its
-problems on a `SharedSession` of an Isabelle backend, so they share one
-server session: the first to open starts it, every later one attaches
-its own connection to it by id, and closing a problem's session drops
-only its connection.  A check that times out, is refused or loses its
-connection retires its server session, so the next to open starts a
+A user configures a plain value, `IsabelleServer` or `GroundOracle`, and
+`start_session` opens one problem's session on it.  `run_batch` turns
+that value into one shared object for its problems, and drops it when it
+returns.
+
+An Isabelle backend becomes a `SharedSession`, so the batch's problems
+share one server session: the first to open starts it, every later one
+attaches its own connection to it by id, and closing a problem's session
+drops only its connection.  A check that times out, is refused or loses
+its connection retires its server session, so the next to open starts a
 fresh one.  Closing the `SharedSession` stops every server session it
 started.  Outside a batch, each session an Isabelle backend opens is
 started and stopped by its own connection.
+
+A ground oracle becomes one `OracleSession`, which `start_session` hands
+to every problem, so they share its verdicts.  Outside a batch, each
+session a `GroundOracle` opens keeps verdicts of its own.
 """
 
 from dataclasses import dataclass
@@ -17,7 +25,7 @@ from typing import Union
 from ..theory import TheoryDoc
 from .isabelle import IsabelleSession, SharedSession
 from .messages import CheckReport
-from .oracle import OracleSession, Verdicts
+from .oracle import OracleSession
 
 
 @dataclass(frozen=True)
@@ -32,23 +40,18 @@ class IsabelleServer:
 
 @dataclass(frozen=True)
 class GroundOracle:
-    """The ground oracle at one domain bound.
-
-    Each value holds a verdict table, not a field, that every session it
-    opens shares, so the problems of a run configured with it decide each
-    distinct entailment once.
-    """
+    """The ground oracle at one domain bound."""
 
     domain_bound: int = 3
 
     def __post_init__(self):
         if self.domain_bound < 1:
             raise ValueError("domain_bound must be >= 1")
-        object.__setattr__(self, "verdicts", Verdicts())
 
 
-# A batch on an IsabelleServer runs its problems on a SharedSession of it.
-ProverBackend = Union[IsabelleServer, SharedSession, GroundOracle]
+# A batch runs its problems on a SharedSession of an IsabelleServer, or
+# on one OracleSession of a GroundOracle.
+ProverBackend = Union[IsabelleServer, SharedSession, GroundOracle, OracleSession]
 
 SessionHandle = Union[IsabelleSession, OracleSession]
 
@@ -59,10 +62,13 @@ def start_session(backend: ProverBackend) -> SessionHandle:
     Isabelle sessions connect, authenticate, and build and start the
     prover session (or attach to the batch's) eagerly, so the errors
     (ConnectFailed, AuthFailed, SessionBuildFailed) surface here rather
-    than at first check.
+    than at first check.  An `OracleSession` backend is itself the
+    session, for every problem to share.
     """
     if isinstance(backend, GroundOracle):
-        return OracleSession(backend.domain_bound, backend.verdicts)
+        return OracleSession(backend.domain_bound)
+    if isinstance(backend, OracleSession):
+        return backend
     if isinstance(backend, SharedSession):
         return backend.open()
     if isinstance(backend, IsabelleServer):

@@ -24,12 +24,12 @@ A document without proof steps is checked as one entailment (assumption
 and axioms against the theorem goal).  A document with a proof is checked
 step by step the way an interactive prover would: each step's goal must
 follow from the chained previous goal plus whatever facts the step cites.
-Each distinct entailment is decided once.  Its verdict goes into a
-`Verdicts` table, and repeats are answered from there.  The sessions a
-`GroundOracle` backend opens all share that backend's table, so every
-problem of a run, on every worker thread, reuses the verdicts of the
-others; a bare `OracleSession` keeps a table of its own.  A check that
-ran out of time is not remembered.
+An `OracleSession` decides each distinct entailment once.  Its verdict
+goes into the session's table, and repeats are answered from there.  A
+session holds no resource, so one can serve every problem of a batch on
+every worker thread: `run_batch` hands all its problems one session, and
+they reuse each other's verdicts.  A check that ran out of time is not
+remembered.
 """
 
 import itertools
@@ -355,62 +355,31 @@ def _line_message(doc: TheoryDoc, line_no: int, text: str) -> ProverMessage:
     return ProverMessage("error", text, Span(line_no, start, end))
 
 
-# Entailments a verdict table keeps; past this the oldest is dropped.
+# Entailments a session keeps verdicts for; past this the oldest is dropped.
 VERDICTS_SIZE = 8192
 
 
-class Verdicts:
-    """Entailment verdicts keyed by premises and goal, safe to share
-    between threads.
-
-    Holds at most VERDICTS_SIZE entries and drops the oldest first.  The
-    lock guards only inserting and dropping, never grounding or solving.
-    """
-
-    def __init__(self):
-        self._slots: Dict[Tuple[Tuple[Formula, ...], Formula], List[bool]] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def slot(self, premises: Sequence[Formula], goal: Formula) -> List[bool]:
-        """The entailment's slot: [verdict], or [] while undecided.
-
-        A formula tree's hash is recursive and uncached, so the key is
-        hashed once: the first ask makes the slot and its verdict fills
-        it.  A timeout leaves the slot empty, so it is asked again.
-        """
-        with self._lock:
-            slot = self._slots.setdefault((tuple(premises), goal), [])
-            if len(self._slots) > VERDICTS_SIZE:
-                del self._slots[next(iter(self._slots))]
-        return slot
-
-
 class OracleSession:
-    """Session handle for the ground oracle.
+    """Session handle for the ground oracle, safe to share between threads.
 
     The session answers a check it repeats, or a proof step that recurs
-    in a later round or another problem, from its `verdicts` table
-    without grounding again.  `start_session` passes the table of its
-    `GroundOracle` backend, which every session that backend opens
-    shares; without one the session keeps its own.  `domain_bound` sets
-    the pool only where the Bernays–Schönfinkel fragment does not decide
-    it (see the module docstring), so one table serves one bound.
+    in a later round or another problem, from its verdict table without
+    grounding again.  The table holds at most VERDICTS_SIZE entailments
+    and drops the oldest first; its lock guards only inserting and
+    dropping, never grounding or solving.  `domain_bound` sets the pool
+    only where the Bernays–Schönfinkel fragment does not decide it (see
+    the module docstring), so one table serves one bound.
     """
 
-    def __init__(self, domain_bound: int, verdicts: Optional[Verdicts] = None):
+    # Only an Isabelle session can become unusable.
+    usable = True
+
+    def __init__(self, domain_bound: int):
         if domain_bound < 1:
             raise ValueError("domain_bound must be >= 1")
         self.domain_bound = domain_bound
-        self.closed = False
-        self._verdicts = verdicts if verdicts is not None else Verdicts()
-
-    @property
-    def usable(self) -> bool:
-        """Only closing ends an oracle session."""
-        return not self.closed
+        self._verdicts: Dict[Tuple[Tuple[Formula, ...], Formula], List[bool]] = {}
+        self._lock = threading.Lock()
 
     def check_document(
         self, doc: TheoryDoc, timeout_s: float = CHECK_TIMEOUT_S
@@ -432,14 +401,21 @@ class OracleSession:
         return build_report("valid", [], time.monotonic() - started, doc)
 
     def close(self):
-        self.closed = True
+        """Nothing to release: a closed session stays usable."""
 
     # -- internals
 
     def _entails(
         self, premises: Sequence[Formula], goal: Formula, deadline: float
     ) -> bool:
-        slot = self._verdicts.slot(premises, goal)
+        # A formula tree's hash is recursive and uncached, so the key is
+        # hashed once: the first ask makes the slot, [] while undecided,
+        # and its verdict fills it.  A timeout leaves the slot empty, so
+        # it is asked again.
+        with self._lock:
+            slot = self._verdicts.setdefault((tuple(premises), goal), [])
+            if len(self._verdicts) > VERDICTS_SIZE:
+                del self._verdicts[next(iter(self._verdicts))]
         if not slot:
             fresh = _skolem_constants(premises, goal)
             if fresh is None:

@@ -613,6 +613,26 @@ class TestRunBatch:
                 trace_to_dict(right)
             )
 
+    def test_batches_on_one_config_share_no_verdicts(self, monkeypatch):
+        import verifine.prover.oracle
+
+        decided = []
+        entails = verifine.prover.oracle.entails
+
+        def spy(premises, goal, fresh_constants, deadline=None):
+            decided.append((tuple(premises), goal))
+            return entails(premises, goal, fresh_constants, deadline)
+
+        monkeypatch.setattr(verifine.prover.oracle, "entails", spy)
+        problems = load_problems(os.path.join(DATA_DIR, "batch50.jsonl"))[:2]
+        cfg = replay_cfg("batch50.jsonl")
+        # Each problem twice: the second copy repeats every entailment.
+        run_batch(problems + problems, cfg)
+        first, decided[:] = list(decided), []
+        assert first and len(set(first)) == len(first)
+        run_batch(problems, cfg)
+        assert len(decided) == len(first) and set(decided) == set(first)
+
     def test_crashing_problem_yields_failure_trace(self, tmp_path):
         problems = batch_problems()[:2]
         poison = problems[1].premise_text
@@ -707,6 +727,12 @@ def unprovable_theory_text():
     goal = parse_formula("∃x. Ghost(x)")
     doc = TheoryDoc("unprovable_case", (), TheoremBlock(None, goal))
     return doc.rendered
+
+
+ISABELLE_PORT_UNUSED = (
+    "--isabelle-port is unused with --backend oracle; add --backend "
+    "isabelle to check on that server"
+)
 
 
 class TestCLI:
@@ -972,6 +998,8 @@ class TestCLI:
             ("verify", "--timeout", "-1", "timeout_s must be > 0"),
             ("verify", "--timeout", "0", "timeout_s must be > 0"),
             ("verify", "--timeout", "nan", "timeout_s must be > 0"),
+            ("verify", "--isabelle-port", "9999", ISABELLE_PORT_UNUSED),
+            ("batch", "--isabelle-port", "9999", ISABELLE_PORT_UNUSED),
         ],
     )
     def test_out_of_range_flag_is_a_usage_error(

@@ -23,6 +23,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import verifine.batch
+import verifine.cli
 import verifine.llm
 import verifine.pipeline
 from verifine.batch import run_batch
@@ -649,6 +650,35 @@ def test_a_failed_check_retires_the_shared_session(fault):
         server.close()
     stopped = [a["session_id"] for n, a in server.requests if n == "session_stop"]
     assert stopped == ["sess-1", "sess-2"]
+
+
+@pytest.mark.parametrize("fault", ["refused", "dropped"])
+def test_verify_reports_a_failed_check_and_stops_its_session(fault, monkeypatch):
+    server = FakeIsabelleServer()
+    server.die_on_use_theories = fault == "dropped"
+    opened = verifine.cli.start_session
+
+    def start_then_lose_it(backend):
+        handle = opened(backend)
+        if fault == "refused":
+            server.live_sessions.clear()
+        return handle
+
+    monkeypatch.setattr(verifine.cli, "start_session", start_then_lose_it)
+    refusal = "server closed the connection" if fault == "dropped" else "rejected"
+    try:
+        with pytest.raises(SystemExit, match="prover check failed: .*" + refusal):
+            verifine.cli.main([
+                "verify", "--theory", os.path.join(DATA_DIR, "violin_golden.thy"),
+                "--backend", "isabelle", "--isabelle-host", "127.0.0.1",
+                "--isabelle-port", str(server.port),
+                "--isabelle-password", server.password, "--timeout", "5",
+            ])
+    finally:
+        server.close()
+    assert commands(server, "use_theories", "session_stop") == [
+        "use_theories", "session_stop",
+    ]
 
 
 def test_overlapping_batches_keep_apart(monkeypatch):

@@ -304,7 +304,7 @@ class TestCompleteModes:
         assert replayed == "recorded reply"
 
     def test_replay_without_cache_raises(self):
-        with pytest.raises(CacheMiss):
+        with pytest.raises(ValueError, match="replay mode requires a transcript cache"):
             complete(
                 self.STAGE, bindings_for(self.STAGE), make_config(), mode="replay"
             )

@@ -38,7 +38,6 @@ from verifine.prover.oracle import (
     VERDICTS_SIZE,
     OracleSession,
     OracleTimeout,
-    Verdicts,
     entails,
 )
 from verifine.theory import (
@@ -392,9 +391,13 @@ class TestSessionBehaviour:
             OracleSession(0)
 
     def test_close_marks_session(self):
+        # A session holds nothing to release, so closing it keeps it
+        # usable for the other problems it serves.
         session = OracleSession(1)
         session.close()
-        assert session.closed
+        assert session.usable
+        doc = make_doc(["forall x. P(x) -> Q(x)"], "P(a)", "exists x. Q(x)")
+        assert session.check_document(doc).status == "valid"
 
     def test_zero_budget_times_out(self):
         doc = make_doc([], "P(a) | Q(a)", "exists x. R(x)")
@@ -649,9 +652,11 @@ def numbered_doc(k):
 
 class TestVerdictsAcrossSessions:
     def test_sessions_of_one_backend_decide_once(self):
-        backend = GroundOracle(3)
+        # What run_batch hands its problems on the ground oracle.
+        backend = OracleSession(3)
         doc = make_doc(["forall x. P(x) -> Q(x)"], "P(a)", "exists x. Q(x)")
         first, second = start_session(backend), start_session(backend)
+        assert first is second is backend
         reports, pools = check_each([first], doc)
         assert pools == [0]
         # Another problem's session, given an equal document of its own.
@@ -660,9 +665,12 @@ class TestVerdictsAcrossSessions:
         assert [r.status for r in reports + again] == ["valid", "valid"]
 
     def test_equal_backends_do_not_share(self):
+        # A GroundOracle is a plain value: equal ones behave alike, and
+        # the sessions each opens share nothing.
         one, other = GroundOracle(3), GroundOracle(3)
         assert one == other and hash(one) == hash(other)
         assert [f.name for f in dataclasses.fields(GroundOracle)] == ["domain_bound"]
+        assert vars(one) == {"domain_bound": 3}
         doc = make_doc(["forall x. P(x) -> Q(x)"], "P(a)", "exists x. Q(x)")
         _, pools = check_each([start_session(one), start_session(other)], doc)
         assert pools == [0, 0]
@@ -673,7 +681,7 @@ class TestVerdictsAcrossSessions:
         assert pools == [0, 0]
 
     def test_timed_out_entailment_is_asked_again_by_the_next_session(self):
-        backend = GroundOracle(3)
+        backend = OracleSession(3)
         doc = make_doc(["forall x. P(x) -> Q(x)"], "P(a)", "exists x. Q(x)")
         sessions = [start_session(backend) for _ in range(3)]
         reports, pools = check_each(sessions, doc, timeouts=1)
@@ -682,32 +690,30 @@ class TestVerdictsAcrossSessions:
 
     def test_a_full_table_drops_its_oldest_verdict(self, monkeypatch):
         monkeypatch.setattr(oracle, "VERDICTS_SIZE", 4)
-        verdicts = Verdicts()
-        session = OracleSession(3, verdicts)
+        session = OracleSession(3)
         for k in range(10):
             reports, pools = check_each([session], numbered_doc(k))
             assert pools == [0]
             assert reports[0].status == ("valid" if k % 2 == 0 else "failed")
-            assert len(verdicts) == min(k + 1, 4)
+            assert len(session._verdicts) == min(k + 1, 4)
         # The newest four are kept; the first was dropped and is decided
         # again, which drops the next oldest.
         _, pools = check_each([session], numbered_doc(9))
         assert pools == []
         reports, pools = check_each([session], numbered_doc(0))
         assert pools == [0] and reports[0].status == "valid"
-        assert len(verdicts) == 4
+        assert len(session._verdicts) == 4
         assert 1000 <= VERDICTS_SIZE < 100000
 
     def test_threads_share_one_table(self, monkeypatch):
-        # What start_session does with a backend's table, but a small one,
-        # so the threads also drop verdicts while others insert them.
+        # What run_batch does with its one session, but a small table, so
+        # the threads also drop verdicts while others insert them.
         monkeypatch.setattr(oracle, "VERDICTS_SIZE", 8)
-        verdicts = Verdicts()
+        session = OracleSession(3)
         docs = [numbered_doc(k) for k in range(24)]
         statuses = [[] for _ in range(6)]
 
         def work(out):
-            session = OracleSession(3, verdicts)
             for doc in docs:
                 out.append(session.check_document(doc).status)
 
@@ -724,7 +730,7 @@ class TestVerdictsAcrossSessions:
         assert not any(t.is_alive() for t in threads)
         want = ["valid" if k % 2 == 0 else "failed" for k in range(24)]
         assert statuses == [want] * 6
-        assert len(verdicts) == 8
+        assert len(session._verdicts) == 8
 
 
 def _brute_satisfiable(clauses, nvars):

@@ -1,9 +1,10 @@
 """Source hygiene: every name the package imports is used, every module
 it imports is its own or the standard library's, the lower layers load
-without the gateway or the loop, and every package attribute the bench
-wraps still exists."""
+without the gateway or the loop, every package attribute the bench
+wraps still exists, and a traced bench run measures the prover."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -115,6 +116,31 @@ def test_bench_patch_points_exist(monkeypatch):
         instrumentation.install()
     finally:
         instrumentation.uninstall()
+
+
+def test_traced_bench_run_measures_the_oracle():
+    """The traced pass runs its own batch, so the prover layer's numbers
+    come from entailments that batch decides, not from verdicts an
+    earlier batch on the same config left behind."""
+    with subprocess.Popen(
+        [sys.executable, os.path.join(BENCH_DIR, "run.py"),
+         "--workload", "replay_batch", "--seed", "3", "--seconds", "0.2",
+         "--trace", "1", "--size", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        out, err = proc.communicate(timeout=120)
+    # A traced run keeps its spans next to the bench, named by its pid.
+    spans = os.path.join(
+        BENCH_DIR, os.pardir, ".bench_runs", "replay_batch-s3-%d.spans.jsonl" % proc.pid
+    )
+    if os.path.exists(spans):
+        os.remove(spans)
+    assert proc.returncode == 0, out + err
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["correct"]
+    assert summary["metrics"]["prover.entails_calls"]["value"] > 0
 
 
 def package_imports(source: str) -> set:
