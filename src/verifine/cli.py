@@ -111,10 +111,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("problems")
     group.add_argument("--problems", required=True, help="JSONL problem file")
-    group.add_argument(
-        "--format", choices=("auto", "entailment", "mcqa"), default="auto",
-        help="row format; auto detects it row by row",
-    )
     group.add_argument("--id", action="append", help="only these problem ids")
 
 
@@ -175,7 +171,10 @@ def _cache(args: argparse.Namespace) -> Optional[TranscriptCache]:
         return None
     if not args.cache:
         raise SystemExit("--cache is required in %s mode" % args.mode)
-    return TranscriptCache(args.cache)
+    try:
+        return TranscriptCache(args.cache)
+    except (OSError, ValueError) as exc:
+        raise SystemExit("cannot load cache %s: %s" % (args.cache, exc))
 
 
 def _refiner_config(args: argparse.Namespace) -> RefinerConfig:
@@ -194,7 +193,7 @@ def _refiner_config(args: argparse.Namespace) -> RefinerConfig:
 
 def _load(args: argparse.Namespace):
     try:
-        problems = load_problems(args.problems, args.format)
+        problems = load_problems(args.problems)
     except (DatasetError, OSError) as exc:
         raise SystemExit("cannot load %s: %s" % (args.problems, exc))
     if args.id:

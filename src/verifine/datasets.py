@@ -1,11 +1,12 @@
 """Loading and converting entailment problems.
 
-Two JSONL input shapes are understood:
+Two JSONL row shapes are understood, and one file may mix them:
 
 * entailment rows: {"id", "premise" (nullable), "hypothesis",
   "explanation": [sentence, ...], "dataset"?}
-* multiple-choice rows: {"id", "question", "options": [...],
-  "answer_index", "explanation": [...], "dataset"?}
+* multiple-choice rows, any row with "question" or "options": {"id",
+  "question", "options": [...], "answer_index", "explanation": [...],
+  "dataset"?}
 
 Multiple-choice rows are converted to entailment form by substituting
 the correct option into the question: a blank marker gets the answer
@@ -98,64 +99,45 @@ def _dataset(record: dict, line: int) -> str:
     return value
 
 
-def _entailment_row(record: dict, line: int) -> NLIProblem:
+def _row(record: dict, line: int) -> NLIProblem:
+    """One problem from a record: a multiple-choice item if it has
+    `question` or `options` (the hypothesis is the question with the
+    correct option substituted in), else a premise/hypothesis pair."""
     problem_id = _require(record, "id", str, line)
     if not problem_id:
         raise SchemaError(line, "id", "must be non-empty")
-    premise = record.get("premise")
-    if premise is not None and not isinstance(premise, str):
-        raise SchemaError(line, "premise", "expected string or null")
-    hypothesis = _require(record, "hypothesis", str, line)
-    if not hypothesis.strip():
-        raise SchemaError(line, "hypothesis", "must be non-empty")
-    return NLIProblem(
-        id=problem_id,
-        premise_text=premise.strip() if premise and premise.strip() else None,
-        hypothesis_text=hypothesis.strip(),
-        explanation=_number_facts(_explanation_list(record, line)),
-        dataset=_dataset(record, line),
-    )
-
-
-def _mcqa_row(record: dict, line: int) -> NLIProblem:
-    """A multiple-choice row as an entailment problem: the hypothesis is
-    the question with the correct option substituted in, there is no
-    premise, and the explanation sentences get positional ids."""
-    problem_id = _require(record, "id", str, line)
-    if not problem_id:
-        raise SchemaError(line, "id", "must be non-empty")
-    question = _require(record, "question", str, line)
-    if not question.strip():
-        raise SchemaError(line, "question", "must be non-empty")
-    options = _require(record, "options", list, line)
-    if not options or not all(isinstance(o, str) and o.strip() for o in options):
-        raise SchemaError(line, "options", "must be a list of non-empty strings")
-    answer_index = _require(record, "answer_index", int, line)
-    if isinstance(answer_index, bool) or not 0 <= answer_index < len(options):
-        raise SchemaError(line, "answer_index", "outside the options list")
-    return NLIProblem(
-        id=problem_id,
-        premise_text=None,
-        hypothesis_text=mcqa_hypothesis(question, options[answer_index].strip()),
-        explanation=_number_facts(_explanation_list(record, line)),
-        dataset=_dataset(record, line),
-    )
-
-
-def _detect_format(record: dict) -> str:
     if "question" in record or "options" in record:
-        return "mcqa"
-    return "entailment"
+        question = _require(record, "question", str, line)
+        if not question.strip():
+            raise SchemaError(line, "question", "must be non-empty")
+        options = _require(record, "options", list, line)
+        if not options or not all(isinstance(o, str) and o.strip() for o in options):
+            raise SchemaError(line, "options", "must be a list of non-empty strings")
+        answer_index = _require(record, "answer_index", int, line)
+        if isinstance(answer_index, bool) or not 0 <= answer_index < len(options):
+            raise SchemaError(line, "answer_index", "outside the options list")
+        premise = None
+        hypothesis = mcqa_hypothesis(question, options[answer_index].strip())
+    else:
+        premise = record.get("premise")
+        if premise is not None and not isinstance(premise, str):
+            raise SchemaError(line, "premise", "expected string or null")
+        premise = premise.strip() if premise and premise.strip() else None
+        hypothesis = _require(record, "hypothesis", str, line).strip()
+        if not hypothesis:
+            raise SchemaError(line, "hypothesis", "must be non-empty")
+    return NLIProblem(
+        id=problem_id,
+        premise_text=premise,
+        hypothesis_text=hypothesis,
+        explanation=_number_facts(_explanation_list(record, line)),
+        dataset=_dataset(record, line),
+    )
 
 
-def load_problems(path: str, fmt: str = "auto") -> List[NLIProblem]:
-    """Read a JSONL file of problems.
-
-    `fmt` is "entailment", "mcqa", or "auto" (per-record detection).
-    Multiple-choice rows are converted on the way in.
-    """
-    if fmt not in ("auto", "entailment", "mcqa"):
-        raise ValueError("unknown format %r" % fmt)
+def load_problems(path: str) -> List[NLIProblem]:
+    """Read a JSONL file of problems, each row in either shape;
+    multiple-choice rows are converted on the way in."""
     problems: List[NLIProblem] = []
     seen = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -169,11 +151,7 @@ def load_problems(path: str, fmt: str = "auto") -> List[NLIProblem]:
                 raise SchemaError(line_no, "-", "not valid JSON: %s" % exc)
             if not isinstance(record, dict):
                 raise SchemaError(line_no, "-", "record must be an object")
-            kind = _detect_format(record) if fmt == "auto" else fmt
-            if kind == "mcqa":
-                problem = _mcqa_row(record, line_no)
-            else:
-                problem = _entailment_row(record, line_no)
+            problem = _row(record, line_no)
             if problem.id in seen:
                 raise DuplicateId(problem.id, line_no)
             seen[problem.id] = line_no

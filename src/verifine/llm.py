@@ -159,7 +159,7 @@ class TranscriptCache:
         corrupt: Optional[Tuple[int, ValueError]] = None
         offset = 0
         with open(self.path, "rb") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, start=1):
                 start, offset = offset, offset + len(line)
                 if not line.strip():
                     continue
@@ -167,8 +167,15 @@ class TranscriptCache:
                     raise corrupt[1]
                 try:
                     record = json.loads(line.decode("utf-8"))
+                    if not (
+                        isinstance(record, dict)
+                        and isinstance(record.get("key"), str)
+                        and isinstance(record.get("response"), str)
+                    ):
+                        raise ValueError("not an object with string key and response")
                 except ValueError as exc:
-                    corrupt = (start, exc)
+                    error = "%s, line %d: %s" % (self.path, line_no, exc)
+                    corrupt = (start, ValueError(error))
                     continue
                 self._responses[record["key"]] = record["response"]
         if corrupt is not None:

@@ -272,10 +272,9 @@ class PipelineContext:
         self.problem = problem
         self.events: Dict[str, List[str]] = {}
         self.formulas: Dict[Tuple[str, str], str] = {}
-        self.used_ids: Set[str] = {f.id for f in problem.explanation}
         self._counter = 0
-        for fact_id in self.used_ids:
-            match = re.fullmatch(r"f(\d+)", fact_id)
+        for fact in problem.explanation:
+            match = re.fullmatch(r"f(\d+)", fact.id)
             if match:
                 self._counter = max(self._counter, int(match.group(1)))
         # The round's calls asked ahead that no ask has taken yet, by
@@ -325,12 +324,8 @@ class PipelineContext:
         self._ahead.clear()
 
     def next_fact_id(self) -> str:
-        while True:
-            self._counter += 1
-            candidate = "f%d" % self._counter
-            if candidate not in self.used_ids:
-                self.used_ids.add(candidate)
-                return candidate
+        self._counter += 1
+        return "f%d" % self._counter
 
     def begin_round(self) -> None:
         """Start opening a session unless a usable one is open.  Through

@@ -14,9 +14,11 @@ CONNECT_TIMEOUT_S, the session build and start BUILD_TIMEOUT_S, and a
 check its own budget.  Each read and write blocks only for the time left
 before it, so a check that gets no verdict ends at its budget.
 
-Each proof check writes the theory file into a fresh scratch directory,
-so the server sees a new node every time and stale results are never
-replayed across the repeated checks a refinement round performs.
+Each proof check writes the theory file into a scratch directory of its
+own, removed when the check ends, so the server sees a new node every
+time and stale results are never replayed across the repeated checks a
+refinement round performs.  A timed-out task may outlive its file, but
+its session is retired by then.
 
 A server session outlives the connection that started it, so another
 connection can attach to it by its `session_id` and check theories
@@ -35,7 +37,6 @@ it is alive, and over a fresh one once a check has left it dead.
 import json
 import logging
 import os
-import shutil
 import socket
 import tempfile
 import threading
@@ -107,13 +108,10 @@ class IsabelleSession:
         self._server = (host, port, password, session_name)
         self._buf = b""
         self._dead = False
-        self._check_counter = 0
         try:
             self._sock = socket.create_connection((host, port), CONNECT_TIMEOUT_S)
         except OSError as exc:
             raise ConnectFailed("cannot connect to %s:%d: %s" % (host, port, exc))
-        # A failed open leaves nothing behind: the connection closes and
-        # the scratch directory is made only once the session is up.
         try:
             deadline = time.monotonic() + CONNECT_TIMEOUT_S
             try:
@@ -125,7 +123,6 @@ class IsabelleSession:
                 raise AuthFailed("server refused password: %s" % kind)
             if session_id is None:
                 self._start()
-            self._workdir = tempfile.mkdtemp(prefix="verifine_thy_")
         except BaseException:
             self._sock.close()
             raise
@@ -265,34 +262,32 @@ class IsabelleSession:
             raise SessionDead("session is not usable")
         started = time.monotonic()
         deadline = started + timeout_s
-        self._check_counter += 1
-        scratch = os.path.join(self._workdir, "c%d" % self._check_counter)
-        os.makedirs(scratch, exist_ok=True)
-        with open(os.path.join(scratch, name + ".thy"), "w", encoding="utf-8") as fh:
-            fh.write(text)
-        args = {
-            "session_id": self.session_id,
-            "theories": [name],
-            "master_dir": scratch,
-        }
-        try:
-            payload = self._run_async("use_theories", args, deadline)
-        except (ProverError, _Deadline) as exc:
-            # The session refused the check, the connection dropped, or
-            # the task may still be running server-side: either way this
-            # session is done, and the next round opens a fresh one.
-            self._dead = True
-            if self.on_dead is not None:
-                self.on_dead(self.session_id)
-            if not isinstance(exc, _Deadline):
-                raise
+        with tempfile.TemporaryDirectory(prefix="verifine_thy_") as scratch:
+            with open(os.path.join(scratch, name + ".thy"), "w", encoding="utf-8") as fh:
+                fh.write(text)
+            args = {
+                "session_id": self.session_id,
+                "theories": [name],
+                "master_dir": scratch,
+            }
+            try:
+                payload = self._run_async("use_theories", args, deadline)
+            except (ProverError, _Deadline) as exc:
+                # The session refused the check, the connection dropped, or
+                # the task may still be running server-side: either way this
+                # session is done, and the next round opens a fresh one.
+                self._dead = True
+                if self.on_dead is not None:
+                    self.on_dead(self.session_id)
+                if not isinstance(exc, _Deadline):
+                    raise
+                elapsed = time.monotonic() - started
+                message = ProverMessage(
+                    "error", "Timeout: prover gave no verdict within %.1fs" % timeout_s
+                )
+                return build_report("timeout", [message], elapsed, doc)
             elapsed = time.monotonic() - started
-            message = ProverMessage(
-                "error", "Timeout: prover gave no verdict within %.1fs" % timeout_s
-            )
-            return build_report("timeout", [message], elapsed, doc)
-        elapsed = time.monotonic() - started
-        return self._report_from_payload(payload, elapsed, doc)
+            return self._report_from_payload(payload, elapsed, doc)
 
     @staticmethod
     def _severity(kind: str) -> str:
@@ -364,7 +359,6 @@ class IsabelleSession:
                 self._sock.close()
             except OSError:
                 pass
-            shutil.rmtree(self._workdir, ignore_errors=True)
 
 
 class SharedSession:

@@ -191,8 +191,9 @@ class ScriptedTransport:
     """Route stage prompts to canned responses.
 
     Rules match on the stage name plus required prompt substrings; the
-    first match wins.  Unmatched prompts raise, so tests fail loudly
-    when the pipeline asks something unexpected.
+    first match wins.  An unmatched prompt raises `AssertionError`;
+    `run_refiner` turns that into a `pipeline error` trace, so a test
+    of a whole problem sees it in the trace, not as an exception.
     """
 
     def __init__(self):

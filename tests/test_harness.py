@@ -169,12 +169,6 @@ class TestEntailmentRows:
         assert exc.value.problem_id == "p1"
         assert exc.value.line == 2
 
-    def test_unknown_format_rejected(self, tmp_path):
-        path = str(tmp_path / "p.jsonl")
-        write_jsonl(path, [ROW])
-        with pytest.raises(ValueError, match="unknown format"):
-            load_problems(path, fmt="tsv")
-
 
 MCQA_ROW = {
     "id": "q1",
@@ -271,12 +265,13 @@ class TestMCQAConversion:
         with pytest.raises(SchemaError, match="outside the options"):
             load_problems(path)
 
-    def test_forcing_entailment_on_mcqa_rows_fails(self, tmp_path):
+    def test_a_row_with_a_question_is_multiple_choice(self, tmp_path):
         path = str(tmp_path / "m.jsonl")
-        write_jsonl(path, [MCQA_ROW])
-        with pytest.raises(SchemaError) as exc:
-            load_problems(path, fmt="entailment")
-        assert exc.value.field == "hypothesis"
+        both = MCQA_ROW | {"premise": "Ignored.", "hypothesis": "Ignored."}
+        write_jsonl(path, [both])
+        [problem] = load_problems(path)
+        assert problem.premise_text is None
+        assert problem.hypothesis_text == "copper conducts electricity"
 
 
 # ---------------------------------------------------------------------------
@@ -1028,6 +1023,48 @@ class TestCLI:
         assert err.startswith("usage: verifine %s " % command)
         assert err.endswith("verifine %s: error: %s\n" % (command, refusal))
         assert not out_dir.exists()
+
+    def test_format_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run(
+                "batch",
+                "--format",
+                "mcqa",
+                "--problems",
+                os.path.join(DATA_DIR, "esnli_pairs.jsonl"),
+                "--model",
+                "scripted-model",
+                "--mode",
+                "replay",
+                "--cache",
+                os.path.join(DATA_DIR, "replay", "esnli.jsonl"),
+                "--out",
+                str(tmp_path / "traces"),
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format mcqa" in capsys.readouterr().err
+
+    def test_corrupt_cache_exits_with_a_message(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        record = {"key": "k", "prompt": "p", "response": "r", "timestamp": "t"}
+        cache.write_text("not json\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            self.run(
+                "refine",
+                "--problems",
+                os.path.join(DATA_DIR, "esnli_pairs.jsonl"),
+                "--model",
+                "scripted-model",
+                "--mode",
+                "replay",
+                "--cache",
+                str(cache),
+                "--out",
+                str(tmp_path / "traces"),
+            )
+        message = str(exc.value.code)
+        assert message.startswith("cannot load cache %s: " % cache)
+        assert "line 1" in message
 
     def test_verify_valid_theory(self, capsys):
         code = self.run(

@@ -5,6 +5,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import re
 import socket
 import string
 import sys
@@ -178,6 +179,15 @@ class TestTranscriptCache:
         )
         path.write_text(whole[:25] + "\n" + whole + "\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            TranscriptCache(str(path))
+
+    def test_a_line_that_is_no_exchange_before_the_last_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        whole = json.dumps(
+            {"key": "k", "prompt": "p", "response": "r", "timestamp": "t"}
+        )
+        path.write_text(whole + "\n{}\n" + whole + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="%s, line 2" % re.escape(str(path))):
             TranscriptCache(str(path))
 
     def test_missing_file_starts_empty(self, tmp_path):

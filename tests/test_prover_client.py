@@ -366,6 +366,20 @@ class TestChecking:
         finally:
             session.close()
 
+    def test_a_check_removes_its_scratch_dir(self, server, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        session = connect(server)
+        try:
+            report = session.check_document(violin_doc(), timeout_s=5.0)
+            assert report.status == "valid"
+            assert os.listdir(str(tmp_path)) == []
+            server.hang_on_use_theories = True
+            report = session.check_document(violin_doc(), timeout_s=0.1)
+            assert report.status == "timeout"
+            assert os.listdir(str(tmp_path)) == []
+        finally:
+            session.close()
+
     def test_check_source_writes_raw_text(self, server):
         session = connect(server)
         try:
