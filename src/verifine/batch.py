@@ -16,6 +16,15 @@ decided once per batch.  In record mode, and in live mode at
 temperature 0, it is also a `ReplyTable`: each distinct prompt is asked
 once per batch.  Two batches, even on one config and at once, share
 none of these.
+
+Such a batch, when its calls go to the endpoint over HTTP, also keeps
+a window: as a worker starts problem i, problem i + workers has its
+round 0 asked ahead (`ask_round_ahead`) on one of `workers` threads of
+the batch's own, so its replies are in the table when its turn comes.
+Up to about 2 x workers problems' model calls can then be in flight at
+once, which a rate-limited endpoint sees.  The window is joined before
+`run_batch` stops its session and returns.  Replays and scripted
+transports ask no problem ahead.
 """
 
 import json
@@ -29,6 +38,8 @@ from .pipeline import (
     NLIProblem,
     RefinementTrace,
     RefinerConfig,
+    ask_round_ahead,
+    calls_wait,
     run_refiner,
     trace_to_dict,
 )
@@ -104,12 +115,19 @@ def run_batch(
             on_result(trace)
 
     batch_cfg = _batch_config(cfg)
+    window = batch_cfg.replies is not None and calls_wait(batch_cfg)
+
+    def refine(index: int) -> RefinementTrace:
+        # Starting a problem hands the one `workers` places on to the window.
+        if window and index + workers < len(problems):
+            ahead.submit(ask_round_ahead, problems[index + workers], batch_cfg)
+        return run_refiner(problems[index], batch_cfg)
+
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = {
-                pool.submit(run_refiner, problem, batch_cfg): index
-                for index, problem in enumerate(problems)
-            }
+        # Not on the stage pool: a window task waits on its own stage calls.
+        with ThreadPoolExecutor(workers, thread_name_prefix="verifine-ahead") as ahead, \
+                ThreadPoolExecutor(max_workers=workers) as pool:
+            pending = {pool.submit(refine, index): index for index in range(len(problems))}
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 # Futures that finish together are handled in input order,

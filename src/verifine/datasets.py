@@ -104,7 +104,7 @@ def _row(record: dict, line: int) -> NLIProblem:
     `question` or `options` (the hypothesis is the question with the
     correct option substituted in), else a premise/hypothesis pair."""
     problem_id = _require(record, "id", str, line)
-    if not problem_id:
+    if not problem_id.strip():
         raise SchemaError(line, "id", "must be non-empty")
     if "question" in record or "options" in record:
         question = _require(record, "question", str, line)

@@ -36,7 +36,11 @@ each call up by its stage and bindings, the first ask of a prompt calls
 the model, and every later or concurrent ask of it takes that reply and
 runs its own parser.  A dropped reply answers later asks too.  A live
 run above temperature 0 samples every ask, and replays, like
-`run_refiner` outside a batch, make every call.
+`run_refiner` outside a batch, make every call.  Such a batch whose
+calls wait on the network also asks queued problems' round 0 ahead
+(`ask_round_ahead`): the asks of `_run_iteration` up to its first
+check, on a context of their own, so the problem's own round takes
+their replies from the table.
 
 A problem's `PipelineContext` holds what it owns: its caches, its calls
 asked ahead and the one prover session its rounds share, closed when the
@@ -254,6 +258,12 @@ class RefinerConfig:
         self.replies: Optional[ReplyTable] = None
 
 
+def calls_wait(cfg: RefinerConfig) -> bool:
+    """Whether `cfg`'s model calls wait on the network, so asking them
+    ahead pays: live and record mode through the HTTP transport."""
+    return cfg.mode != "replay" and cfg.transport is None
+
+
 # Threads that run the stage calls asked ahead and the Isabelle session
 # opens, shared by every problem of the process.  The pool sets no cap of
 # its own: it starts a thread only when none is idle, so it grows to the
@@ -294,12 +304,10 @@ class PipelineContext:
 
     def ask_ahead(self, stage: StageKind, bindings: Mapping[str, str]) -> Optional[Future]:
         """Start the call of a prompt the round will ask, when calls wait
-        on the network (live and record mode through the HTTP transport):
-        it runs on the stage pool and its ask takes the reply.  Returns
-        that call, or None in a replayed or scripted run, which makes
-        each call at its ask."""
-        cfg = self.cfg
-        if cfg.mode == "replay" or cfg.transport is not None:
+        on the network (`calls_wait`): it runs on the stage pool and its
+        ask takes the reply.  Returns that call, or None in a replayed or
+        scripted run, which makes each call at its ask."""
+        if not calls_wait(self.cfg):
             return None
         key = prompt_key(stage, bindings)
         if key not in self._ahead:
@@ -790,6 +798,26 @@ def _run_iteration(ctx: PipelineContext, explanation: Tuple[Fact, ...]) -> Itera
             proof_steps_suggested=len(doc.proof),
             proof_steps_processed=processed,
         )
+    finally:
+        ctx.settle()
+
+
+def ask_round_ahead(problem: NLIProblem, cfg: RefinerConfig) -> None:
+    """Make round 0's model calls for `problem` before its own run, so
+    that run's round takes their replies from the batch's reply table:
+    ROUGH_INFERENCE asked ahead, the formalisation, then the strategy
+    and the proof, as `_run_iteration` asks them, on a context of its
+    own.  Opens no session and checks nothing.  Nothing it meets is
+    raised: a failed call or an unusable reply is left for the
+    problem's own round to meet."""
+    ctx = PipelineContext(cfg, problem)
+    explanation = tuple(problem.explanation)
+    ctx.ask_ahead(StageKind.ROUGH_INFERENCE, _strategy_bindings(problem, explanation))
+    try:
+        doc = formalise(problem, cfg, explanation, ctx)
+        infer_and_prove(ctx, doc, explanation)
+    except Exception as exc:
+        log.debug("problem %s: round 0 asked ahead stopped: %s", problem.id, exc)
     finally:
         ctx.settle()
 

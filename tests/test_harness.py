@@ -141,6 +141,20 @@ class TestEntailmentRows:
             load_problems(path)
         assert exc.value.field == "id"
 
+    def test_blank_id(self, tmp_path):
+        path = str(tmp_path / "p.jsonl")
+        write_jsonl(path, [ROW | {"id": "other"}, ROW | {"id": " "}])
+        with pytest.raises(SchemaError) as exc:
+            load_problems(path)
+        assert (exc.value.line, exc.value.field, exc.value.detail) == (
+            2, "id", "must be non-empty"
+        )
+
+    def test_ids_keep_their_spaces(self, tmp_path):
+        path = str(tmp_path / "p.jsonl")
+        write_jsonl(path, [ROW | {"id": " p 1 "}])
+        assert [p.id for p in load_problems(path)] == [" p 1 "]
+
     def test_premise_must_be_string_or_null(self, tmp_path):
         path = str(tmp_path / "p.jsonl")
         write_jsonl(path, [ROW | {"premise": 7}])

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import threading
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -274,6 +275,161 @@ def test_a_live_round_asks_the_strategy_and_the_proof_ahead(tmp_path, monkeypatc
     assert events.index(("received", StageKind.CONSTRUCT_PROOF)) < events.index(
         ("checked", None)
     )
+
+
+# ---------------------------------------------------------------------------
+# Round 0 asked ahead
+
+
+def watch_the_window(monkeypatch, before=None):
+    """Record each problem `run_batch` hands to its window, with the
+    thread that asks its round 0, calling `before(problem)` first."""
+    asked = []
+    real = verifine.batch.ask_round_ahead
+
+    def watched(problem, cfg):
+        asked.append((problem.id, threading.current_thread().name))
+        if before is not None:
+            before(problem)
+        real(problem, cfg)
+
+    monkeypatch.setattr(verifine.batch, "ask_round_ahead", watched)
+    return asked
+
+
+def refusing(sentence, fault, delay_s=0.0):
+    """The batch corpus's model, but the SENTENCE_TO_LOGIC call on
+    `sentence` is refused with 400 or answered without a formula, after
+    `delay_s`; `.faulty` counts those calls."""
+    scripted = batch_transport()
+
+    def transport(request):
+        if (
+            request["stage"] == StageKind.SENTENCE_TO_LOGIC.value
+            and "Sentence: %s\n" % sentence in request["prompt"]
+        ):
+            transport.faulty += 1
+            time.sleep(delay_s)
+            if fault == "refused":
+                raise KeyError("no formula for %r" % sentence)
+            return "No formula for this one."
+        return scripted(request)
+
+    transport.faulty = 0
+    return transport
+
+
+def test_a_queued_problem_asks_round_0_while_the_first_check_is_held(
+    tmp_path, monkeypatch
+):
+    """On two workers, starting problem 0 hands problem 2 to the window:
+    its DETECT_EVENTS reaches the endpoint while problem 0's first check
+    is held until it arrives, for at most 5 s."""
+    problems = corpus_problems("batch50")[:3]
+    third = "1. %s\n" % problems[2].premise_text
+    third_seen = threading.Event()
+    events = []
+    scripted = batch_transport()
+
+    def transport(request):
+        if request["stage"] == StageKind.DETECT_EVENTS.value and third in request["prompt"]:
+            events.append("third asked")
+            third_seen.set()
+        return scripted(request)
+
+    check = verifine.pipeline.check_theory
+
+    def checking(handle, doc, timeout_s):
+        report = check(handle, doc, timeout_s)
+        events.append(("checked", doc.name))
+        return report
+
+    monkeypatch.setattr(verifine.pipeline, "check_theory", checking)
+    server = FakeIsabelleServer()
+    server.check_gate = third_seen
+    try:
+        with chat_endpoint(transport) as (chat, url):
+            cache = TranscriptCache(str(tmp_path / "cache.jsonl"))
+            cfg = http_config(url, backend=isabelle_backend(server), mode="record", cache=cache)
+            traces = run_batch(problems, cfg, workers=2)
+    finally:
+        server.close()
+    assert all(t.diagnostic is None for t in traces)
+    first_check = events.index(("checked", problems[0].id))
+    assert events.index("third asked") < first_check
+
+
+@pytest.mark.parametrize("fault", ["malformed", "refused"])
+def test_a_bad_formula_reply_asked_ahead_leaves_the_traces_alone(
+    fault, tmp_path, monkeypatch
+):
+    """A queued problem whose round-0 SENTENCE_TO_LOGIC reply is unusable
+    or refused ends as it does in a batch without the window, and the
+    batch raises nothing."""
+    problems = corpus_problems("batch50")[:4]
+
+    def record(label):
+        with chat_endpoint(refusing(problems[2].premise_text, fault)) as (chat, url):
+            cache = TranscriptCache(str(tmp_path / (label + ".jsonl")))
+            cfg = http_config(url, backend=GroundOracle(), mode="record", cache=cache)
+            return [golden_line(t) for t in run_batch(problems, cfg, workers=2)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verifine.batch, "ask_round_ahead", lambda problem, cfg: None)
+        without = record("without")
+    asked = watch_the_window(monkeypatch)
+    assert record("with") == without
+    assert problems[2].id in [problem_id for problem_id, _ in asked]
+    faulted = json.loads(without[2])
+    if fault == "refused":
+        assert "endpoint returned 400" in faulted["diagnostic"]
+    else:
+        assert faulted["diagnostic"] is None
+        assert "sentence_to_logic" in faulted["iterations"][0]["report"]["messages"][0]["text"]
+
+
+def test_the_window_is_joined_before_the_batch_returns(tmp_path, monkeypatch):
+    """The window asks the last problem's round 0 only once that problem
+    has reported, so its refused formula is asked again, slowly; the
+    endpoint has answered that call too when `run_batch` returns."""
+    problems = corpus_problems("batch50")[:3]
+    reported = threading.Event()
+
+    def after_the_last(problem):
+        if problem is problems[-1]:
+            assert reported.wait(10)
+
+    def on_result(trace):
+        if trace.problem_id == problems[-1].id:
+            reported.set()
+
+    asked = watch_the_window(monkeypatch, after_the_last)
+    model = refusing(problems[-1].premise_text, "refused", delay_s=0.3)
+    with chat_endpoint(model) as (chat, url):
+        cache = TranscriptCache(str(tmp_path / "cache.jsonl"))
+        cfg = http_config(url, backend=GroundOracle(), mode="record", cache=cache)
+        traces = run_batch(problems, cfg, workers=1, on_result=on_result)
+        assert model.faulty == 2
+        assert len(chat.answered) == chat.received
+    assert [problem_id for problem_id, _ in asked] == [p.id for p in problems[1:]]
+    assert traces[-1].diagnostic.startswith("pipeline error: endpoint returned 400")
+
+
+def test_the_window_leaves_no_thread_behind(tmp_path, monkeypatch):
+    """Two recorded batches in one process: each asks ahead on threads of
+    its own, the last ask slower than the problem it serves, and none of
+    those threads is alive once `run_batch` returns."""
+    asked = watch_the_window(monkeypatch, lambda problem: time.sleep(0.3))
+    for run in (1, 2):
+        with chat_endpoint(worked_example_transport()) as (chat, url):
+            cache = TranscriptCache(str(tmp_path / ("cache%d.jsonl" % run)))
+            cfg = http_config(url, backend=GroundOracle(), mode="record", cache=cache)
+            traces = run_batch(worked_example_problems(), cfg, workers=1)
+            alive = [t.name for t in threading.enumerate()]
+        assert not [name for name in alive if name.startswith("verifine-ahead")]
+        assert len(asked) == run
+        assert asked[-1][1].startswith("verifine-ahead")
+        assert [golden_line(t) for t in traces] == golden("esnli")
 
 
 # ---------------------------------------------------------------------------
