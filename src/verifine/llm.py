@@ -75,6 +75,14 @@ class _TransientHttpError(HttpError):
     """Retryable: transport trouble or a 429/5xx response."""
 
 
+def _refused(exc: BaseException) -> bool:
+    """Whether `exc` is a refusal that asking again would meet again: a
+    4xx response other than 429, which the retry policy does not retry."""
+    if not isinstance(exc, HttpError) or exc.status is None:
+        return False
+    return 400 <= exc.status < 500 and exc.status != 429
+
+
 class CacheMiss(GatewayError):
     """Replay mode found no transcript for the requested key."""
 
@@ -228,11 +236,14 @@ class ReplyTable:
 
     The first ask of a prompt makes its call on its own thread, and a
     concurrent ask of it waits for that running call, never for a queued
-    one.  A call that raises keeps nothing, so its error reaches every
-    ask waiting on it and the next ask calls again.  The table holds at
-    most REPLY_TABLE_SIZE replies and drops the oldest settled one
-    first; when every entry is still in flight, a new prompt is asked
-    without the table.
+    one.  A call that raises reaches every ask waiting on it.  A refusal
+    the retry policy does not retry (an HttpError with a 4xx status
+    other than 429) is kept like a reply, so a later ask re-raises it
+    without calling the endpoint.  Any other error keeps nothing, so
+    after a call that gave up on a 429, a 5xx or a transport failure the
+    next ask calls again.  The table holds at most REPLY_TABLE_SIZE
+    entries and drops the oldest settled one first; when every entry is
+    still in flight, a new prompt is asked without the table.
     """
 
     def __init__(self):
@@ -260,9 +271,10 @@ class ReplyTable:
         try:
             raw = call()
         except BaseException as exc:
-            with self._lock:
-                if self._slots.get(key) is slot:
-                    del self._slots[key]
+            if not _refused(exc):
+                with self._lock:
+                    if self._slots.get(key) is slot:
+                        del self._slots[key]
             slot.set_exception(exc)
             raise
         slot.set_result(raw)

@@ -38,14 +38,27 @@ syntax so rendered conjunction chains stay flat in both syntaxes.
 Formulas are immutable, so a parse is shared: each syntax's parser keeps
 the trees of recently parsed texts (up to PARSE_CACHE_SIZE of them) and
 hands the same tree to every caller, across problems and threads.  A
-text that fails to parse is never kept and raises on every call.  The
-nodes are slotted dataclasses, so a kept tree carries no per-node dict.
+text that fails to parse is never kept and raises on every call.  Within
+one parse, each variable name is one `Variable` object and each name and
+arity one `PredicateSymbol`.
+
+A node also keeps what is derived from it, so a shared tree is walked
+once however often documents, renders and prover checks ask: its hash,
+its free variables (`free_variables`), its predicate symbols in
+first-appearance order (`predicate_symbols`), whether it holds a
+quantifier (`has_quantifier`) and its prover inner-syntax text
+(`verifine.theory.isabelle_formula`).  Each value is worked out the
+first time a caller asks for it and kept from then on; two threads that
+ask at once both compute the same value.  The values live in slots that
+are not dataclass fields, so equality, `repr` and the trace codec never
+see them, and the nodes are slotted dataclasses, so a kept tree carries
+no per-node dict.
 """
 
 import functools
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -116,15 +129,47 @@ class PredicateSymbol:
 
 
 class Formula:
-    """Abstract base; use the concrete node classes below."""
+    """Abstract base; use the concrete node classes below.
 
-    __slots__ = ()
+    The slots hold the values a node keeps (see the module docstring);
+    each stays unset until a caller first asks for it.
+    """
+
+    __slots__ = ("_hash", "_free", "_predicates", "_quantified", "_inner")
 
     def __str__(self):
         return render_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _kept(slot: str):
+    """Keep what the decorated function derives from a node in `slot`:
+    worked out on the first call, read on every later one."""
+
+    def decorate(derive):
+        @functools.wraps(derive)
+        def kept(f):
+            try:
+                return getattr(f, slot)
+            except AttributeError:
+                value = derive(f)
+                # Nodes are frozen; a kept value is all that is ever
+                # written to one after construction.
+                object.__setattr__(f, slot, value)
+                return value
+
+        return kept
+
+    return decorate
+
+
+def _node(cls):
+    """A frozen slotted dataclass node that keeps its structural hash."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = _kept("_hash")(cls.__hash__)
+    return cls
+
+
+@_node
 class Atom(Formula):
     pred: PredicateSymbol
     args: Tuple[Variable, ...]
@@ -135,24 +180,24 @@ class Atom(Formula):
             raise ArityError(self.pred.name, (self.pred.arity, len(self.args)))
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
@@ -174,7 +219,7 @@ def _normalise_binder(node, vars_, body):
     object.__setattr__(node, "body", body)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Forall(Formula):
     vars: Tuple[Variable, ...]
     body: Formula
@@ -183,7 +228,7 @@ class Forall(Formula):
         _normalise_binder(self, self.vars, self.body)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Exists(Formula):
     vars: Tuple[Variable, ...]
     body: Formula
@@ -302,6 +347,9 @@ class _Parser:
         self.tokens = _tokenize(text, syntax)
         self.i = 0
         self.depth = 0
+        # One object per distinct symbol, shared by every atom of the tree.
+        self.variables: Dict[str, Variable] = {}
+        self.predicates: Dict[Tuple[str, int], PredicateSymbol] = {}
 
     def peek(self) -> Tuple[object, str, int]:
         return self.tokens[self.i]
@@ -354,7 +402,7 @@ class _Parser:
                 if names:
                     return names
                 self.fail("expected %s" % what, (expected,))
-            names.append(Variable(self.advance()[1]))
+            names.append(self.variable(self.advance()[1]))
             if self.peek()[0] == ",":
                 self.advance()
 
@@ -390,8 +438,8 @@ class _Parser:
         if self.curried and self.peek()[0] != "(":
             args = [self.argument()]
             while self.peek()[0] is _IDENT:
-                args.append(Variable(self.advance()[1]))
-            return Atom(PredicateSymbol(name, len(args)), tuple(args))
+                args.append(self.variable(self.advance()[1]))
+            return Atom(self.predicate(name, len(args)), tuple(args))
         self.expect("(", "'('")
         if self.curried:
             args = self.names("argument name", "argument name")
@@ -401,10 +449,22 @@ class _Parser:
                 self.advance()
                 args.append(self.argument())
         self.expect(")", "')'")
-        return Atom(PredicateSymbol(name, len(args)), tuple(args))
+        return Atom(self.predicate(name, len(args)), tuple(args))
 
     def argument(self) -> Variable:
-        return Variable(self.expect(_IDENT, "argument name")[1])
+        return self.variable(self.expect(_IDENT, "argument name")[1])
+
+    def variable(self, name: str) -> Variable:
+        var = self.variables.get(name)
+        if var is None:
+            var = self.variables[name] = Variable(name)
+        return var
+
+    def predicate(self, name: str, arity: int) -> PredicateSymbol:
+        pred = self.predicates.get((name, arity))
+        if pred is None:
+            pred = self.predicates[name, arity] = PredicateSymbol(name, arity)
+        return pred
 
 
 # Distinct texts whose parse each syntax keeps.  A batch draws its
@@ -428,11 +488,10 @@ def parse_formula(text: str) -> Formula:
 
 def _check_arities(formula: Formula):
     seen: Dict[str, int] = {}
-    for atom in iter_atoms(formula):
-        prev = seen.get(atom.pred.name)
-        if prev is not None and prev != atom.pred.arity:
-            raise ArityError(atom.pred.name, (prev, atom.pred.arity))
-        seen[atom.pred.name] = atom.pred.arity
+    for pred in predicate_symbols(formula):
+        prev = seen.setdefault(pred.name, pred.arity)
+        if prev != pred.arity:
+            raise ArityError(pred.name, (prev, pred.arity))
 
 
 def iter_atoms(formula: Formula) -> Iterable[Atom]:
@@ -489,18 +548,28 @@ def render_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Analysis helpers
 
-def free_variables(f: Formula) -> Set[Variable]:
+_CLOSED: FrozenSet[Variable] = frozenset()
+
+
+@_kept("_free")
+def free_variables(f: Formula) -> FrozenSet[Variable]:
+    """The variables of `f` that no quantifier binds."""
     if isinstance(f, Atom):
-        return set(f.args)
+        return frozenset(f.args)
     if isinstance(f, Not):
         return free_variables(f.child)
     if isinstance(f, (And, Or, Implies)):
-        return free_variables(f.left) | free_variables(f.right)
+        # Sides that agree share one set, as closed formulas share _CLOSED.
+        left, right = free_variables(f.left), free_variables(f.right)
+        if right <= left:
+            return left
+        return right if left <= right else left | right
     if isinstance(f, (Forall, Exists)):
-        return free_variables(f.body) - set(f.vars)
+        return free_variables(f.body).difference(f.vars) or _CLOSED
     raise TypeError("not a formula: %r" % (f,))
 
 
+@_kept("_quantified")
 def has_quantifier(f: Formula) -> bool:
     if isinstance(f, (Forall, Exists)):
         return True
@@ -508,7 +577,26 @@ def has_quantifier(f: Formula) -> bool:
         return has_quantifier(f.child)
     if isinstance(f, (And, Or, Implies)):
         return has_quantifier(f.left) or has_quantifier(f.right)
-    return False
+    if isinstance(f, Atom):
+        return False
+    raise TypeError("not a formula: %r" % (f,))
+
+
+@_kept("_predicates")
+def predicate_symbols(f: Formula) -> Tuple[PredicateSymbol, ...]:
+    """The predicate symbols of `f`'s atoms, left to right, each symbol
+    once.  A name used with two arities appears once per arity."""
+    if isinstance(f, Atom):
+        return (f.pred,)
+    if isinstance(f, Not):
+        return predicate_symbols(f.child)
+    if isinstance(f, (And, Or, Implies)):
+        left = predicate_symbols(f.left)
+        more = tuple(p for p in predicate_symbols(f.right) if p not in left)
+        return left + more if more else left
+    if isinstance(f, (Forall, Exists)):
+        return predicate_symbols(f.body)
+    raise TypeError("not a formula: %r" % (f,))
 
 
 def validate_signature(formulas: Sequence[Formula]) -> Tuple[PredicateSymbol, ...]:
@@ -522,17 +610,17 @@ def validate_signature(formulas: Sequence[Formula]) -> Tuple[PredicateSymbol, ..
     arities: Dict[str, int] = {}
     locations: Dict[str, List[int]] = {}
     for idx, formula in enumerate(formulas):
-        for atom in iter_atoms(formula):
-            name = atom.pred.name
+        for pred in predicate_symbols(formula):
+            name = pred.name
             locs = locations.setdefault(name, [])
             if idx not in locs:
                 locs.append(idx)
             prev = arities.get(name)
             if prev is None:
-                arities[name] = atom.pred.arity
-                order.append(atom.pred)
-            elif prev != atom.pred.arity:
-                raise ArityConflict(name, (prev, atom.pred.arity), locs)
+                arities[name] = pred.arity
+                order.append(pred)
+            elif prev != pred.arity:
+                raise ArityConflict(name, (prev, pred.arity), locs)
     return tuple(order)
 
 

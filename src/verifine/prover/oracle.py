@@ -408,10 +408,10 @@ class OracleSession:
     def _entails(
         self, premises: Sequence[Formula], goal: Formula, deadline: float
     ) -> bool:
-        # A formula tree's hash is recursive and uncached, so the key is
-        # hashed once: the first ask makes the slot, [] while undecided,
-        # and its verdict fills it.  A timeout leaves the slot empty, so
-        # it is asked again.
+        # Each formula keeps its hash, so keying costs one lookup per
+        # formula: the first ask makes the slot, [] while undecided, and
+        # its verdict fills it.  A timeout leaves the slot empty, so it
+        # is asked again.
         with self._lock:
             slot = self._verdicts.setdefault((tuple(premises), goal), [])
             if len(self._verdicts) > VERDICTS_SIZE:

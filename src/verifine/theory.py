@@ -32,6 +32,7 @@ from .logic import (
     validate_signature,
     _INNER,
     _Parser,
+    _kept,
     _render,
 )
 
@@ -181,6 +182,7 @@ class TheoryDoc:
 # ---------------------------------------------------------------------------
 # Inner syntax: the prover-side spelling of the grammar in verifine.logic
 
+@_kept("_inner")
 def isabelle_formula(f: Formula) -> str:
     """Render a formula in prover inner syntax with ASCII escapes."""
     return _render(f, _INNER)

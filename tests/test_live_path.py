@@ -74,11 +74,16 @@ def _stage_of(prompt):
     raise KeyError("no stage template opens %r" % prompt[:60])
 
 
+class Unavailable(Exception):
+    """Raised by a scripted model to have `chat_endpoint` answer 503."""
+
+
 @contextlib.contextmanager
 def chat_endpoint(transport):
     """A loopback chat endpoint answering each prompt with `transport`'s
-    reply, and an unmatched prompt with 400.  The server counts the
-    calls it received and answered by stage."""
+    reply, an unmatched prompt with 400, and a prompt whose transport
+    raises Unavailable with 503.  The server counts the calls it
+    received and answered by stage."""
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -96,6 +101,8 @@ def chat_endpoint(transport):
                 status, payload = 200, {"choices": [{"message": message}]}
             except (AssertionError, KeyError) as exc:
                 stage, status, payload = None, 400, {"error": str(exc)}
+            except Unavailable as exc:
+                stage, status, payload = None, 503, {"error": str(exc)}
             with srv.lock:
                 srv.answered.append(stage)
             data = json.dumps(payload).encode("utf-8")
@@ -299,8 +306,8 @@ def watch_the_window(monkeypatch, before=None):
 
 def refusing(sentence, fault, delay_s=0.0):
     """The batch corpus's model, but the SENTENCE_TO_LOGIC call on
-    `sentence` is refused with 400 or answered without a formula, after
-    `delay_s`; `.faulty` counts those calls."""
+    `sentence` is refused with 400, answered with 503 or answered
+    without a formula, after `delay_s`; `.faulty` counts those calls."""
     scripted = batch_transport()
 
     def transport(request):
@@ -312,6 +319,8 @@ def refusing(sentence, fault, delay_s=0.0):
             time.sleep(delay_s)
             if fault == "refused":
                 raise KeyError("no formula for %r" % sentence)
+            if fault == "unavailable":
+                raise Unavailable("no formula for %r" % sentence)
             return "No formula for this one."
         return scripted(request)
 
@@ -388,10 +397,35 @@ def test_a_bad_formula_reply_asked_ahead_leaves_the_traces_alone(
         assert "sentence_to_logic" in faulted["iterations"][0]["report"]["messages"][0]["text"]
 
 
+def test_a_refusal_asked_ahead_is_not_asked_again(tmp_path, monkeypatch):
+    """Problem 3's premise formula is refused with 400 on two workers:
+    the window and the problem's own round share that one refused call,
+    and the traces equal a batch's without the window."""
+    problems = corpus_problems("batch50")[:6]
+
+    def record(label):
+        model = refusing(problems[3].premise_text, "refused")
+        with chat_endpoint(model) as (chat, url):
+            cache = TranscriptCache(str(tmp_path / (label + ".jsonl")))
+            cfg = http_config(url, backend=GroundOracle(), mode="record", cache=cache)
+            traces = [golden_line(t) for t in run_batch(problems, cfg, workers=2)]
+        assert model.faulty == 1
+        return traces
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verifine.batch, "ask_round_ahead", lambda problem, cfg: None)
+        without = record("without")
+    asked = watch_the_window(monkeypatch)
+    assert record("with") == without
+    assert problems[3].id in [problem_id for problem_id, _ in asked]
+    assert "endpoint returned 400" in json.loads(without[3])["diagnostic"]
+
+
 def test_the_window_is_joined_before_the_batch_returns(tmp_path, monkeypatch):
     """The window asks the last problem's round 0 only once that problem
-    has reported, so its refused formula is asked again, slowly; the
-    endpoint has answered that call too when `run_batch` returns."""
+    has reported, so its formula, answered 503 and not retried, is asked
+    again, slowly; the endpoint has answered that call too when
+    `run_batch` returns."""
     problems = corpus_problems("batch50")[:3]
     reported = threading.Event()
 
@@ -404,15 +438,18 @@ def test_the_window_is_joined_before_the_batch_returns(tmp_path, monkeypatch):
             reported.set()
 
     asked = watch_the_window(monkeypatch, after_the_last)
-    model = refusing(problems[-1].premise_text, "refused", delay_s=0.3)
+    model = refusing(problems[-1].premise_text, "unavailable", delay_s=0.3)
     with chat_endpoint(model) as (chat, url):
         cache = TranscriptCache(str(tmp_path / "cache.jsonl"))
         cfg = http_config(url, backend=GroundOracle(), mode="record", cache=cache)
+        cfg.llm = dataclasses.replace(cfg.llm, retry_attempts=0)
         traces = run_batch(problems, cfg, workers=1, on_result=on_result)
         assert model.faulty == 2
         assert len(chat.answered) == chat.received
     assert [problem_id for problem_id, _ in asked] == [p.id for p in problems[1:]]
-    assert traces[-1].diagnostic.startswith("pipeline error: endpoint returned 400")
+    assert traces[-1].diagnostic.startswith(
+        "pipeline error: gave up after 1 attempts: endpoint returned 503"
+    )
 
 
 def test_the_window_leaves_no_thread_behind(tmp_path, monkeypatch):
@@ -602,7 +639,8 @@ def test_concurrent_asks_of_one_prompt_make_one_call(waiters):
 
 
 def test_a_failed_call_reaches_every_waiter_and_is_not_kept(waiters):
-    model = GatedModel(held=("alpha",), error=HttpError("endpoint returned 400", 400))
+    gave_up = HttpError("gave up after 4 attempts: endpoint returned 503", 503)
+    model = GatedModel(held=("alpha",), error=gave_up)
     cfg = table_config(model)
     with ThreadPoolExecutor(2) as pool:
         first = pool.submit(ask_events, cfg, "alpha")
@@ -617,6 +655,21 @@ def test_a_failed_call_reaches_every_waiter_and_is_not_kept(waiters):
         model.error = None
         assert ask_events(cfg, "alpha") == "1: works"
     assert model.calls == {"alpha": 2}
+
+
+@pytest.mark.parametrize(
+    "status,kept", [(400, True), (404, True), (429, False), (503, False), (None, False)]
+)
+def test_only_a_refusal_is_kept(status, kept):
+    """A 4xx other than 429 is refused again on every ask, so a later ask
+    re-raises it; a call that gave up after retrying (429, 5xx, or a
+    transport failure without a status) is asked again."""
+    model = GatedModel(error=HttpError("endpoint returned %s" % status, status))
+    cfg = table_config(model)
+    for _ in range(2):
+        with pytest.raises(HttpError, match="endpoint returned %s" % status):
+            ask_events(cfg, "alpha")
+    assert model.calls == {"alpha": 1 if kept else 2}
 
 
 def test_the_table_holds_at_most_its_size_and_keeps_calls_in_flight(monkeypatch):

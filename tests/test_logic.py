@@ -1,5 +1,6 @@
 """Formula layer: parser, renderer, signatures, naming."""
 
+import dataclasses
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from verifine.logic import (
     Atom,
     Exists,
     Forall,
+    Formula,
     Implies,
     Not,
     Or,
@@ -24,10 +26,12 @@ from verifine.logic import (
     PredicateSymbol,
     Variable,
     _Parser,
+    _render,
     free_variables,
     has_quantifier,
     iter_atoms,
     parse_formula,
+    predicate_symbols,
     render_formula,
     sanitize_name,
     validate_signature,
@@ -429,3 +433,74 @@ class TestSharedParses:
         assert 1000 <= PARSE_CACHE_SIZE < 10000
         for parse in (parse_formula, parse_inner_formula):
             assert parse.cache_parameters()["maxsize"] == PARSE_CACHE_SIZE
+
+
+def rebuild(f):
+    """A structurally equal tree sharing no node or symbol with `f`."""
+    if isinstance(f, Atom):
+        pred = PredicateSymbol(f.pred.name, f.pred.arity)
+        return Atom(pred, tuple(Variable(v.name) for v in f.args))
+    if isinstance(f, Not):
+        return Not(rebuild(f.child))
+    if isinstance(f, (And, Or, Implies)):
+        return type(f)(rebuild(f.left), rebuild(f.right))
+    return type(f)(tuple(Variable(v.name) for v in f.vars), rebuild(f.body))
+
+
+def walked_free_variables(f):
+    if isinstance(f, Atom):
+        return set(f.args)
+    if isinstance(f, Not):
+        return walked_free_variables(f.child)
+    if isinstance(f, (And, Or, Implies)):
+        return walked_free_variables(f.left) | walked_free_variables(f.right)
+    return walked_free_variables(f.body) - set(f.vars)
+
+
+def walked_quantifier(f):
+    if isinstance(f, (Forall, Exists)):
+        return True
+    if isinstance(f, Not):
+        return walked_quantifier(f.child)
+    if isinstance(f, (And, Or, Implies)):
+        return walked_quantifier(f.left) or walked_quantifier(f.right)
+    return False
+
+
+class TestKeptValues:
+    @settings(max_examples=200, deadline=None)
+    @given(formula_strategy())
+    def test_kept_values_equal_a_fresh_computation(self, f):
+        pristine = repr(f)
+        for _ in range(2):  # the first ask works a value out, the second reads it
+            fresh = rebuild(f)
+            assert free_variables(f) == free_variables(fresh) == walked_free_variables(fresh)
+            atoms = [a.pred for a in iter_atoms(fresh)]
+            assert predicate_symbols(f) == predicate_symbols(fresh) == tuple(dict.fromkeys(atoms))
+            assert has_quantifier(f) == has_quantifier(fresh) == walked_quantifier(fresh)
+            assert isabelle_formula(f) == isabelle_formula(fresh) == _render(fresh, _INNER)
+            assert render_formula(f) == render_formula(fresh) == _render(fresh, _CANONICAL)
+            assert f == fresh and hash(f) == hash(fresh)
+        # The kept values are no fields: repr and equality see nothing new.
+        assert repr(f) == repr(rebuild(f)) == pristine
+        assert not {field.name for field in dataclasses.fields(f)} & set(Formula.__slots__)
+
+    @pytest.mark.parametrize("kind", sorted(NESTINGS))
+    def test_values_at_the_bound_are_worked_out_without_overflow(self, kind):
+        canonical, inner = NESTINGS[kind](MAX_NESTING)
+        # Fresh trees: a shared parse may already keep its values.
+        f = _Parser(canonical, _CANONICAL).parse()
+        again = _Parser(inner, _INNER).parse()
+        assert hash(f) == hash(again)
+        assert free_variables(f) <= {Variable("x")}
+        assert predicate_symbols(f) == (PredicateSymbol("P", 1),)
+        assert has_quantifier(f) == (kind == "quantifiers")
+        assert isabelle_formula(f) == isabelle_formula(parse_inner_formula(inner))
+        assert parse_inner_formula(isabelle_formula(again)) == f
+
+    def test_a_parse_shares_its_symbols(self):
+        f = _Parser("∀x. P(x) ∧ Q(x, y) → P(y) ∧ Q(y, x)", _CANONICAL).parse()
+        atoms = list(iter_atoms(f))
+        assert atoms[0].pred is atoms[2].pred and atoms[1].pred is atoms[3].pred
+        assert atoms[0].args[0] is atoms[1].args[0] is atoms[3].args[1]
+        assert f.vars[0] is atoms[0].args[0]

@@ -1,15 +1,21 @@
 """Source hygiene: every name the package imports is used, every module
 it imports is its own or the standard library's, the lower layers load
-without the gateway or the loop, every package attribute the bench
-wraps still exists, and a traced bench run measures the prover."""
+without the gateway or the loop, formula nodes keep what they derive in
+slots, every package attribute the bench wraps still exists, and a
+traced bench run measures the prover."""
 
 import ast
+import collections.abc
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+import verifine.logic as logic
+import verifine.theory as theory
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 PACKAGE_DIR = os.path.join(SRC_DIR, "verifine")
@@ -224,3 +230,56 @@ def test_lower_layers_load_without_the_gateway_or_the_loop():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+def _nodes(f):
+    yield f
+    for field in dataclasses.fields(f):
+        value = getattr(f, field.name)
+        if isinstance(value, logic.Formula):
+            yield from _nodes(value)
+
+
+def _tables():
+    return {
+        (module.__name__, name): len(value)
+        for module in (logic, theory)
+        for name, value in vars(module).items()
+        if not name.startswith("__")
+        and isinstance(
+            value,
+            (
+                collections.abc.MutableMapping,
+                collections.abc.MutableSequence,
+                collections.abc.MutableSet,
+            ),
+        )
+    }
+
+
+def test_formula_nodes_keep_their_values_in_slots():
+    """Every formula node class is slotted, so no node has a `__dict__`
+    once all its values are asked; and the values live on the nodes,
+    not in the formula or theory module: no module-level container
+    grows while they are worked out, and only the parse memoises a
+    function in logic.py."""
+    before = _tables()
+    text = "∀x. ¬(P(x) ∧ Q(x, y)) ∨ (∃z. P(z) → R(z))"
+    tree = logic._Parser(text, logic._CANONICAL).parse()
+    nodes = list(_nodes(tree))
+    classes = {
+        cls
+        for cls in vars(logic).values()
+        if isinstance(cls, type) and issubclass(cls, logic.Formula)
+    }
+    assert {type(node) for node in nodes} == classes - {logic.Formula}
+    for node in nodes:
+        hash(node)
+        logic.free_variables(node)
+        logic.predicate_symbols(node)
+        logic.has_quantifier(node)
+        theory.isabelle_formula(node)
+        assert not hasattr(node, "__dict__"), type(node).__name__
+    assert _tables() == before
+    memoised = [name for name, value in vars(logic).items() if hasattr(value, "cache_info")]
+    assert memoised == ["parse_formula"]
