@@ -19,10 +19,12 @@ above temperature 0 samples every ask.  Record mode never reads its
 cache file, so a resumed record run still re-asks the prompts the file
 holds.
 
-The HTTP transport uses only the standard library.  Each thread keeps
-one connection alive, to the endpoint it called last, and the proxy
-settings come from the `http_proxy`, `https_proxy` and `no_proxy`
-environment variables.
+The HTTP transport uses only the standard library, and loads its
+modules (`http.client`, `ssl`, `urllib.request`) on its first
+connection, so a replay or a scripted run never loads the network stack.
+Each thread keeps one connection alive, to the endpoint it called last,
+and the proxy settings come from the `http_proxy`, `https_proxy` and
+`no_proxy` environment variables.
 
 The gateway knows no stage's output format: `extract_stage_output`
 reads the last fenced block of a reply and hands it to the parser the
@@ -31,11 +33,9 @@ calling stage passes in.
 
 import base64
 import hashlib
-import http.client
 import json
 import logging
 import os
-import ssl
 import string
 import threading
 import time
@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 from urllib.parse import SplitResult, unquote, urlsplit
-from urllib.request import getproxies, proxy_bypass
 
 from .llmtypes import StageKind
 from .prompts import TEMPLATES
@@ -297,24 +296,15 @@ def transcript_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-# Each stage template's placeholder names, read once.
-_PLACEHOLDERS: Dict[StageKind, frozenset] = {
-    stage: frozenset(
-        name
-        for _, name, _, _ in string.Formatter().parse(template)
-        if name is not None
-    )
-    for stage, template in TEMPLATES.items()
-}
-
-
 def render_prompt(stage: StageKind, bindings: Mapping[str, str]) -> str:
     """Fill the stage template; unbound placeholders raise TemplateUnbound."""
-    needed = _PLACEHOLDERS[stage]
-    missing = sorted(name for name in needed if name not in bindings)
-    if missing:
-        raise TemplateUnbound(stage, missing)
-    return TEMPLATES[stage].format(**{name: bindings[name] for name in needed})
+    template = TEMPLATES[stage]
+    try:
+        return template.format_map(bindings)
+    except KeyError:
+        # Only a failed fill pays for naming every unbound placeholder.
+        names = {name for _, name, _, _ in string.Formatter().parse(template) if name}
+        raise TemplateUnbound(stage, sorted(names.difference(bindings))) from None
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +321,7 @@ class _Connection:
 
     def __init__(self):
         self.key: Optional[tuple] = None
-        self.conn: Optional[http.client.HTTPConnection] = None
+        self.conn: Optional["http.client.HTTPConnection"] = None
 
     def __del__(self):
         if self.conn is not None:
@@ -348,6 +338,8 @@ _kept_alive = _KeptAlive()
 
 def _proxy_for(url: SplitResult) -> Optional[SplitResult]:
     """The environment's proxy for `url`, or None to connect directly."""
+    from urllib.request import getproxies, proxy_bypass
+
     proxy = getproxies().get(url.scheme)
     if not proxy or proxy_bypass(url.hostname):
         return None
@@ -364,9 +356,14 @@ def _proxy_headers(proxy: SplitResult) -> Dict[str, str]:
     return {"Proxy-Authorization": "Basic " + token}
 
 
-def _connect(url: SplitResult, proxy: Optional[SplitResult]) -> http.client.HTTPConnection:
+def _connect(
+    url: SplitResult, proxy: Optional[SplitResult]
+) -> "http.client.HTTPConnection":
     """An unopened connection to the endpoint, or to its proxy: plain
     HTTP goes to the proxy as is, HTTPS through a CONNECT tunnel."""
+    import http.client
+    import ssl
+
     if url.scheme == "https":
         context = ssl.create_default_context()
         if proxy is None:
@@ -428,6 +425,8 @@ def _post(
 
 def http_transport(request: dict) -> str:
     """POST a chat-completion request; returns the message content."""
+    import http.client
+
     headers = {"Content-Type": "application/json"}
     if request.get("api_key"):
         headers["Authorization"] = "Bearer %s" % request["api_key"]

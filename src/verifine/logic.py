@@ -494,24 +494,6 @@ def _check_arities(formula: Formula):
             raise ArityError(pred.name, (prev, pred.arity))
 
 
-def iter_atoms(formula: Formula) -> Iterable[Atom]:
-    """The atoms of a formula, left to right."""
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Atom):
-            yield f
-        elif isinstance(f, Not):
-            stack.append(f.child)
-        elif isinstance(f, (And, Or, Implies)):
-            stack.append(f.right)
-            stack.append(f.left)
-        elif isinstance(f, (Forall, Exists)):
-            stack.append(f.body)
-        else:
-            raise TypeError("not a formula: %r" % (f,))
-
-
 def _render(f: Formula, syntax: _Syntax, need: int = 0) -> str:
     cls = type(f)
     if cls is Atom:

@@ -25,16 +25,18 @@ and axioms against the theorem goal).  A document with a proof is checked
 step by step the way an interactive prover would: each step's goal must
 follow from the chained previous goal plus whatever facts the step cites.
 An `OracleSession` decides each distinct entailment once.  Its verdict
-goes into the session's table, and repeats are answered from there.  A
-session holds no resource, so one can serve every problem of a batch on
-every worker thread: `run_batch` hands all its problems one session, and
-they reuse each other's verdicts.  A check that ran out of time is not
-remembered.
+goes into the session's table, and repeats are answered from there; a
+theory the session already decided is answered from its latest reports,
+without walking its entailments again.  A session holds no resource, so
+one can serve every problem of a batch on every worker thread:
+`run_batch` hands all its problems one session, and they reuse each
+other's verdicts.  A check that ran out of time is not remembered.
 """
 
 import itertools
 import threading
 import time
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..logic import (
@@ -358,17 +360,27 @@ def _line_message(doc: TheoryDoc, line_no: int, text: str) -> ProverMessage:
 # Entailments a session keeps verdicts for; past this the oldest is dropped.
 VERDICTS_SIZE = 8192
 
+# Theories a session keeps its latest reports for.  A repeat follows its
+# first check within a round, so this covers the checks in flight; each
+# entry keeps the theory's text alive, about 1.2 kB.
+REPORTS_SIZE = 256
+
 
 class OracleSession:
     """Session handle for the ground oracle, safe to share between threads.
 
-    The session answers a check it repeats, or a proof step that recurs
-    in a later round or another problem, from its verdict table without
-    grounding again.  The table holds at most VERDICTS_SIZE entailments
-    and drops the oldest first; its lock guards only inserting and
-    dropping, never grounding or solving.  `domain_bound` sets the pool
+    The session answers a proof step that recurs in a later round or
+    another problem from its verdict table without grounding again.  The
+    table holds at most VERDICTS_SIZE entailments and drops the oldest
+    first.  A theory it decided (`valid` or `failed`) it answers again
+    from its report table, keyed by the rendered text, with the report
+    it gave then, stamped with the repeat's own elapsed time; a timed
+    out check is never kept.  That table holds at most REPORTS_SIZE
+    theories, and never more than VERDICTS_SIZE, dropping the oldest
+    first.  One lock guards only reading, inserting and dropping entries
+    of both tables, never grounding or solving.  `domain_bound` sets the pool
     only where the Bernays–Schönfinkel fragment does not decide it (see
-    the module docstring), so one table serves one bound.
+    the module docstring), so one session serves one bound.
     """
 
     # Only an Isabelle session can become unusable.
@@ -379,12 +391,34 @@ class OracleSession:
             raise ValueError("domain_bound must be >= 1")
         self.domain_bound = domain_bound
         self._verdicts: Dict[Tuple[Tuple[Formula, ...], Formula], List[bool]] = {}
+        self._reports: Dict[str, CheckReport] = {}
         self._lock = threading.Lock()
 
     def check_document(
         self, doc: TheoryDoc, timeout_s: float = CHECK_TIMEOUT_S
     ) -> CheckReport:
         started = time.monotonic()
+        text = doc.rendered
+        with self._lock:
+            kept = self._reports.get(text)
+        if kept is not None:
+            return replace(kept, elapsed=time.monotonic() - started)
+        report = self._decide(doc, started, timeout_s)
+        if report.status != "timeout":
+            with self._lock:
+                self._reports[text] = report
+                # No more theories than the verdict table keeps entailments,
+                # so a smaller verdict table bounds this one too.
+                if len(self._reports) > min(REPORTS_SIZE, VERDICTS_SIZE):
+                    del self._reports[next(iter(self._reports))]
+        return report
+
+    def close(self):
+        """Nothing to release: a closed session stays usable."""
+
+    # -- internals
+
+    def _decide(self, doc: TheoryDoc, started: float, timeout_s: float) -> CheckReport:
         deadline = started + timeout_s
         try:
             for line_no, premises, goal, failure in self._entailments(doc):
@@ -399,11 +433,6 @@ class OracleSession:
             )
             return build_report("timeout", [message], elapsed, doc)
         return build_report("valid", [], time.monotonic() - started, doc)
-
-    def close(self):
-        """Nothing to release: a closed session stays usable."""
-
-    # -- internals
 
     def _entails(
         self, premises: Sequence[Formula], goal: Formula, deadline: float

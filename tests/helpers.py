@@ -1,10 +1,10 @@
 """Shared test utilities.
 
 Holds the random formula generator used by the round-trip suites, an
-independent truth-table entailment enumerator (no code shared with the
-package's ground oracle: different grounding representation, no
-clausification, plain exhaustive assignment search), and a scripted
-transport for driving LLM stages without a network.
+atom walker, an independent truth-table entailment enumerator (no code
+shared with the package's ground oracle: different grounding
+representation, no clausification, plain exhaustive assignment search),
+and a scripted transport for driving LLM stages without a network.
 """
 
 import itertools
@@ -80,6 +80,17 @@ def formula_strategy(draw):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     depth = draw(st.integers(min_value=1, max_value=5))
     return random_formula(random.Random(seed), depth)
+
+
+def walked_atoms(f: Formula) -> List[Atom]:
+    """The atom objects of a formula, left to right."""
+    if isinstance(f, Atom):
+        return [f]
+    if isinstance(f, Not):
+        return walked_atoms(f.child)
+    if isinstance(f, (And, Or, Implies)):
+        return walked_atoms(f.left) + walked_atoms(f.right)
+    return walked_atoms(f.body)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from helpers import formula_strategy, make_formulas
+from helpers import formula_strategy, make_formulas, walked_atoms
 from verifine.logic import (
     _CANONICAL,
     _INNER,
@@ -29,7 +29,6 @@ from verifine.logic import (
     _render,
     free_variables,
     has_quantifier,
-    iter_atoms,
     parse_formula,
     predicate_symbols,
     render_formula,
@@ -365,28 +364,9 @@ class TestProperties:
     @given(formula_strategy())
     def test_free_variables_subset_of_argument_variables(self, f):
         all_args = set()
-        for a in iter_atoms(f):
+        for a in walked_atoms(f):
             all_args.update(a.args)
         assert free_variables(f) <= all_args
-
-    @settings(max_examples=200, deadline=None)
-    @given(formula_strategy())
-    def test_iter_atoms_yields_atoms_left_to_right(self, f):
-        def walk(g):
-            if isinstance(g, Atom):
-                return [g]
-            if isinstance(g, Not):
-                return walk(g.child)
-            if isinstance(g, (And, Or, Implies)):
-                return walk(g.left) + walk(g.right)
-            return walk(g.body)
-
-        # Identity, not equality: the same atom objects in the same order.
-        assert [id(a) for a in iter_atoms(f)] == [id(a) for a in walk(f)]
-
-    def test_iter_atoms_rejects_a_non_formula(self):
-        with pytest.raises(TypeError):
-            list(iter_atoms(And(atom("P", "x"), "Q(x)")))
 
     def test_thousand_formula_round_trip_under_five_seconds(self):
         formulas = make_formulas(1000, seed=20240814)
@@ -475,7 +455,7 @@ class TestKeptValues:
         for _ in range(2):  # the first ask works a value out, the second reads it
             fresh = rebuild(f)
             assert free_variables(f) == free_variables(fresh) == walked_free_variables(fresh)
-            atoms = [a.pred for a in iter_atoms(fresh)]
+            atoms = [a.pred for a in walked_atoms(fresh)]
             assert predicate_symbols(f) == predicate_symbols(fresh) == tuple(dict.fromkeys(atoms))
             assert has_quantifier(f) == has_quantifier(fresh) == walked_quantifier(fresh)
             assert isabelle_formula(f) == isabelle_formula(fresh) == _render(fresh, _INNER)
@@ -500,7 +480,7 @@ class TestKeptValues:
 
     def test_a_parse_shares_its_symbols(self):
         f = _Parser("∀x. P(x) ∧ Q(x, y) → P(y) ∧ Q(y, x)", _CANONICAL).parse()
-        atoms = list(iter_atoms(f))
+        atoms = walked_atoms(f)
         assert atoms[0].pred is atoms[2].pred and atoms[1].pred is atoms[3].pred
         assert atoms[0].args[0] is atoms[1].args[0] is atoms[3].args[1]
         assert f.vars[0] is atoms[0].args[0]

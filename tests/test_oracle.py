@@ -4,6 +4,7 @@ Every entailment fixture keeps the theory tiny (at most three axioms,
 small domains) so the truth-table enumerator in helpers stays fast.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import random
@@ -35,6 +36,7 @@ from verifine.prover.messages import (
     locate_failed_step,
 )
 from verifine.prover.oracle import (
+    REPORTS_SIZE,
     VERDICTS_SIZE,
     OracleSession,
     OracleTimeout,
@@ -540,6 +542,20 @@ def assume_small_pool(doc, bound):
     assume(names + (bound if fresh is None else fresh) <= 3)
 
 
+@contextlib.contextmanager
+def spy_on_walks():
+    """Records each document whose entailments a session walks."""
+    walks = []
+    walk = OracleSession._entailments
+
+    def spy(session, doc):
+        walks.append(doc)
+        return walk(session, doc)
+
+    with mock.patch.object(OracleSession, "_entailments", spy):
+        yield walks
+
+
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -597,10 +613,14 @@ class TestSessionVerdicts:
         assert len(pools) == 1
         # The same document, and an equal one built from its text.
         for again in (doc, parse_theory(doc.rendered)):
-            report, pools = check_recorded(again, session=session)
+            with spy_on_walks() as walks:
+                report, pools = check_recorded(again, session=session)
             assert pools == []
+            # Answered from the session's reports, without a walk.
+            assert walks == []
             assert report.status == first.status
             assert report.messages == first.messages
+            assert report.first_error == first.first_error
 
     @settings(max_examples=50, deadline=None)
     @given(SEEDS)
@@ -705,9 +725,26 @@ class TestVerdictsAcrossSessions:
         assert len(session._verdicts) == 4
         assert 1000 <= VERDICTS_SIZE < 100000
 
+    def test_a_full_report_table_drops_its_oldest_theory(self):
+        session = OracleSession(3)
+        for k in range(REPORTS_SIZE + 10):
+            session.check_document(numbered_doc(k))
+            assert len(session._reports) == min(k + 1, REPORTS_SIZE)
+        # The newest theory is answered from its report; the first was
+        # dropped and is walked again, its verdict still in the table.
+        with spy_on_walks() as walks:
+            _, pools = check_each([session], numbered_doc(REPORTS_SIZE + 9))
+        assert walks == [] and pools == []
+        with spy_on_walks() as walks:
+            reports, pools = check_each([session], numbered_doc(0))
+        assert len(walks) == 1 and pools == []
+        assert reports[0].status == "valid"
+        assert len(session._reports) == REPORTS_SIZE
+
     def test_threads_share_one_table(self, monkeypatch):
         # What run_batch does with its one session, but a small table, so
-        # the threads also drop verdicts while others insert them.
+        # the threads also drop verdicts and reports while others insert
+        # them.
         monkeypatch.setattr(oracle, "VERDICTS_SIZE", 8)
         session = OracleSession(3)
         docs = [numbered_doc(k) for k in range(24)]
@@ -731,6 +768,8 @@ class TestVerdictsAcrossSessions:
         want = ["valid" if k % 2 == 0 else "failed" for k in range(24)]
         assert statuses == [want] * 6
         assert len(session._verdicts) == 8
+        # The report table is bounded by the verdict table's size too.
+        assert len(session._reports) == 8
 
 
 def _brute_satisfiable(clauses, nvars):

@@ -1,8 +1,9 @@
 """Source hygiene: every name the package imports is used, every module
 it imports is its own or the standard library's, the lower layers load
-without the gateway or the loop, formula nodes keep what they derive in
-slots, every package attribute the bench wraps still exists, and a
-traced bench run measures the prover."""
+without the gateway or the loop, the CLI loads without the network
+stack, formula nodes keep what they derive in slots, every package
+attribute the bench wraps still exists, and a traced bench run measures
+the prover."""
 
 import ast
 import collections.abc
@@ -210,15 +211,16 @@ def test_only_the_pipeline_ends_a_problem():
     assert list(builders) == ["pipeline.py"]
 
 
-def test_lower_layers_load_without_the_gateway_or_the_loop():
-    """Importing the formula, theory and prover layers in a fresh
-    interpreter loads neither `requests`, the LLM gateway nor the loop:
-    the package has no facade that imports them all."""
+def loaded_in_a_fresh_interpreter(imports: str, names) -> list:
+    """Which of `names` are in `sys.modules` after `imports` runs in a
+    fresh interpreter, and were not before it."""
     code = (
-        "import sys, verifine.logic, verifine.theory, verifine.prover\n"
-        "for name in ('requests', 'verifine.llm', 'verifine.pipeline'):\n"
-        "    if name in sys.modules: print(name)\n"
-    )
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "%s\n"
+        "for name in %r:\n"
+        "    if name in sys.modules and name not in before: print(name)\n"
+    ) % (imports, tuple(names))
     path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
@@ -229,7 +231,24 @@ def test_lower_layers_load_without_the_gateway_or_the_loop():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == []
+    return result.stdout.split()
+
+
+def test_lower_layers_load_without_the_gateway_or_the_loop():
+    """Importing the formula, theory and prover layers in a fresh
+    interpreter loads neither `requests`, the LLM gateway nor the loop:
+    the package has no facade that imports them all."""
+    imports = "import verifine.logic, verifine.theory, verifine.prover"
+    names = ("requests", "verifine.llm", "verifine.pipeline")
+    assert loaded_in_a_fresh_interpreter(imports, names) == []
+
+
+def test_the_cli_loads_no_network_stack():
+    """Importing the CLI loads none of the HTTP transport's modules: the
+    transport imports them on its first connection, so a replay, a
+    scripted run or `verifine report` never does."""
+    names = ("http.client", "ssl", "urllib.request", "email")
+    assert loaded_in_a_fresh_interpreter("import verifine.cli", names) == []
 
 
 def _nodes(f):
