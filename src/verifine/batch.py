@@ -5,17 +5,12 @@ Worker threads only compute, each problem's trace coming from
 concurrent runs never interleave output.
 
 Each batch runs its problems on its own copy of the config, which
-carries what they share.  On an Isabelle backend that is a
-`SharedSession`: the first problem to open a session starts the server
-session, every later problem attaches its own connection to it by id,
-and `run_batch` stops it when it returns.  A check that times out, is
-refused or loses its connection retires the session, and the next
-problem to open starts a fresh one, which `run_batch` stops too.  On the
-ground oracle it is one `OracleSession`: each distinct entailment is
-decided once per batch.  In record mode, and in live mode at
-temperature 0, it is also a `ReplyTable`: each distinct prompt is asked
-once per batch.  Two batches, even on one config and at once, share
-none of these.
+carries what they share.  A backend opens its sessions and says how a
+batch shares them (`ProverBackend.shared`), and the batch holds that
+shared form until it returns.  In record mode, and in live mode at
+temperature 0, the copy also carries a `ReplyTable`: each distinct
+prompt is asked once per batch.  Two batches, even on one config and at
+once, share none of these.
 
 Such a batch, when its calls go to the endpoint over HTTP, also keeps
 a window: as a worker starts problem i, problem i + workers has its
@@ -23,7 +18,7 @@ round 0 asked ahead (`ask_round_ahead`) on one of `workers` threads of
 the batch's own, so its replies are in the table when its turn comes.
 Up to about 2 x workers problems' model calls can then be in flight at
 once, which a rate-limited endpoint sees.  The window is joined before
-`run_batch` stops its session and returns.  Replays and scripted
+the batch releases its backend and returns.  Replays and scripted
 transports ask no problem ahead.
 """
 
@@ -45,8 +40,6 @@ from .pipeline import (
 )
 # After pipeline: importing the gateway first costs 0.5 MB of peak RSS.
 from .llm import ReplyTable
-from .prover import GroundOracle, IsabelleServer, OracleSession
-from .prover.isabelle import SharedSession
 
 ProgressHook = Callable[[RefinementTrace], None]
 
@@ -60,19 +53,6 @@ def _safe_stem(problem_id: str, taken: set) -> str:
         suffix += 1
     taken.add(candidate)
     return candidate
-
-
-def _batch_config(cfg: RefinerConfig) -> RefinerConfig:
-    """A copy of `cfg` carrying what one batch's problems share."""
-    backend = cfg.backend
-    if isinstance(backend, IsabelleServer):
-        backend = SharedSession(backend)
-    elif isinstance(backend, GroundOracle):
-        backend = OracleSession(backend.domain_bound)
-    batch_cfg = replace(cfg, backend=backend)
-    if cfg.mode == "record" or (cfg.mode == "live" and cfg.llm.temperature == 0):
-        batch_cfg.replies = ReplyTable()
-    return batch_cfg
 
 
 def run_batch(
@@ -90,6 +70,9 @@ def run_batch(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    share = getattr(cfg.backend, "shared", None)
+    if share is None:
+        raise TypeError("unknown backend: %r" % (cfg.backend,))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     # Stems and results go by input index: problem ids need not be unique.
@@ -114,27 +97,26 @@ def run_batch(
         if on_result is not None:
             on_result(trace)
 
-    batch_cfg = _batch_config(cfg)
-    window = batch_cfg.replies is not None and calls_wait(batch_cfg)
+    # Not on the stage pool: a window task waits on its own stage calls.
+    with share() as backend, \
+            ThreadPoolExecutor(workers, thread_name_prefix="verifine-ahead") as ahead, \
+            ThreadPoolExecutor(max_workers=workers) as pool:
+        batch_cfg = replace(cfg, backend=backend)
+        if cfg.mode == "record" or (cfg.mode == "live" and cfg.llm.temperature == 0):
+            batch_cfg.replies = ReplyTable()
+        window = batch_cfg.replies is not None and calls_wait(batch_cfg)
 
-    def refine(index: int) -> RefinementTrace:
-        # Starting a problem hands the one `workers` places on to the window.
-        if window and index + workers < len(problems):
-            ahead.submit(ask_round_ahead, problems[index + workers], batch_cfg)
-        return run_refiner(problems[index], batch_cfg)
+        def refine(index: int) -> RefinementTrace:
+            # Starting a problem hands the one `workers` places on to the window.
+            if window and index + workers < len(problems):
+                ahead.submit(ask_round_ahead, problems[index + workers], batch_cfg)
+            return run_refiner(problems[index], batch_cfg)
 
-    try:
-        # Not on the stage pool: a window task waits on its own stage calls.
-        with ThreadPoolExecutor(workers, thread_name_prefix="verifine-ahead") as ahead, \
-                ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = {pool.submit(refine, index): index for index in range(len(problems))}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                # Futures that finish together are handled in input order,
-                # so one worker reports problems exactly in input order.
-                for future in sorted(done, key=pending.__getitem__):
-                    finish(pending.pop(future), future.result())
-    finally:
-        if isinstance(batch_cfg.backend, SharedSession):
-            batch_cfg.backend.close()
+        pending = {pool.submit(refine, index): index for index in range(len(problems))}
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            # Futures that finish together are handled in input order,
+            # so one worker reports problems exactly in input order.
+            for future in sorted(done, key=pending.__getitem__):
+                finish(pending.pop(future), future.result())
     return results

@@ -93,8 +93,6 @@ from .logic import (
     sanitize_name,
 )
 from .prover import (
-    GroundOracle,
-    OracleSession,
     ProverBackend,
     SessionHandle,
     check_theory,
@@ -344,11 +342,10 @@ class PipelineContext:
             if handle.usable:
                 return
             handle.close()
-        # An Isabelle session takes a server round trip or more to start,
-        # which the stage pool hides behind formalisation; an oracle
-        # session is a plain object, so a pool task would cost more than
-        # it hides.
-        if not isinstance(self.cfg.backend, (GroundOracle, OracleSession)):
+        # A session that opens remotely takes a server round trip or more,
+        # which the stage pool hides behind formalisation; any other is a
+        # plain object, so a pool task would cost more than it hides.
+        if self.cfg.backend.opens_remotely:
             self._opened = _stage_pool.submit(start_session, self.cfg.backend)
             return
         self._opened = Future()

@@ -1,31 +1,45 @@
 """Prover backends: a live Isabelle server or a local ground oracle.
 
-A user configures a plain value, `IsabelleServer` or `GroundOracle`, and
-`start_session` opens one problem's session on it.  `run_batch` turns
-that value into one shared object for its problems, and drops it when it
-returns.
-
-An Isabelle backend becomes a `SharedSession`, so the batch's problems
-share one server session: the first to open starts it, every later one
-attaches its own connection to it by id, and closing a problem's session
-drops only its connection.  A check that times out, is refused or loses
-its connection retires its server session, so the next to open starts a
-fresh one.  Closing the `SharedSession` stops every server session it
-started.  Outside a batch, each session an Isabelle backend opens is
-started and stopped by its own connection.
-
-A ground oracle becomes one `OracleSession`, which `start_session` hands
-to every problem, so they share its verdicts.  Outside a batch, each
-session a `GroundOracle` opens keeps verdicts of its own.
+A user configures a plain value, `IsabelleServer` or `GroundOracle`.  A
+backend opens its sessions and says how a batch shares them (see
+`ProverBackend`), so no caller branches on which kind it is.
 """
 
+import contextlib
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, ContextManager, Protocol, Union
 
 from ..theory import TheoryDoc
 from .isabelle import IsabelleSession, SharedSession
 from .messages import CheckReport
 from .oracle import OracleSession
+
+SessionHandle = Union[IsabelleSession, OracleSession]
+
+
+class ProverBackend(Protocol):
+    """Where a run checks its theories.
+
+    `open()` returns one problem's session handle, which the problem
+    closes.  `shared()` returns a context manager that yields what one
+    batch's problems share, itself a backend, and releases it on exit.
+    `opens_remotely` says whether opening waits on the network.
+
+    Each handle an `IsabelleServer` opens starts a server session and
+    stops it when closed.  A batch shares a `SharedSession`: its handles
+    attach to one server session, and its exit stops every server
+    session it started.  Each handle a `GroundOracle` opens keeps
+    verdicts of its own.  A batch shares one `OracleSession`: every
+    problem opens it as itself, so they share its verdicts, and it holds
+    nothing to release.  A backend a batch already shares is shared as
+    it is, and only its owner closes it.
+    """
+
+    opens_remotely: ClassVar[bool]
+
+    def open(self) -> SessionHandle: ...
+
+    def shared(self) -> ContextManager["ProverBackend"]: ...
 
 
 @dataclass(frozen=True)
@@ -36,6 +50,15 @@ class IsabelleServer:
     port: int
     password: str
     session_name: str = "HOL"
+    opens_remotely: ClassVar[bool] = True
+
+    def open(self) -> IsabelleSession:
+        """Connect, authenticate, and build and start a server session, so
+        ConnectFailed, AuthFailed and SessionBuildFailed surface here."""
+        return IsabelleSession(self.host, self.port, self.password, self.session_name)
+
+    def shared(self) -> ContextManager[SharedSession]:
+        return contextlib.closing(SharedSession(self))
 
 
 @dataclass(frozen=True)
@@ -43,39 +66,25 @@ class GroundOracle:
     """The ground oracle at one domain bound."""
 
     domain_bound: int = 3
+    opens_remotely: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.domain_bound < 1:
             raise ValueError("domain_bound must be >= 1")
 
+    def open(self) -> OracleSession:
+        return OracleSession(self.domain_bound)
 
-# A batch runs its problems on a SharedSession of an IsabelleServer, or
-# on one OracleSession of a GroundOracle.
-ProverBackend = Union[IsabelleServer, SharedSession, GroundOracle, OracleSession]
-
-SessionHandle = Union[IsabelleSession, OracleSession]
+    def shared(self) -> ContextManager[OracleSession]:
+        return contextlib.nullcontext(OracleSession(self.domain_bound))
 
 
 def start_session(backend: ProverBackend) -> SessionHandle:
-    """Open a prover session for the given backend.
-
-    Isabelle sessions connect, authenticate, and build and start the
-    prover session (or attach to the batch's) eagerly, so the errors
-    (ConnectFailed, AuthFailed, SessionBuildFailed) surface here rather
-    than at first check.  An `OracleSession` backend is itself the
-    session, for every problem to share.
-    """
-    if isinstance(backend, GroundOracle):
-        return OracleSession(backend.domain_bound)
-    if isinstance(backend, OracleSession):
-        return backend
-    if isinstance(backend, SharedSession):
-        return backend.open()
-    if isinstance(backend, IsabelleServer):
-        return IsabelleSession(
-            backend.host, backend.port, backend.password, backend.session_name
-        )
-    raise TypeError("unknown backend: %r" % (backend,))
+    """Open a prover session on the given backend."""
+    open_session = getattr(backend, "open", None)
+    if open_session is None:
+        raise TypeError("unknown backend: %r" % (backend,))
+    return open_session()
 
 
 def checked_timeout(timeout_s: float) -> float:

@@ -23,17 +23,12 @@ its session is retired by then.
 A server session outlives the connection that started it, so another
 connection can attach to it by its `session_id` and check theories
 without `session_build` or `session_start`.  A batch's `SharedSession`
-hands out such connections: the first starts the session, every later
-one attaches, closing any of them drops only that connection, and
-closing the `SharedSession` stops the session over a fresh connection.
-A check that times out may leave its task running in the session, and
-one that is refused or loses its connection finds the session gone, so
-the batch retires that session: the next connection starts a fresh one,
-and the close stops both.  Outside a batch each connection starts a
-session of its own and stops it when closed: over that connection while
-it is alive, and over a fresh one once a check has left it dead.
+hands out such connections.  Any other connection starts a session of
+its own and stops it when closed: over that connection while it is
+alive, and over a fresh one once a check has left it dead.
 """
 
+import contextlib
 import json
 import logging
 import os
@@ -41,7 +36,7 @@ import socket
 import tempfile
 import threading
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, ContextManager, List, Optional, Tuple
 
 from ..theory import TheoryDoc
 from .messages import (
@@ -366,12 +361,16 @@ class SharedSession:
 
     The first `open` starts the session under the lock, and every later
     `open` attaches its own connection to it.  A failed start leaves no
-    session, so the next `open` tries again.  A check that times out, is
-    refused or loses its connection retires its session, so the next
-    `open` starts a fresh one.  Once every `open` has returned, `close`
-    stops every session this value started, each over a fresh connection.
-    `server` is the `IsabelleServer` the sessions run on.
+    session, so the next `open` tries again.  A check that times out may
+    leave its task running in the session, and one that is refused or
+    loses its connection finds the session gone, so either retires its
+    session and the next `open` starts a fresh one.  Once every `open`
+    has returned, `close` stops every session this value started, each
+    over a fresh connection.  `server` is the `IsabelleServer` the
+    sessions run on.
     """
+
+    opens_remotely = True
 
     def __init__(self, server):
         self._server = (server.host, server.port, server.password, server.session_name)
@@ -390,6 +389,9 @@ class SharedSession:
             session = IsabelleSession(*self._server, session_id=session_id)
         session.on_dead = self._retire
         return session
+
+    def shared(self) -> ContextManager["SharedSession"]:
+        return contextlib.nullcontext(self)
 
     def _retire(self, session_id: str) -> None:
         with self._lock:

@@ -28,16 +28,16 @@ An `OracleSession` decides each distinct entailment once.  Its verdict
 goes into the session's table, and repeats are answered from there; a
 theory the session already decided is answered from its latest reports,
 without walking its entailments again.  A session holds no resource, so
-one can serve every problem of a batch on every worker thread:
-`run_batch` hands all its problems one session, and they reuse each
-other's verdicts.  A check that ran out of time is not remembered.
+a batch's problems share one on every worker thread, and each reuses
+the others' verdicts.  A check that ran out of time is not remembered.
 """
 
+import contextlib
 import itertools
 import threading
 import time
 from dataclasses import replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..logic import (
     And,
@@ -385,6 +385,7 @@ class OracleSession:
 
     # Only an Isabelle session can become unusable.
     usable = True
+    opens_remotely = False
 
     def __init__(self, domain_bound: int):
         if domain_bound < 1:
@@ -412,6 +413,12 @@ class OracleSession:
                 if len(self._reports) > min(REPORTS_SIZE, VERDICTS_SIZE):
                     del self._reports[next(iter(self._reports))]
         return report
+
+    def open(self) -> "OracleSession":
+        return self
+
+    def shared(self) -> ContextManager["OracleSession"]:
+        return contextlib.nullcontext(self)
 
     def close(self):
         """Nothing to release: a closed session stays usable."""

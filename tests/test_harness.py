@@ -1,6 +1,7 @@
 """Tests for the surrounding harness: dataset loading and conversion,
 run-report aggregation, the batch runner, and the command-line tool."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import random
 import socket
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -30,10 +32,11 @@ from verifine.pipeline import (
     NLIProblem,
     RefinementTrace,
     RefinerConfig,
+    run_refiner,
     trace_from_dict,
     trace_to_dict,
 )
-from verifine.prover import GroundOracle
+from verifine.prover import GroundOracle, OracleSession
 from verifine.prover.messages import ProverMessage, build_report
 from verifine.report import (
     DatasetStats,
@@ -50,7 +53,7 @@ from verifine.theory import (
     parse_theory,
 )
 
-from fixtures_e2e import batch_problems, gateway_config, scrub_elapsed
+from fixtures_e2e import batch_problems, batch_transport, gateway_config, scrub_elapsed
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -645,8 +648,6 @@ class TestRunBatch:
     def test_crashing_problem_yields_failure_trace(self, tmp_path):
         problems = batch_problems()[:2]
         poison = problems[1].premise_text
-        from fixtures_e2e import batch_transport
-
         inner = batch_transport()
 
         def transport(request):
@@ -691,6 +692,79 @@ class TestRunBatch:
     def test_worker_count_validated(self):
         with pytest.raises(ValueError, match="workers"):
             run_batch([], replay_cfg("batch50.jsonl"), workers=0)
+
+    def test_an_unknown_backend_is_refused_before_any_problem(
+        self, tmp_path, monkeypatch
+    ):
+        import verifine.batch
+
+        started = []
+        refine = verifine.batch.run_refiner
+
+        def spy(problem, cfg):
+            started.append(problem.id)
+            return refine(problem, cfg)
+
+        monkeypatch.setattr(verifine.batch, "run_refiner", spy)
+        problems = load_problems(os.path.join(DATA_DIR, "esnli_pairs.jsonl"))
+        cfg = replace(replay_cfg("esnli.jsonl"), backend=object())
+        out_dir = tmp_path / "t"
+        with pytest.raises(TypeError, match="unknown backend"):
+            run_batch(problems, cfg, str(out_dir), workers=2)
+        assert started == []
+        assert not out_dir.exists()
+
+    def test_a_backend_of_its_own_runs_on_the_protocol_alone(self):
+        """A backend the package does not define runs a problem and a
+        batch, which enters its shared form once and leaves it once, also
+        when a problem's stage raises or the batch itself does."""
+
+        class Wrapped:
+            opens_remotely = False
+
+            def __init__(self):
+                self.session = OracleSession(3)
+                self.opened = self.entered = self.exited = 0
+
+            def open(self):
+                self.opened += 1
+                return self.session
+
+            @contextlib.contextmanager
+            def shared(self):
+                self.entered += 1
+                try:
+                    yield self
+                finally:
+                    self.exited += 1
+
+        problems = batch_problems()[:2]
+        poison = problems[1].premise_text
+        inner = batch_transport()
+
+        def transport(request):
+            if poison in request["prompt"]:
+                raise RuntimeError("simulated transport crash")
+            return inner(request)
+
+        backend = Wrapped()
+        cfg = RefinerConfig(
+            llm=gateway_config(), backend=backend, mode="live", transport=transport
+        )
+        assert run_refiner(problems[0], cfg).final_status == "valid_initially"
+        assert backend.opened == 1 and backend.entered == 0
+        traces = run_batch(problems, cfg, workers=2)
+        assert [t.final_status for t in traces] == ["valid_initially", "exhausted_invalid"]
+        assert traces[1].diagnostic == "pipeline error: simulated transport crash"
+        assert backend.opened == 3
+        assert (backend.entered, backend.exited) == (1, 1)
+
+        def stop(trace):
+            raise RuntimeError("progress hook failed")
+
+        with pytest.raises(RuntimeError, match="progress hook failed"):
+            run_batch(problems, cfg, workers=2, on_result=stop)
+        assert (backend.entered, backend.exited) == (2, 2)
 
     def test_repeated_ids_keep_every_trace(self, tmp_path, monkeypatch):
         import verifine.batch

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from verifine import pipeline
+from verifine import batch, pipeline
 from verifine.llm import MalformedStageOutput, TranscriptCache
 from verifine.llmtypes import StageKind
 from verifine.logic import parse_formula
@@ -832,21 +832,33 @@ class TestProblemSession:
         assert trace.diagnostic is None
         assert trace.final_status == "valid_initially"
 
-    def test_oracle_session_opens_on_the_calling_thread(self, monkeypatch):
-        opened_on = []
+    @pytest.mark.parametrize("runner", ["refiner", "batch"])
+    def test_oracle_session_opens_on_the_calling_thread(self, monkeypatch, runner):
+        """Bare, the problem opens a `GroundOracle` session; in a batch, the
+        batch's shared `OracleSession`.  Either opens where the problem runs."""
+        opened_on, refined_on = [], []
         original = pipeline.start_session
 
         def recording(backend):
             opened_on.append(threading.current_thread())
             return original(backend)
 
+        def refiner(problem, cfg):
+            refined_on.append(threading.current_thread())
+            return run_refiner(problem, cfg)
+
         monkeypatch.setattr(pipeline, "start_session", recording)
+        monkeypatch.setattr(batch, "run_refiner", refiner)
         t = gadget_transport()
         t.add(StageKind.ROUGH_INFERENCE, fenced("direct\nRelevant: f1\nRedundant:"))
         t.add(StageKind.CONSTRUCT_PROOF, "no usable proof")
-        trace = run_refiner(gadget_problem(GOOD_FACT), make_cfg(t))
+        problem, cfg = gadget_problem(GOOD_FACT), make_cfg(t)
+        if runner == "batch":
+            [trace] = batch.run_batch([problem], cfg, workers=1)
+        else:
+            trace = refiner(problem, cfg)
         assert trace.final_status == "valid_initially"
-        assert opened_on == [threading.current_thread()]
+        assert opened_on == refined_on
 
 
 # ---------------------------------------------------------------------------

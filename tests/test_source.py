@@ -2,8 +2,8 @@
 it imports is its own or the standard library's, the lower layers load
 without the gateway or the loop, the CLI loads without the network
 stack, formula nodes keep what they derive in slots, every package
-attribute the bench wraps still exists, and a traced bench run measures
-the prover."""
+attribute the bench wraps still exists, a traced bench run measures
+the prover, and a failing hypothesis test reports its example."""
 
 import ast
 import collections.abc
@@ -21,6 +21,7 @@ import verifine.theory as theory
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 PACKAGE_DIR = os.path.join(SRC_DIR, "verifine")
 BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 
 
 def _modules():
@@ -302,3 +303,23 @@ def test_formula_nodes_keep_their_values_in_slots():
     assert _tables() == before
     memoised = [name for name, value in vars(logic).items() if hasattr(value, "cache_info")]
     assert memoised == ["parse_formula"]
+
+
+def test_a_failing_hypothesis_test_reports_its_example(tmp_path):
+    """Under the project's warning filters, a failing `@given` test ends
+    as a plain failure with its falsifying example, not as an internal
+    error of the run."""
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_negative(n):\n"
+        "    assert n < 0\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", PYPROJECT, "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_falsified.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
