@@ -66,7 +66,8 @@ def run_batch(
 
     When `out_dir` is given, each trace is written there as
     trace_<id>.json as soon as its problem finishes; ids that sanitise
-    alike (or repeat) get numeric suffixes.
+    alike (or repeat) get numeric suffixes.  A batch that raises (say, in
+    `on_result`, or interrupted) cancels the problems it has not started.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -113,10 +114,17 @@ def run_batch(
             return run_refiner(problems[index], batch_cfg)
 
         pending = {pool.submit(refine, index): index for index in range(len(problems))}
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            # Futures that finish together are handled in input order,
-            # so one worker reports problems exactly in input order.
-            for future in sorted(done, key=pending.__getitem__):
-                finish(pending.pop(future), future.result())
+        try:
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                # Futures that finish together are handled in input order,
+                # so one worker reports problems exactly in input order.
+                for future in sorted(done, key=pending.__getitem__):
+                    finish(pending.pop(future), future.result())
+        except BaseException:
+            # Start no further problem, nor ask one ahead: the pool shuts
+            # first, so no running problem asks ahead into a shut window.
+            pool.shutdown(cancel_futures=True)
+            ahead.shutdown(cancel_futures=True)
+            raise
     return results

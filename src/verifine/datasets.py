@@ -16,7 +16,7 @@ answer is appended to the question stem.
 
 import json
 import re
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .pipeline import Fact, NLIProblem
 
@@ -158,17 +158,3 @@ def load_problems(path: str) -> List[NLIProblem]:
             problems.append(problem)
     return problems
 
-
-def save_problems(problems: Iterable[NLIProblem], path: str) -> None:
-    """Write problems as canonical entailment JSONL."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for problem in problems:
-            record = {
-                "id": problem.id,
-                "premise": problem.premise_text,
-                "hypothesis": problem.hypothesis_text,
-                "explanation": [f.text for f in problem.explanation],
-            }
-            if problem.dataset != "default":
-                record["dataset"] = problem.dataset
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")

@@ -236,33 +236,17 @@ class IsabelleSession:
     def check_document(
         self, doc: TheoryDoc, timeout_s: float = CHECK_TIMEOUT_S
     ) -> CheckReport:
-        return self._check(doc.rendered, doc.name, timeout_s, doc)
-
-    def check_source(
-        self, text: str, name: str, timeout_s: float = CHECK_TIMEOUT_S
-    ) -> CheckReport:
-        """Check raw theory text.  The pipeline checks documents only;
-        this serves text no `TheoryDoc` can hold, such as the
-        arity-clashed theory the live-server tests send."""
-        return self._check(text, name, timeout_s, None)
-
-    def _check(
-        self,
-        text: str,
-        name: str,
-        timeout_s: float,
-        doc: Optional[TheoryDoc],
-    ) -> CheckReport:
         if not self.usable:
             raise SessionDead("session is not usable")
         started = time.monotonic()
         deadline = started + timeout_s
         with tempfile.TemporaryDirectory(prefix="verifine_thy_") as scratch:
-            with open(os.path.join(scratch, name + ".thy"), "w", encoding="utf-8") as fh:
-                fh.write(text)
+            path = os.path.join(scratch, doc.name + ".thy")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(doc.rendered)
             args = {
                 "session_id": self.session_id,
-                "theories": [name],
+                "theories": [doc.name],
                 "master_dir": scratch,
             }
             try:
@@ -303,7 +287,7 @@ class IsabelleSession:
         return Span(int(line), int(offset), int(pos.get("end_offset", offset)))
 
     def _report_from_payload(
-        self, payload: dict, elapsed: float, doc: Optional[TheoryDoc]
+        self, payload: dict, elapsed: float, doc: TheoryDoc
     ) -> CheckReport:
         messages: List[ProverMessage] = []
         seen = set()

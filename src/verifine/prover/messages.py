@@ -142,9 +142,9 @@ def build_report(
     return CheckReport(status, elapsed, tuple(messages), first_error)
 
 
-def syntax_error_count(report: CheckReport, doc: Optional[TheoryDoc] = None) -> int:
+def syntax_error_count(report: CheckReport, doc: TheoryDoc) -> int:
     """Number of error messages that classify as syntax problems."""
-    region = proof_region(doc) if doc is not None else None
+    region = proof_region(doc)
     return sum(
         1
         for m in report.errors()

@@ -76,9 +76,7 @@ class OracleTimeout(ProverError):
 
 # --- propositional layer ---------------------------------------------------
 
-def _satisfiable(
-    clauses: List[List[int]], nvars: int, deadline: Optional[float] = None
-) -> bool:
+def _satisfiable(clauses: List[List[int]], nvars: int, deadline: float) -> bool:
     """DPLL with unit propagation and chronological backtracking,
     deciding variables 1..nvars only.
 
@@ -116,9 +114,8 @@ def _satisfiable(
         steps = 0
         while qi < len(trail):
             steps += 1
-            if deadline is not None and steps % 64 == 0:
-                if time.monotonic() > deadline:
-                    raise OracleTimeout()
+            if steps % 64 == 0 and time.monotonic() > deadline:
+                raise OracleTimeout()
             lit = trail[qi]
             qi += 1
             for ci in occ.get(-lit, ()):
@@ -154,7 +151,7 @@ def _satisfiable(
         return False
 
     while True:
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             raise OracleTimeout()
         # Every variable below the newest decision's was assigned before
         # that decision was made, and backtracking to it keeps them.
@@ -188,7 +185,7 @@ _INSTANCES_PER_CLOCK_CHECK = 256
 class _Grounder:
     """Maps ground atoms to propositional variables and clausifies."""
 
-    def __init__(self, domain_size: int, deadline: Optional[float] = None):
+    def __init__(self, domain_size: int, deadline: float):
         self.domain = list(range(domain_size))
         self.deadline = deadline
         self.instances = 0
@@ -231,8 +228,7 @@ class _Grounder:
             for combo in itertools.product(self.domain, repeat=len(names)):
                 self.instances += 1
                 if (
-                    self.deadline is not None
-                    and self.instances % _INSTANCES_PER_CLOCK_CHECK == 0
+                    self.instances % _INSTANCES_PER_CLOCK_CHECK == 0
                     and time.monotonic() > self.deadline
                 ):
                     raise OracleTimeout()
@@ -290,7 +286,7 @@ def entails(
     premises: Sequence[Formula],
     goal: Formula,
     fresh_constants: int,
-    deadline: Optional[float] = None,
+    deadline: float,
 ) -> bool:
     """Ground entailment over an explicit pool.
 

@@ -4,12 +4,14 @@ Holds the random formula generator used by the round-trip suites, an
 atom walker, an independent truth-table entailment enumerator (no code
 shared with the package's ground oracle: different grounding
 representation, no clausification, plain exhaustive assignment search),
-and a scripted transport for driving LLM stages without a network.
+a scripted transport for driving LLM stages without a network, and a
+writer of problem files.
 """
 
 import itertools
+import json
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -26,6 +28,7 @@ from verifine.logic import (
     Variable,
     free_variables,
 )
+from verifine.pipeline import NLIProblem
 
 UNARY_PREDS = ("P", "Q", "R", "S")
 BINARY_PREDS = ("Agent", "Patient", "Near")
@@ -226,3 +229,21 @@ class ScriptedTransport:
             "no scripted response for stage %s; prompt starts: %r"
             % (stage, prompt[:160])
         )
+
+
+# ---------------------------------------------------------------------------
+# Problem files
+
+def save_problems(problems: Iterable[NLIProblem], path: str) -> None:
+    """Write problems as canonical entailment JSONL."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for problem in problems:
+            record = {
+                "id": problem.id,
+                "premise": problem.premise_text,
+                "hypothesis": problem.hypothesis_text,
+                "explanation": [f.text for f in problem.explanation],
+            }
+            if problem.dataset != "default":
+                record["dataset"] = problem.dataset
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")

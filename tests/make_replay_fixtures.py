@@ -22,11 +22,12 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from verifine.batch import run_batch
-from verifine.datasets import load_problems, save_problems
+from verifine.datasets import load_problems
 from verifine.llm import TranscriptCache
 from verifine.pipeline import RefinerConfig, run_refiner
 from verifine.prover import GroundOracle
 
+from helpers import save_problems
 from fixtures_e2e import (
     CORPORA,
     worked_example_problems,

@@ -10,6 +10,7 @@ import json
 import os
 import random
 import time
+import types
 
 import pytest
 
@@ -129,8 +130,11 @@ def test_04_live_prover_round_trip():
         assert report.status == "valid"
         assert time.monotonic() - started < 65.0
 
-        clashed = violin_doc().rendered.replace("Agent e x", "Agent e", 1)
-        report = handle.check_source(clashed, "violin_clash", timeout_s=65.0)
+        # Text no TheoryDoc can hold, in a stand-in with the fields a
+        # check reads.
+        text = violin_doc().rendered.replace("Agent e x", "Agent e", 1)
+        clashed = types.SimpleNamespace(name="violin_clash", rendered=text, proof=())
+        report = handle.check_document(clashed, timeout_s=65.0)
         assert report.status == "failed"
         assert report.first_error[1] is ErrorClass.TYPE_UNIFICATION
 

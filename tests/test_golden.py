@@ -211,3 +211,29 @@ def test_the_coverage_check_sees_a_missing_path(paths_replay):
     covered = paths_coverage(problems, traces, kept)
     assert not covered["no fence: refine_syntax"]
     assert not covered["syntax repair that does not parse"]
+
+
+# ---------------------------------------------------------------------------
+# The fixture generator
+
+def _exchanges(path):
+    """Each key's (prompt, response) in a transcript cache; a repeated
+    key's last line wins, as when the cache loads."""
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    return {r["key"]: (r["prompt"], r["response"]) for r in records}
+
+
+def test_the_generator_reproduces_the_shipped_fixtures(tmp_path):
+    import make_replay_fixtures
+
+    make_replay_fixtures.main(["--data-dir", str(tmp_path)])
+    for problems_file, cache_file, golden_file in CORPORA.values():
+        for name in (problems_file, golden_file):
+            with open(os.path.join(DATA_DIR, name), "rb") as fh:
+                assert (tmp_path / name).read_bytes() == fh.read(), name
+        # The shipped caches keep repeated lines from older recordings,
+        # so they are compared by what they serve.
+        assert _exchanges(tmp_path / cache_file) == _exchanges(
+            os.path.join(DATA_DIR, cache_file)
+        ), cache_file

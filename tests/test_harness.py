@@ -20,7 +20,6 @@ from verifine.datasets import (
     SchemaError,
     load_problems,
     mcqa_hypothesis,
-    save_problems,
 )
 from verifine.llm import TranscriptCache
 from verifine.llmtypes import StageKind
@@ -54,6 +53,7 @@ from verifine.theory import (
 )
 
 from fixtures_e2e import batch_problems, batch_transport, gateway_config, scrub_elapsed
+from helpers import save_problems
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -195,6 +195,28 @@ MCQA_ROW = {
     "explanation": ["Copper is a metal.", "Metals conduct electricity."],
     "dataset": "qasc",
 }
+
+
+class TestFieldChecks:
+    @pytest.mark.parametrize(
+        "row, fld, detail",
+        [
+            (ROW | {"hypothesis": 7}, "hypothesis", "expected str, got int"),
+            (ROW | {"hypothesis": "  "}, "hypothesis", "must be non-empty"),
+            (MCQA_ROW | {"question": " "}, "question", "must be non-empty"),
+            (
+                MCQA_ROW | {"options": ["wood", " "]},
+                "options",
+                "must be a list of non-empty strings",
+            ),
+        ],
+    )
+    def test_a_bad_field_is_named(self, tmp_path, row, fld, detail):
+        path = str(tmp_path / "p.jsonl")
+        write_jsonl(path, [row])
+        with pytest.raises(SchemaError) as exc:
+            load_problems(path)
+        assert (exc.value.line, exc.value.field, exc.value.detail) == (1, fld, detail)
 
 
 class TestMCQAConversion:
@@ -766,6 +788,33 @@ class TestRunBatch:
             run_batch(problems, cfg, workers=2, on_result=stop)
         assert (backend.entered, backend.exited) == (2, 2)
 
+    def test_a_batch_that_raises_starts_no_further_problem(self, monkeypatch):
+        import verifine.batch
+
+        started = []
+        refine = verifine.batch.run_refiner
+
+        def spy(problem, cfg):
+            started.append(problem.id)
+            return refine(problem, cfg)
+
+        def stop(trace):
+            raise RuntimeError("progress hook failed")
+
+        monkeypatch.setattr(verifine.batch, "run_refiner", spy)
+        problems = batch_problems()[:10]
+        cfg = RefinerConfig(
+            llm=gateway_config(),
+            backend=GroundOracle(),
+            mode="live",
+            transport=batch_transport(),
+        )
+        with pytest.raises(RuntimeError, match="progress hook failed"):
+            run_batch(problems, cfg, on_result=stop)
+        # The first problem's hook raised; at most the one the worker
+        # took up meanwhile also ran.
+        assert 1 <= len(started) <= 2
+
     def test_repeated_ids_keep_every_trace(self, tmp_path, monkeypatch):
         import verifine.batch
 
@@ -942,6 +991,15 @@ class TestCLI:
         overall = [l for l in out.splitlines() if l.startswith("overall")]
         assert overall and overall[0].split()[1:5] == ["2", "0", "2", "0"]
         assert "  2: ##" in out
+
+    def test_report_as_json(self, tmp_path, capsys):
+        problems = load_problems(os.path.join(DATA_DIR, "esnli_pairs.jsonl"))
+        out_dir = str(tmp_path / "traces")
+        run_batch(problems, replay_cfg("esnli.jsonl"), out_dir)
+        assert self.run("report", "--traces", out_dir, "--format", "json") == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["overall"]["problems"] == 2
+        assert data["overall"]["iteration_histogram"] == {"2": 2}
 
     def test_report_csv_written_to_file(self, tmp_path):
         problems = load_problems(os.path.join(DATA_DIR, "esnli_pairs.jsonl"))
@@ -1180,6 +1238,46 @@ class TestCLI:
             fh.write("lemma nothing")
         with pytest.raises(SystemExit, match="cannot parse"):
             self.run("verify", "--theory", path)
+
+    def test_verify_unreadable_theory(self, tmp_path):
+        with pytest.raises(SystemExit, match="cannot read"):
+            self.run("verify", "--theory", str(tmp_path / "absent.thy"))
+
+    def test_verify_without_a_server_exits(self):
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        with pytest.raises(SystemExit, match="cannot start prover session"):
+            self.run(
+                "verify",
+                "--theory",
+                os.path.join(DATA_DIR, "violin_golden.thy"),
+                "--backend",
+                "isabelle",
+                "--isabelle-port",
+                str(port),
+            )
+
+    @pytest.mark.parametrize(
+        "content, message", [(None, "cannot load"), ("\n", "no problems selected")]
+    )
+    def test_unusable_problem_file_exits(self, tmp_path, content, message):
+        path = tmp_path / "problems.jsonl"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(SystemExit, match=message):
+            self.run(
+                "refine",
+                "--problems",
+                str(path),
+                "--model",
+                "m",
+                "--mode",
+                "replay",
+                "--cache",
+                os.path.join(DATA_DIR, "replay", "esnli.jsonl"),
+            )
 
     def test_unknown_problem_id_exits(self):
         with pytest.raises(SystemExit, match="unknown problem ids: nope"):

@@ -7,6 +7,7 @@ small domains) so the truth-table enumerator in helpers stays fast.
 import contextlib
 import dataclasses
 import itertools
+import math
 import random
 import sys
 import threading
@@ -271,15 +272,15 @@ class TestAgreementWithEnumerator:
 class TestEntailsFunction:
     def test_minimum_domain_is_one(self):
         goal = parse_formula("forall x. P(x) | ~P(x)")
-        assert entails([], goal, 0) is True
+        assert entails([], goal, 0, math.inf) is True
 
     def test_domain_grows_with_free_names(self):
         # One free name plus one fresh element: a universal goal must
         # also hold on the element the premise never mentions.
         premise = parse_formula("P(a)")
         goal = parse_formula("forall x. P(x)")
-        assert entails([premise], goal, 0) is True
-        assert entails([premise], goal, 1) is False
+        assert entails([premise], goal, 0, math.inf) is True
+        assert entails([premise], goal, 1, math.inf) is False
 
 
 class TestDirectCheckReports:
@@ -789,7 +790,7 @@ class TestSolver:
             [rng.choice((1, -1)) * rng.randint(1, nvars) for _ in range(width)]
             for width in [rng.randint(1, 3) for _ in range(rng.randint(1, 4 * nvars))]
         ]
-        assert oracle._satisfiable(clauses, nvars) is _brute_satisfiable(
+        assert oracle._satisfiable(clauses, nvars, math.inf) is _brute_satisfiable(
             clauses, nvars
         )
 
@@ -800,12 +801,12 @@ def solver_input(premises, goal, fresh):
     seen = []
     solve = oracle._satisfiable
 
-    def record(clauses, nvars, deadline=None):
+    def record(clauses, nvars, deadline):
         seen.append((clauses, nvars))
         return solve(clauses, nvars, deadline)
 
     with mock.patch.object(oracle, "_satisfiable", record):
-        entails(premises, goal, fresh)
+        entails(premises, goal, fresh, math.inf)
     ((clauses, atoms),) = seen
     return clauses, atoms, max(abs(lit) for clause in clauses for lit in clause)
 
@@ -839,7 +840,7 @@ class TestAtomSearch:
             for var in range(1, atoms + 1)
             if rng.random() < 0.7
         ]
-        assert oracle._satisfiable(clauses, atoms) is _brute_satisfiable(
+        assert oracle._satisfiable(clauses, atoms, math.inf) is _brute_satisfiable(
             clauses, nvars
         )
 
@@ -857,7 +858,7 @@ class TestAtomSearch:
         assert atoms < nvars
         for clause in clauses:
             assert sum(lit < -atoms for lit in clause) <= 1
-        assert entails([nested, facts], goal, 0)
+        assert entails([nested, facts], goal, 0, math.inf)
         assert brute_entails([nested, facts], goal, 0)
 
     def test_tautological_goal_under_existential_axioms_is_quick(self):
@@ -911,7 +912,7 @@ class TestAtomSearch:
     ],
 )
 def test_binary_connectives_ground_by_polarity(text, neg, tree):
-    grounder = oracle._Grounder(1)
+    grounder = oracle._Grounder(1, math.inf)
     assert grounder.ground(parse_formula(text), {"a": 0}, neg) == tree
 
 

@@ -9,11 +9,13 @@ run only when VERIFINE_ISABELLE_HOST and friends are exported.
 
 import collections
 import json
+import logging
 import os
 import socket
 import tempfile
 import threading
 import time
+import types
 
 import pytest
 
@@ -24,6 +26,7 @@ from verifine.prover.isabelle import (
     IsabelleSession,
     SessionBuildFailed,
     SessionDead,
+    SharedSession,
 )
 from verifine.prover.messages import ErrorClass, locate_failed_step
 from verifine.prover.oracle import OracleSession
@@ -300,6 +303,25 @@ class TestHandshakeAndLifecycle:
         with pytest.raises(SessionBuildFailed):
             connect(server)
 
+    def test_session_start_past_the_build_budget_raises(self, server, monkeypatch):
+        monkeypatch.setattr(isabelle, "BUILD_TIMEOUT_S", 0.2)
+        server.start_gate = threading.Event()
+        try:
+            started = time.monotonic()
+            with pytest.raises(SessionBuildFailed, match="did not come up"):
+                connect(server)
+            assert time.monotonic() - started < 1.0
+        finally:
+            server.start_gate.set()
+
+    def test_stopping_on_a_closed_server_logs_a_warning(self, server, caplog):
+        shared = SharedSession(IsabelleServer("127.0.0.1", server.port, server.password))
+        shared.open().close()
+        server.close()
+        with caplog.at_level(logging.WARNING, logger="verifine.prover.isabelle"):
+            shared.close()
+        assert "could not stop prover session sess-1" in caplog.text
+
     @pytest.mark.parametrize(
         "fault, error",
         [
@@ -380,15 +402,6 @@ class TestChecking:
         finally:
             session.close()
 
-    def test_check_source_writes_raw_text(self, server):
-        session = connect(server)
-        try:
-            report = session.check_source("theory junk", "junk", timeout_s=5.0)
-            assert report.status == "valid"
-            assert server.theories_seen[-1][1] == "theory junk"
-        finally:
-            session.close()
-
     def test_error_payload_becomes_failed_report(self, server):
         server.use_theories_payload = {
             "ok": False,
@@ -424,6 +437,21 @@ class TestChecking:
             ]
             assert report.first_error[0].span.line == 21
             assert report.first_error[1] is ErrorClass.PROOF_FAILURE
+        finally:
+            session.close()
+
+    def test_a_position_without_offset_gets_no_span(self, server):
+        server.use_theories_payload = {
+            "ok": False,
+            "errors": [{"message": "Inner syntax error", "pos": {"line": 4}}],
+        }
+        session = connect(server)
+        try:
+            report = session.check_document(violin_doc(), timeout_s=5.0)
+            assert report.status == "failed"
+            assert [(m.text, m.span) for m in report.messages] == [
+                ("Inner syntax error", None)
+            ]
         finally:
             session.close()
 
@@ -557,8 +585,11 @@ class TestLiveServer:
         assert time.monotonic() - started < 65.0
 
     def test_arity_clash_classifies_as_type_unification(self, live_session):
+        # Text no TheoryDoc can hold, in a stand-in with the fields a
+        # check reads.
         text = violin_doc().rendered.replace("Agent e x", "Agent e", 1)
-        report = live_session.check_source(text, "violin_1", timeout_s=65.0)
+        clashed = types.SimpleNamespace(name="violin_1", rendered=text, proof=())
+        report = live_session.check_document(clashed, timeout_s=65.0)
         assert report.status == "failed"
         assert report.first_error[1] is ErrorClass.TYPE_UNIFICATION
 

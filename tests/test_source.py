@@ -1,9 +1,11 @@
-"""Source hygiene: every name the package imports is used, every module
-it imports is its own or the standard library's, the lower layers load
-without the gateway or the loop, the CLI loads without the network
-stack, formula nodes keep what they derive in slots, every package
-attribute the bench wraps still exists, a traced bench run measures
-the prover, and a failing hypothesis test reports its example."""
+"""Source hygiene: every name the package imports is used, every
+function and class it defines has a caller in the package or the
+bench, every module it imports is its own or the standard library's,
+the lower layers load without the gateway or the loop, the CLI loads
+without the network stack, formula nodes keep what they derive in
+slots, every package attribute the bench wraps still exists, a traced
+bench run measures the prover, and a failing hypothesis test reports
+its example."""
 
 import ast
 import collections.abc
@@ -21,6 +23,7 @@ import verifine.theory as theory
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 PACKAGE_DIR = os.path.join(SRC_DIR, "verifine")
 BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+BENCH_TESTS = os.path.join(BENCH_DIR, "tests")
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 
 
@@ -111,6 +114,76 @@ def test_package_imports_only_the_standard_library():
                 if top != "verifine" and top not in sys.stdlib_module_names:
                     foreign.append("%s: %s" % (module, name))
     assert foreign == []
+
+
+def definitions(source: str) -> set:
+    """Functions and classes a source file defines, at any depth, but for
+    dunder names."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def uses(source: str) -> set:
+    """Names a source file uses: as a name, an attribute, an imported
+    name or an identifier string, as in `getattr(backend, "shared")`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                found.add(node.value)
+    return found
+
+
+def test_the_caller_check_sees_an_unused_definition():
+    source = (
+        "from .a import imported\n"
+        "class C:\n"
+        "    def __init__(self): pass\n"
+        "    def method(self): pass\n"
+        "    def named(self): pass\n"
+        "    def unused(self): pass\n"
+        "def caller():\n"
+        "    C().method()\n"
+        "    return getattr(C, 'named')\n"
+    )
+    assert definitions(source) - uses(source) == {"unused", "caller"}
+
+
+def _program_files():
+    """The package's modules and the bench's, `bench/tests` left out."""
+    for top in (PACKAGE_DIR, BENCH_DIR):
+        for root, dirs, files in os.walk(top):
+            dirs[:] = [d for d in dirs if os.path.join(root, d) != BENCH_TESTS]
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    yield os.path.join(root, name)
+
+
+def test_every_package_definition_has_a_caller():
+    """Nothing in the package serves only its tests: each function and
+    class defined under src/verifine is used somewhere in the package or
+    the bench."""
+    defined, used = {}, set()
+    for path in _program_files():
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        used |= uses(source)
+        if path.startswith(PACKAGE_DIR):
+            module = os.path.relpath(path, PACKAGE_DIR)
+            defined.update((name, module) for name in definitions(source))
+    assert sorted(
+        "%s: %s" % (module, name) for name, module in defined.items() if name not in used
+    ) == []
 
 
 def test_bench_patch_points_exist(monkeypatch):
