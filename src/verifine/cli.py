@@ -211,7 +211,7 @@ def _cmd_formalise(args: argparse.Namespace) -> int:
     problems = _load(args)
     cfg = RefinerConfig(
         llm=_llm_config(args),
-        backend=GroundOracle(),
+        backend=None,
         mode=args.mode,
         cache=_cache(args),
     )
@@ -273,11 +273,6 @@ def _print_trace_line(trace) -> None:
     )
 
 
-def _cmd_refine(args: argparse.Namespace) -> int:
-    run_batch(_load(args), _refiner_config(args), args.out, on_result=_print_trace_line)
-    return 0
-
-
 def _cmd_batch(args: argparse.Namespace) -> int:
     problems = _load(args)
     cfg = _refiner_config(args)
@@ -287,8 +282,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         traces = run_batch(
             problems, cfg, args.out, workers=args.workers, on_result=_print_trace_line
         )
-    print()
-    print(render_text(aggregate(traces)), end="")
+    if args.summary:
+        print()
+        print(render_text(aggregate(traces)), end="")
     return 0
 
 
@@ -359,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_llm_flags(p)
     _add_backend_flags(p)
     _add_loop_flags(p)
-    p.set_defaults(func=_cmd_refine)
+    p.set_defaults(func=_cmd_batch, workers=1, summary=False)
 
     p = sub.add_parser("batch", help="run the loop with a worker pool")
     _add_problem_flags(p)
@@ -368,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_llm_flags(p)
     _add_backend_flags(p)
     _add_loop_flags(p)
-    p.set_defaults(func=_cmd_batch)
+    p.set_defaults(func=_cmd_batch, summary=True)
 
     p = sub.add_parser("report", help="aggregate saved traces")
     p.add_argument("--traces", nargs="+", required=True, help="trace files or dirs")

@@ -43,9 +43,10 @@ check, on a context of their own, so the problem's own round takes
 their replies from the table.
 
 A problem's `PipelineContext` holds what it owns: its caches, its calls
-asked ahead and the one prover session its rounds share, closed when the
-problem ends.  The session is reopened only when a check has left it
-unusable: a timed-out Isabelle check kills its session.  An Isabelle
+asked ahead and the prover sessions its rounds check on, every one
+closed when the problem ends.  Rounds share one session, and a round
+opens another only when a check has left the last one unusable: a
+timed-out Isabelle check kills its session.  An Isabelle
 session opens on the stage pool while the round formalises and is joined
 at the round's first check, so its start-up overlaps the round's first
 LLM calls; an oracle session is a plain object and opens inline.  Under
@@ -232,13 +233,14 @@ class RefinementTrace:
 class RefinerConfig:
     """How a run asks the model and checks theories.
 
-    Each value holds `replies`, not a field: None, or the `ReplyTable`
-    through which the problems of a batch share model replies, which
-    the copy `run_batch` runs its problems on carries.
+    `backend` is None only in a config that formalises and checks
+    nothing.  Each value holds `replies`, not a field: None, or the
+    `ReplyTable` through which the problems of a batch share model
+    replies, which the copy `run_batch` runs its problems on carries.
     """
 
     llm: LLMConfig
-    backend: ProverBackend
+    backend: Optional[ProverBackend]
     mode: str = "live"
     cache: Optional[TranscriptCache] = None
     transport: Optional[Transport] = None
@@ -248,6 +250,10 @@ class RefinerConfig:
 
     def __post_init__(self):
         check_mode(self.mode, self.cache)
+        if self.backend is not None and not all(
+            hasattr(self.backend, name) for name in ("open", "opens_remotely")
+        ):
+            raise TypeError("unknown backend: %r" % (self.backend,))
         if self.max_refinement_iterations < 0:
             raise ValueError("max_refinement_iterations must be >= 0")
         if self.syntax_iterations < 0:
@@ -273,7 +279,7 @@ _stage_pool = ThreadPoolExecutor(sys.maxsize, thread_name_prefix="verifine-stage
 
 class PipelineContext:
     """What one problem owns: its stage calls and the calls asked ahead,
-    its formalisation caches and the prover session its rounds share."""
+    its formalisation caches and the prover sessions its rounds open."""
 
     def __init__(self, cfg: RefinerConfig, problem: NLIProblem):
         self.cfg = cfg
@@ -288,7 +294,8 @@ class PipelineContext:
         # The round's calls asked ahead that no ask has taken yet, by
         # prompt key.  Only the problem's own thread touches them.
         self._ahead: Dict[tuple, Future] = {}
-        self._opened: Optional["Future[SessionHandle]"] = None
+        # Every session open the problem started; the last is the round's.
+        self._opened: List["Future[SessionHandle]"] = []
 
     def ask(self, stage: StageKind, bindings: Mapping[str, str], parse: Callable):
         """One stage call: render, complete, then `parse` the reply's last
@@ -334,34 +341,34 @@ class PipelineContext:
         return "f%d" % self._counter
 
     def begin_round(self) -> None:
-        """Start opening a session unless a usable one is open.  Through
-        the module global `start_session`, which tests and the bench
-        replace."""
-        if self._opened is not None:
-            handle = self._opened.result()
-            if handle.usable:
-                return
-            handle.close()
+        """Start opening a session unless a usable one is open; an
+        unusable one stays for `close`.  Through the module global
+        `start_session`, which tests and the bench replace."""
+        if self._opened and self._opened[-1].result().usable:
+            return
         # A session that opens remotely takes a server round trip or more,
         # which the stage pool hides behind formalisation; any other is a
         # plain object, so a pool task would cost more than it hides.
         if self.cfg.backend.opens_remotely:
-            self._opened = _stage_pool.submit(start_session, self.cfg.backend)
-            return
-        self._opened = Future()
-        self._opened.set_result(start_session(self.cfg.backend))
+            opened = _stage_pool.submit(start_session, self.cfg.backend)
+        else:
+            opened = Future()
+            opened.set_result(start_session(self.cfg.backend))
+        self._opened.append(opened)
 
     def handle(self) -> SessionHandle:
         """The round's session, once open; waits for a pending open."""
         try:
-            return self._opened.result()
+            return self._opened[-1].result()
         except (ProverError, OSError) as exc:
             raise _BackendUnavailable(exc)
 
     def close(self) -> None:
-        """Close the problem's session, once any pending open is done."""
-        if self._opened is not None and self._opened.exception() is None:
-            self._opened.result().close()
+        """Close every session the problem opened, each once its open is
+        done: the one place a problem's sessions close."""
+        for opened in self._opened:
+            if opened.exception() is None:
+                opened.result().close()
 
 
 class _BackendUnavailable(Exception):
@@ -692,15 +699,12 @@ def refine_explanation(
     or reworded gets a fresh id.  A malformed response leaves the
     explanation unchanged.
     """
-    problem = ctx.problem
     current = tuple(current)
     relevant_sentences = "\n".join(
         "- " + a.source_text for a in bundle.relevant_axioms if a.source_text
     ) or "(none)"
     bindings = {
-        "premise": problem.premise_text or "(none)",
-        "hypothesis": problem.hypothesis_text,
-        "facts": _facts_listing(current),
+        **_strategy_bindings(ctx.problem, current),
         "error_message": bundle.error_message or "(none)",
         "failed_step": _describe_step(bundle.failed_step, bundle.failed_step_index),
         "strategy": bundle.strategy.narrative if bundle.strategy else "(none)",

@@ -55,7 +55,7 @@ class IsabelleServer:
     def open(self) -> IsabelleSession:
         """Connect, authenticate, and build and start a server session, so
         ConnectFailed, AuthFailed and SessionBuildFailed surface here."""
-        return IsabelleSession(self.host, self.port, self.password, self.session_name)
+        return IsabelleSession(self)
 
     def shared(self) -> ContextManager[SharedSession]:
         return contextlib.closing(SharedSession(self))

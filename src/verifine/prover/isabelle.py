@@ -20,12 +20,14 @@ time and stale results are never replayed across the repeated checks a
 refinement round performs.  A timed-out task may outlive its file, but
 its session is retired by then.
 
-A server session outlives the connection that started it, so another
-connection can attach to it by its `session_id` and check theories
-without `session_build` or `session_start`.  A batch's `SharedSession`
-hands out such connections.  Any other connection starts a session of
-its own and stops it when closed: over that connection while it is
-alive, and over a fresh one once a check has left it dead.
+A connection reads the host, port, password and session name of the
+`IsabelleServer` value it is given.  A server session outlives the
+connection that started it, so another connection can attach to it by
+its `session_id` and check theories without `session_build` or
+`session_start`.  A batch's `SharedSession` hands out such connections.
+Any other connection starts a session of its own and stops it when
+closed: over that connection while it is alive, and over a fresh one
+once a check has left it dead.
 """
 
 import contextlib
@@ -79,9 +81,10 @@ class _Deadline(Exception):
 class IsabelleSession:
     """One server connection to one prover session.
 
-    Without `session_id` the connection builds and starts a session;
-    with it, the connection attaches to that running session.  It owns
-    the session it started, unless `owns_session` says otherwise, and
+    `server` is the `IsabelleServer` to connect to.  Without
+    `session_id` the connection builds and starts a session; with it,
+    the connection attaches to that running session.  It owns the
+    session it started, unless `owns_session` says otherwise, and
     `close` stops the session first only when it owns it.  `on_dead`,
     when set, is called with the session id once a check times out, is
     refused or loses the connection.
@@ -89,28 +92,28 @@ class IsabelleSession:
 
     def __init__(
         self,
-        host: str,
-        port: int,
-        password: str,
-        session_name: str = "HOL",
+        server,
         session_id: Optional[str] = None,
         owns_session: Optional[bool] = None,
     ):
-        self.session_name = session_name
         self.session_id = session_id
         self.owns_session = session_id is None if owns_session is None else owns_session
         self.on_dead: Optional[Callable[[str], None]] = None
-        self._server = (host, port, password, session_name)
+        self._server = server
         self._buf = b""
         self._dead = False
         try:
-            self._sock = socket.create_connection((host, port), CONNECT_TIMEOUT_S)
+            self._sock = socket.create_connection(
+                (server.host, server.port), CONNECT_TIMEOUT_S
+            )
         except OSError as exc:
-            raise ConnectFailed("cannot connect to %s:%d: %s" % (host, port, exc))
+            raise ConnectFailed(
+                "cannot connect to %s:%d: %s" % (server.host, server.port, exc)
+            )
         try:
             deadline = time.monotonic() + CONNECT_TIMEOUT_S
             try:
-                self._write_line(password, deadline)
+                self._write_line(server.password, deadline)
                 kind, _payload = self._read_reply(deadline)
             except (_Deadline, SessionDead) as exc:
                 raise AuthFailed("no handshake reply: %s" % exc)
@@ -203,20 +206,16 @@ class IsabelleSession:
                 raise ProverError("%s error: %s" % (name, payload))
 
     def _start(self):
+        name = self._server.session_name
         deadline = time.monotonic() + BUILD_TIMEOUT_S
         try:
-            build = self._run_async(
-                "session_build", {"session": self.session_name}, deadline
-            )
+            build = self._run_async("session_build", {"session": name}, deadline)
             if build.get("ok") is False:
-                raise SessionBuildFailed("build of %r failed" % self.session_name)
-            started = self._run_async(
-                "session_start", {"session": self.session_name}, deadline
-            )
+                raise SessionBuildFailed("build of %r failed" % name)
+            started = self._run_async("session_start", {"session": name}, deadline)
         except _Deadline:
             raise SessionBuildFailed(
-                "session %r did not come up within %.0fs"
-                % (self.session_name, BUILD_TIMEOUT_S)
+                "session %r did not come up within %.0fs" % (name, BUILD_TIMEOUT_S)
             )
         except SessionBuildFailed:
             raise
@@ -357,7 +356,7 @@ class SharedSession:
     opens_remotely = True
 
     def __init__(self, server):
-        self._server = (server.host, server.port, server.password, server.session_name)
+        self._server = server
         self._lock = threading.Lock()
         self._session_id: Optional[str] = None
         self._started: List[str] = []
@@ -366,11 +365,11 @@ class SharedSession:
         with self._lock:
             session_id = self._session_id
             if session_id is None:
-                session = IsabelleSession(*self._server, owns_session=False)
+                session = IsabelleSession(self._server, owns_session=False)
                 self._session_id = session.session_id
                 self._started.append(session.session_id)
         if session_id is not None:
-            session = IsabelleSession(*self._server, session_id=session_id)
+            session = IsabelleSession(self._server, session_id=session_id)
         session.on_dead = self._retire
         return session
 
@@ -387,10 +386,9 @@ class SharedSession:
             _stop_session(self._server, session_id)
 
 
-def _stop_session(server: Tuple[str, int, str, str], session_id: str) -> None:
-    """Stop a server session over a fresh connection to `server` (host,
-    port, password and session name)."""
+def _stop_session(server, session_id: str) -> None:
+    """Stop a server session over a fresh connection to `server`."""
     try:
-        IsabelleSession(*server, session_id=session_id, owns_session=True).close()
+        IsabelleSession(server, session_id=session_id, owns_session=True).close()
     except ProverError as exc:
         log.warning("could not stop prover session %s: %s", session_id, exc)

@@ -8,6 +8,7 @@ problems, anything else is unknown.
 """
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -81,20 +82,15 @@ class CheckReport:
         return [m for m in self.messages if m.severity == "error"]
 
 
-_PATTERNS: Optional[List[Tuple[str, ErrorClass]]] = None
-
-
+@functools.cache
 def load_error_patterns() -> List[Tuple[str, ErrorClass]]:
-    """Ordered (substring, class) rows from the package data file."""
-    global _PATTERNS
-    if _PATTERNS is None:
-        raw = resources.files("verifine").joinpath("data/error_patterns.json")
-        table = json.loads(raw.read_text(encoding="utf-8"))
-        _PATTERNS = [
-            (row["contains"].lower(), ErrorClass(row["class"]))
-            for row in table["patterns"]
-        ]
-    return _PATTERNS
+    """Ordered (substring, class) rows from the package data file, read
+    once; every call returns the same list."""
+    raw = resources.files("verifine").joinpath("data/error_patterns.json")
+    table = json.loads(raw.read_text(encoding="utf-8"))
+    return [
+        (row["contains"].lower(), ErrorClass(row["class"])) for row in table["patterns"]
+    ]
 
 
 def classify_error(

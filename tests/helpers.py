@@ -205,9 +205,11 @@ class ScriptedTransport:
     """Route stage prompts to canned responses.
 
     Rules match on the stage name plus required prompt substrings; the
-    first match wins.  An unmatched prompt raises `AssertionError`;
-    `run_refiner` turns that into a `pipeline error` trace, so a test
-    of a whole problem sees it in the trace, not as an exception.
+    first match wins.  An unmatched prompt raises `AssertionError`
+    inside `run_refiner`, which records a `pipeline error` trace
+    (`exhausted_invalid`, the error as its diagnostic) and does not fail
+    the test.  So a test of a whole problem that expects a rejected
+    explanation also asserts `trace.diagnostic is None`.
     """
 
     def __init__(self):

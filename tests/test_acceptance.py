@@ -186,6 +186,7 @@ def test_06_adversarial_loop_terminates_at_bound():
     for problem in problems:
         trace = run_refiner(problem, cfg)
         assert trace.final_status == "exhausted_invalid"
+        assert trace.diagnostic is None
         assert trace.total_iterations == 10
         assert len(trace.iterations) == 11
         for record in trace.iterations:

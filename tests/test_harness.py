@@ -729,9 +729,9 @@ class TestRunBatch:
 
         monkeypatch.setattr(verifine.batch, "run_refiner", spy)
         problems = load_problems(os.path.join(DATA_DIR, "esnli_pairs.jsonl"))
-        cfg = replace(replay_cfg("esnli.jsonl"), backend=object())
         out_dir = tmp_path / "t"
         with pytest.raises(TypeError, match="unknown backend"):
+            cfg = replace(replay_cfg("esnli.jsonl"), backend=object())
             run_batch(problems, cfg, str(out_dir), workers=2)
         assert started == []
         assert not out_dir.exists()

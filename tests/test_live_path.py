@@ -1013,12 +1013,39 @@ def test_outside_a_batch_a_timed_out_session_is_still_stopped():
     assert not +server.live_sessions
 
 
+def test_outside_a_batch_a_problem_stops_its_sessions_when_it_ends():
+    """A round after a timed-out check opens a fresh session and stops
+    none: the problem stops every session it started when it ends."""
+    server = FakeIsabelleServer()
+    server.hang_on_use_theories = True
+    server.numbered_sessions = True
+    try:
+        cfg = RefinerConfig(
+            llm=gateway_config(),
+            backend=isabelle_backend(server),
+            mode="live",
+            transport=worked_example_transport(),
+            max_refinement_iterations=1,
+            timeout_s=0.3,
+        )
+        trace = run_refiner(worked_example_problems()[0], cfg)
+    finally:
+        server.close()
+    assert trace.diagnostic is None
+    assert [r.report.status for r in trace.iterations] == ["timeout", "timeout"]
+    assert commands(server, "session_start", "use_theories", "session_stop") == [
+        "session_start", "use_theories", "session_start", "use_theories",
+        "session_stop", "session_stop",
+    ]
+    assert not +server.live_sessions
+
+
 def test_attaching_by_id_checks_until_the_session_stops():
     server = FakeIsabelleServer()
-    address = ("127.0.0.1", server.port, server.password)
+    backend = isabelle_backend(server)
     try:
-        owner = IsabelleSession(*address)
-        guest = IsabelleSession(*address, session_id=owner.session_id)
+        owner = IsabelleSession(backend)
+        guest = IsabelleSession(backend, session_id=owner.session_id)
         assert not guest.owns_session
         assert guest.check_document(violin_doc(), timeout_s=5.0).status == "valid"
         guest.close()
@@ -1026,7 +1053,7 @@ def test_attaching_by_id_checks_until_the_session_stops():
             "session_build", "session_start",
         ]
         owner.close()
-        late = IsabelleSession(*address, session_id="sess-1")
+        late = IsabelleSession(backend, session_id="sess-1")
         try:
             with pytest.raises(ProverError, match="no running session"):
                 late.check_document(violin_doc(), timeout_s=5.0)

@@ -685,6 +685,7 @@ class TestRunRefinerScripted:
         problem = gadget_problem(GADGET_FACT)
         trace = run_refiner(problem, make_cfg(t, max_refinement_iterations=2))
         assert trace.final_status == "exhausted_invalid"
+        assert trace.diagnostic is None
         assert trace.total_iterations == 2
         assert len(trace.iterations) == 3
         for record in trace.iterations:
@@ -772,6 +773,13 @@ def test_the_config_refuses_a_mode_it_cannot_run(mode, message):
         make_cfg(ScriptedTransport(), mode=mode)
 
 
+def test_the_config_refuses_a_value_that_is_no_backend():
+    """Refused when built; None, a config that only formalises, is not."""
+    with pytest.raises(TypeError, match="unknown backend"):
+        RefinerConfig(llm=gateway_config(), backend=object())
+    assert RefinerConfig(llm=gateway_config(), backend=None).backend is None
+
+
 # ---------------------------------------------------------------------------
 # The prover session a problem's rounds share
 
@@ -803,6 +811,7 @@ class TestProblemSession:
         finally:
             server.close()
         assert trace.final_status == "exhausted_invalid"
+        assert trace.diagnostic is None
         assert len(trace.iterations) == 2
         names = [name for name, _ in server.requests]
         for command in ("session_build", "session_start", "session_stop"):
@@ -1133,6 +1142,7 @@ class TestAdversarialRefinement:
         for problem in problems:
             trace = run_refiner(problem, cfg)
             assert trace.final_status == "exhausted_invalid"
+            assert trace.diagnostic is None
             assert trace.total_iterations == 10
             assert len(trace.iterations) == 11
             for record in trace.iterations:

@@ -234,8 +234,9 @@ def short_timeouts(monkeypatch):
     monkeypatch.setattr(isabelle, "BUILD_TIMEOUT_S", 10.0)
 
 
-def connect(srv, **kwargs):
-    return IsabelleSession("127.0.0.1", srv.port, srv.password, **kwargs)
+def connect(srv, session_name="HOL", **kwargs):
+    server = IsabelleServer("127.0.0.1", srv.port, srv.password, session_name)
+    return IsabelleSession(server, **kwargs)
 
 
 class TestHandshakeAndLifecycle:
@@ -263,13 +264,13 @@ class TestHandshakeAndLifecycle:
 
     def test_wrong_password_is_refused(self, server):
         with pytest.raises(AuthFailed):
-            IsabelleSession("127.0.0.1", server.port, "not-it")
+            IsabelleSession(IsabelleServer("127.0.0.1", server.port, "not-it"))
 
     def test_silent_server_fails_handshake(self, server, monkeypatch):
         server.close_on_connect = True
         monkeypatch.setattr(isabelle, "CONNECT_TIMEOUT_S", 1.0)
         with pytest.raises(AuthFailed):
-            IsabelleSession("127.0.0.1", server.port, server.password)
+            IsabelleSession(IsabelleServer("127.0.0.1", server.port, server.password))
 
     def test_closed_port_raises_connect_failed(self, monkeypatch):
         monkeypatch.setattr(isabelle, "CONNECT_TIMEOUT_S", 1.0)
@@ -278,7 +279,7 @@ class TestHandshakeAndLifecycle:
         port = probe.getsockname()[1]
         probe.close()
         with pytest.raises(ConnectFailed):
-            IsabelleSession("127.0.0.1", port, "x")
+            IsabelleSession(IsabelleServer("127.0.0.1", port, "x"))
 
     def test_closed_fake_refuses_new_sessions(self, monkeypatch):
         monkeypatch.setattr(isabelle, "CONNECT_TIMEOUT_S", 1.0)
@@ -286,7 +287,7 @@ class TestHandshakeAndLifecycle:
         srv.close()
         assert not srv._accepter.is_alive()
         with pytest.raises(ConnectFailed):
-            IsabelleSession("127.0.0.1", srv.port, srv.password)
+            IsabelleSession(IsabelleServer("127.0.0.1", srv.port, srv.password))
 
     def test_failed_build_raises(self, server):
         server.build_ok = False
@@ -352,7 +353,7 @@ class TestHandshakeAndLifecycle:
         # The kept exception info holds the half-built session, so only
         # an explicit close ends the connection before the test does.
         with pytest.raises(error) as info:
-            IsabelleSession("127.0.0.1", port, password)
+            IsabelleSession(IsabelleServer("127.0.0.1", port, password))
         assert os.listdir(str(tmp_path)) == []
         if error is SessionBuildFailed:
             deadline = time.monotonic() + 2.0
@@ -571,7 +572,7 @@ def live_session():
     params = live_params()
     if params is None:
         pytest.skip("no live Isabelle server configured")
-    session = IsabelleSession(**params)
+    session = IsabelleSession(IsabelleServer(**params))
     yield session
     session.close()
 
